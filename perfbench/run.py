@@ -14,9 +14,13 @@ must give the same output bytes.
 
 * ``setup_s``: interpreter start, ``import lieinv`` and building the inputs,
   up to the first program call; the median also takes in the set-up-only
-  probes run after each round (at least five);
+  probes run after each round (at least fifteen);
 * ``wall_s``: first program call to the last result;
 * ``peak_rss_mb``: peak resident set of the round's process.
+
+Both times are taken at the reference processor speed: each raw time is
+multiplied by the speed ``speed.py`` samples in the same process, so that
+the host's slow and fast spells do not show as changes of the program.
 
 ``--trace 1`` alternates an untraced and a traced round and prints the
 per-layer metrics of ``tracer.py`` (medians over the traced rounds), plus
@@ -42,7 +46,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 WORKER = os.path.join(HERE, "worker.py")
 WORKLOADS = ("reproduce_all", "derive_sweep", "covariant_roundtrip")
-SETUP_PROBES = 5
+SETUP_PROBES = 15
 DEADLINE_S = 170.0  # every run must end within 180 s
 
 
@@ -75,7 +79,8 @@ def spawn(workload: str, seed: int, mode: str, check: bool,
         raise RoundFailed(f"{mode} round of {workload} exited with "
                           f"{proc.returncode}:\n{err[-2000:]}")
     report = json.loads(out.strip().splitlines()[-1])
-    report["setup_s"] = report.pop("first_call") - start
+    report["raw_setup_s"] = report.pop("first_call") - start
+    report["setup_s"] = report["raw_setup_s"] * report["setup_speed"]
     report["mode"] = mode
     return report
 
@@ -106,6 +111,8 @@ def measure(workload: str, seed: int, seconds: float, trace: bool):
     problems = list(rounds[0]["problems"])
     if len({r["digest"] for r in rounds}) != 1:
         problems.append("rounds with the same inputs gave different outputs")
+    for name in sorted({n for r in rounds for n in r["untraced_functions"]}):
+        problems.append(f"traced function {name} was not found in lieinv")
     def median(key, group):
         return statistics.median([r[key] for r in group])
 
@@ -126,8 +133,10 @@ def measure(workload: str, seed: int, seconds: float, trace: bool):
         }
     result = {
         "correct": not problems,
-        "attempted": sum(r["attempted"] for r in rounds),
-        "failed": sum(r["failed"] for r in rounds),
+        # every round gives the same outputs (digest above), so one stands
+        # for all, and the counts do not depend on how many rounds fit
+        "attempted": rounds[0]["attempted"],
+        "failed": rounds[0]["failed"],
         "metrics": metrics,
     }
     detail = {"workload": workload, "seed": seed, "seconds": seconds,

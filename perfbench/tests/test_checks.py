@@ -1,4 +1,6 @@
-"""The benchmark's checkers accept the program's outputs and reject wrong ones.
+"""The checkers accept the program's outputs and reject wrong ones.
+
+Also covered: the row counts of a report and the speed sampler.
 
     python3 -m pytest -q perfbench/tests
 """
@@ -173,3 +175,41 @@ def test_reproduce_checker_rejects_a_missing_row_and_a_bad_exit():
     outputs = _report(_passing_rows())
     outputs["exit"] = 1
     assert checks.check_reproduce_all({}, outputs)
+
+
+def test_row_counts_count_failed_and_missing_rows():
+    rows = _passing_rows()
+    assert workloads.row_counts(0, json.dumps({"rows": rows})) == (38, 0)
+    rows[20]["passed"] = False
+    assert workloads.row_counts(1, json.dumps({"rows": rows})) == (38, 1)
+    assert workloads.row_counts(1, json.dumps({"rows": rows[:-1]})) == (38, 2)
+    assert workloads.row_counts(1, json.dumps({"rows": _passing_rows()})) == (38, 1)
+    assert workloads.row_counts(1, "Traceback") == (38, 38)
+
+
+def test_derive_sweep_keeps_a_fixed_failing_g3_5_draw():
+    for seed in (1, 2):
+        entries = workloads.make_derive_sweep(seed)["entries"]
+        assert entries.count(workloads.P_AT_LIMIT) == 1
+    outputs = workloads.run_derive_sweep({"entries": [workloads.P_AT_LIMIT]})
+    assert checks.check_derive_sweep({"entries": [workloads.P_AT_LIMIT]},
+                                     outputs) == []
+
+
+def test_speed_sampler_times_chunks_only_while_started():
+    import signal
+    import time
+
+    import speed
+    sampler = speed.Sampler()
+    sampler.start()
+    end = time.perf_counter() + 0.3
+    while time.perf_counter() < end:
+        pass
+    sampler.stop()
+    count = len(sampler.samples)
+    assert count >= 3 and sampler.spent == pytest.approx(sum(sampler.samples))
+    assert signal.getsignal(signal.SIGALRM) is signal.SIG_DFL
+    time.sleep(0.12)
+    assert len(sampler.samples) == count
+    assert speed.speed(sampler.samples) > 0

@@ -7,11 +7,14 @@
 checked; ``run.py`` checks one round and compares the others' digests.
 The last line of standard output is one JSON object:
 
-* ``first_call``: ``time.monotonic()`` just before the first program call
-  (``run.py`` subtracts its own clock reading taken before it started this
-  process, which gives the set-up time);
-* ``wall_s``: from the first program call to the last result, checks
-  excluded; ``peak_rss_mb``: ``ru_maxrss`` when that clock stops;
+* ``first_call``: ``time.monotonic()`` at the end of set-up (``run.py``
+  subtracts its own clock reading taken before it started this process,
+  which gives the raw set-up time); ``setup_speed``: the processor speed
+  right after set-up (``speed.py``);
+* ``raw_wall_s``: from the first program call to the last result, checks
+  excluded; ``wall_speed``: the processor speed sampled over that time;
+  ``wall_s``: ``raw_wall_s``, less the sampling chunks, times
+  ``wall_speed``; ``peak_rss_mb``: ``ru_maxrss`` when the clock stops;
 * ``attempted``, ``failed``, ``problems`` (checker findings, or null when
   not checked) and ``digest`` (SHA-256 of the outputs, to compare rounds);
 * ``layers``: the per-layer metrics of a traced run.
@@ -31,6 +34,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import lieinv  # noqa: E402,F401 - import time is part of set-up
 
 import checks  # noqa: E402
+import speed  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -43,17 +47,25 @@ def main(argv) -> int:
         tracer = Tracer()
         tracer.install()
     first_call = time.monotonic()
+    setup_speed = speed.speed(speed.burst())
     if mode == "probe":
-        print(json.dumps({"first_call": first_call}))
+        print(json.dumps({"first_call": first_call, "setup_speed": setup_speed}))
         return 0
+    sampler = speed.Sampler()
+    sampler.start()
     start = time.perf_counter()
     outputs = workloads.RUN[name](inputs)
-    wall = time.perf_counter() - start
+    raw_wall = time.perf_counter() - start
+    sampler.stop()
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    wall_speed = speed.speed(sampler.samples or speed.burst())
     layers = tracer.metrics() if tracer else None
     digest = hashlib.sha256(json.dumps(outputs, sort_keys=True).encode())
     result = {
-        "first_call": first_call, "wall_s": wall, "peak_rss_mb": peak_rss_mb,
+        "first_call": first_call, "setup_speed": setup_speed,
+        "raw_wall_s": raw_wall, "wall_speed": wall_speed,
+        "wall_s": (raw_wall - sampler.spent) * wall_speed,
+        "peak_rss_mb": peak_rss_mb,
         "attempted": outputs["attempted"], "failed": outputs["failed"],
         "problems": checks.CHECK[name](inputs, outputs) if check else None,
         "digest": digest.hexdigest(), "layers": layers,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import random
 from fractions import Fraction
 
@@ -40,12 +41,34 @@ def make_reproduce_all(seed: int) -> dict:
     return {"argv": list(REPRODUCE_ARGV)}
 
 
+def row_counts(code: int, stdout: str):
+    """(attempted, failed) rows of a report.
+
+    Attempted: the report's rows plus the paper's rows it lacks.  Failed:
+    rows whose ``passed`` is not true, plus the missing ones.  A non-zero
+    exit fails at least one row; an unreadable report fails all of them.
+    """
+    try:
+        rows = json.loads(stdout)["rows"]
+        keys = {(r["table"], r["algebra"], r["pipeline"], r["m"],
+                 json.dumps(r["params"], sort_keys=True)) for r in rows}
+    except (ValueError, KeyError, TypeError):
+        return len(EXPECTED_ROWS), len(EXPECTED_ROWS)
+    missing = sum((t, a, p, m, json.dumps(params, sort_keys=True)) not in keys
+                  for t, a, p, m, params in EXPECTED_ROWS)
+    failed = missing + sum(r.get("passed") is not True for r in rows)
+    if code != 0:
+        failed = max(failed, 1)
+    return len(rows) + missing, failed
+
+
 def run_reproduce_all(inputs: dict) -> dict:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = cli.main(inputs["argv"])
+    attempted, failed = row_counts(code, buf.getvalue())
     return {"exit": code, "stdout": buf.getvalue(),
-            "attempted": len(EXPECTED_ROWS), "failed": 0}
+            "attempted": attempted, "failed": failed}
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +80,10 @@ ALGEBRA_DIMS = {"g1": 1, "2g1": 2, "g2": 2, "3g1": 3, "g1+g2": 3,
                 "g3_6": 3, "g3_7": 3}
 PARAM_DRAWS = 3
 P_LIMIT = 3
+# A fixed, seed-independent draw at P_LIMIT: its transitive derivation fails
+# today (VerificationFailed) and counts in `failed` until the program is fixed.
+P_AT_LIMIT = {"name": "g3_5", "params": {"p": Fraction(P_LIMIT)},
+              "jobs": [("transitive", None)], "shift": Fraction(1)}
 
 
 def _admissible_draws(name: str, rng: random.Random) -> list:
@@ -64,7 +91,8 @@ def _admissible_draws(name: str, rng: random.Random) -> list:
 
     p >= P_LIMIT is drawn again: there the pipelines reject the correct
     invariants of g3_5 (the transitive one from p = 3, the free one from
-    p = 6), so such a derivation would fail on some seeds only.
+    p = 6), so such a derivation would fail on some seeds only.  The fixed
+    entry ``P_AT_LIMIT`` covers that fault on every seed instead.
     """
     draws = []
     while len(draws) < PARAM_DRAWS:
@@ -98,6 +126,8 @@ def make_derive_sweep(seed: int) -> dict:
             shift = Fraction(rng.randint(1, 9), rng.randint(1, 9))
             entries.append({"name": name, "params": params, "jobs": jobs,
                             "shift": shift})
+        if name == "g3_5":
+            entries.append(dict(P_AT_LIMIT))
     return {"entries": entries}
 
 
