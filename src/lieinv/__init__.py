@@ -4,7 +4,6 @@ low-dimensional Lie symmetry groups, with randomized numeric verification.
 
 from .errors import (
     CatalogError,
-    ContextMismatch,
     EigenvalueUnsupported,
     JacobiViolation,
     LieInvError,
@@ -14,7 +13,6 @@ from .errors import (
     ParseError,
     ResidualDependence,
     SingularEvaluation,
-    SingularRealization,
     UnboundSymbol,
     UnknownIdentifier,
     Unsampleable,
@@ -54,7 +52,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CATALOG_NAMES",
     "CatalogError",
-    "ContextMismatch",
     "CovariantPDE",
     "EigenvalueUnsupported",
     "Expr",
@@ -73,7 +70,6 @@ __all__ = [
     "SamplerConfig",
     "ScalarPDE",
     "SingularEvaluation",
-    "SingularRealization",
     "StructureConstants",
     "Symbol",
     "UnboundSymbol",

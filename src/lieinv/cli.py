@@ -27,10 +27,6 @@ from .invariants import type1_pipeline, type2_pipeline
 from .verify import TABLE_NAMES, run_fixture_suite
 
 
-def _fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def _parse_params(items: List[str]) -> Dict[str, Dict[str, Fraction]]:
     """Parse --params entries of the form k=v or algebra:k=v.
 
@@ -45,7 +41,7 @@ def _parse_params(items: List[str]) -> Dict[str, Dict[str, Fraction]]:
         algebra, _, param = key.partition(":")
         if not param:
             algebra, param = "", algebra
-        out.setdefault(algebra, {})[param] = _fraction(value)
+        out.setdefault(algebra, {})[param] = Fraction(value)
     return out
 
 

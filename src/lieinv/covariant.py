@@ -23,7 +23,12 @@ from typing import Dict, List, Optional, Tuple
 
 from . import expr as ex
 from . import numeric as nm
-from .errors import NotHomogeneous, NotRescaleInvariant, ParseError
+from .errors import (
+    NotHomogeneous,
+    NotRescaleInvariant,
+    ParseError,
+    SingularEvaluation,
+)
 from .jet import JetSpace
 
 
@@ -92,14 +97,10 @@ def implicit_first(wspace: JetSpace, dep_coord: str) -> Dict[ex.Symbol, ex.Expr]
     for a in wspace.coords:
         if a == dep_coord:
             continue
-        ua = ex.jet_symbol(dep_coord_dep(wspace, dep_coord), (a,))
+        # the split dependent variable is named after the z-coordinate
+        ua = ex.jet_symbol(dep_coord, (a,))
         out[ua] = ex.mul(ex.Const(-1), ex.Sym(wspace.jet(a)), ex.pow_(wn, -1))
     return out
-
-
-def dep_coord_dep(wspace: JetSpace, dep_coord: str) -> str:
-    """The split dependent name is the z-coordinate itself."""
-    return dep_coord
 
 
 def implicit_second(wspace: JetSpace, dep_coord: str) -> Dict[ex.Symbol, ex.Expr]:
@@ -211,7 +212,7 @@ def homogeneity_degree(e: ex.Expr, wspace: JetSpace,
             if abs(denom) < 1e-12:
                 continue
             k = fde(pt) / denom
-        except Exception:
+        except (SingularEvaluation, OverflowError):
             continue
         if fit is None:
             fit = k

@@ -35,10 +35,6 @@ class OrderOverflow(LieInvError):
     pass
 
 
-class ContextMismatch(LieInvError):
-    pass
-
-
 class JacobiViolation(LieInvError):
     def __init__(self, quadruple):
         i, j, k, l = quadruple
@@ -67,8 +63,4 @@ class NotRescaleInvariant(LieInvError):
 
 
 class ResidualDependence(LieInvError):
-    pass
-
-
-class SingularRealization(LieInvError):
     pass

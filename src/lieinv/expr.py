@@ -77,12 +77,13 @@ def jet_symbol(dep: str, index: Sequence[str]) -> Symbol:
 class Expr:
     """Base class; subclasses are immutable and canonical by construction."""
 
-    __slots__ = ("_key", "_hash", "_free")
+    __slots__ = ("_key", "_hash", "_free", "_fns")
 
     def __init__(self):
         self._key = None
         self._hash = None
         self._free = None
+        self._fns = None  # compiled [value, magnitude] evaluators
 
     # -- operator sugar -----------------------------------------------------
     def __add__(self, other):
@@ -518,21 +519,39 @@ def applied(head: str, args: Iterable) -> Expr:
 # Core operations
 
 
+def _rebuild(e: Expr, sym: Optional[Callable] = None,
+             app: Optional[Callable] = None) -> Expr:
+    """Rebuild `e` bottom-up through the canonicalizing constructors.
+
+    sym maps a Sym leaf to its replacement; app maps an Applied node's head
+    and rebuilt arguments to a replacement, or None to keep the node.
+    """
+
+    def rec(x):
+        if isinstance(x, Const):
+            return x
+        if isinstance(x, Sym):
+            return x if sym is None else sym(x)
+        if isinstance(x, Add):
+            return add(*[rec(t) for t in x.terms])
+        if isinstance(x, Mul):
+            return mul(*[rec(f) for f in x.factors])
+        if isinstance(x, Pow):
+            return pow_(rec(x.base), x.exp)
+        if isinstance(x, Func):
+            return func(x.head, rec(x.arg))
+        if isinstance(x, Applied):
+            args = [rec(a) for a in x.args]
+            out = None if app is None else app(x.head, args)
+            return applied(x.head, args) if out is None else out
+        raise TypeError(type(x))
+
+    return rec(e)
+
+
 def simplify_basic(e: Expr) -> Expr:
     """Rebuild `e` through the canonicalizing constructors (idempotent)."""
-    if isinstance(e, (Const, Sym)):
-        return e
-    if isinstance(e, Add):
-        return add(*[simplify_basic(t) for t in e.terms])
-    if isinstance(e, Mul):
-        return mul(*[simplify_basic(f) for f in e.factors])
-    if isinstance(e, Pow):
-        return pow_(simplify_basic(e.base), e.exp)
-    if isinstance(e, Func):
-        return func(e.head, simplify_basic(e.arg))
-    if isinstance(e, Applied):
-        return applied(e.head, [simplify_basic(a) for a in e.args])
-    raise TypeError(type(e))
+    return _rebuild(e)
 
 
 def diff(e: Expr, s: Symbol) -> Expr:
@@ -581,50 +600,21 @@ def substitute(e: Expr, bindings: Mapping[Symbol, Expr]) -> Expr:
     if not (e.free_symbols() & set(bindings)):
         return e
 
-    def rec(x):
-        if isinstance(x, Const):
-            return x
-        if isinstance(x, Sym):
-            r = bindings.get(x.symbol)
-            return x if r is None else as_expr(r)
-        if isinstance(x, Add):
-            return add(*[rec(t) for t in x.terms])
-        if isinstance(x, Mul):
-            return mul(*[rec(f) for f in x.factors])
-        if isinstance(x, Pow):
-            return pow_(rec(x.base), x.exp)
-        if isinstance(x, Func):
-            return func(x.head, rec(x.arg))
-        if isinstance(x, Applied):
-            return applied(x.head, [rec(a) for a in x.args])
-        raise TypeError(type(x))
+    def sym(x):
+        r = bindings.get(x.symbol)
+        return x if r is None else as_expr(r)
 
-    return rec(e)
+    return _rebuild(e, sym=sym)
 
 
 def substitute_heads(e: Expr, heads: Mapping[str, Callable]) -> Expr:
     """Replace arbitrary-function applications head(args) by heads[head](*args)."""
 
-    def rec(x):
-        if isinstance(x, (Const, Sym)):
-            return x
-        if isinstance(x, Add):
-            return add(*[rec(t) for t in x.terms])
-        if isinstance(x, Mul):
-            return mul(*[rec(f) for f in x.factors])
-        if isinstance(x, Pow):
-            return pow_(rec(x.base), x.exp)
-        if isinstance(x, Func):
-            return func(x.head, rec(x.arg))
-        if isinstance(x, Applied):
-            args = [rec(a) for a in x.args]
-            fn = heads.get(x.head)
-            if fn is None:
-                return applied(x.head, args)
-            return as_expr(fn(*args))
-        raise TypeError(type(x))
+    def app(head, args):
+        fn = heads.get(head)
+        return None if fn is None else as_expr(fn(*args))
 
-    return rec(e)
+    return _rebuild(e, app=app)
 
 
 def applied_heads(e: Expr) -> set:
@@ -740,9 +730,6 @@ def _num_exp(x: float) -> float:
     return math.exp(x)
 
 
-_COMPILE_CACHE: dict = {}
-
-
 def _codegen(e: Expr, names: dict, magnitude: bool) -> str:
     def gen(x):
         if isinstance(x, Const):
@@ -778,12 +765,14 @@ def compile_numeric(e: Expr, magnitude: bool = False):
 
     With magnitude=True the compiled function computes a cancellation-free
     magnitude estimate: |.| is applied at the leaves and propagated through
-    sums and products.
+    sums and products.  Both evaluators are kept on the node itself, so
+    they live exactly as long as the tree does.
     """
-    key = (id(e), magnitude)
-    hit = _COMPILE_CACHE.get(key)
-    if hit is not None and hit[0] is e:
-        return hit[1]
+    if e._fns is None:
+        e._fns = [None, None]
+    fn = e._fns[magnitude]
+    if fn is not None:
+        return fn
     names = {s: s.name for s in e.free_symbols()}
     src = _codegen(e, names, magnitude)
     env = {
@@ -792,7 +781,7 @@ def compile_numeric(e: Expr, magnitude: bool = False):
         "abs": abs,
     }
     fn = eval(f"lambda a: ({src})+0.0", env)  # noqa: S307 - generated from our own AST
-    _COMPILE_CACHE[key] = (e, fn)
+    e._fns[magnitude] = fn
     return fn
 
 
@@ -947,10 +936,33 @@ class _Tokenizer:
         return Fraction(t[start:i])
 
 
+# Input limits: deeper nesting would exhaust the interpreter's stack (and the
+# compiler's parenthesis limit in compile_numeric); larger exponents build
+# constants too big to hold or floats that overflow.
+MAX_NESTING = 32
+MAX_EXPONENT = 1000
+MAX_CONST_BITS = 1 << 16
+
+
+def _check_power(base: Expr, exp: Fraction, pos: int) -> None:
+    """Refuse base^exp if it divides by zero or grows beyond the limits."""
+    if abs(exp.numerator) > MAX_EXPONENT:
+        raise ParseError(f"exponent numerator exceeds {MAX_EXPONENT}", pos)
+    if isinstance(base, Const) and exp < 0 and base.value == 0:
+        raise ParseError("division by zero", pos)
+    if isinstance(base, Const) and exp.denominator == 1:
+        v = base.value
+        bits = max(v.numerator.bit_length(), v.denominator.bit_length())
+        if bits * abs(exp.numerator) > MAX_CONST_BITS:
+            raise ParseError(f"constant power exceeds {MAX_CONST_BITS} bits",
+                             pos)
+
+
 class _Parser:
     def __init__(self, text: str, context):
         self.tok = _Tokenizer(text)
         self.context = context
+        self.depth = 0
 
     def parse(self) -> Expr:
         e = self.expr()
@@ -960,6 +972,10 @@ class _Parser:
         return e
 
     def expr(self) -> Expr:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
+                             self.tok.pos)
         sign = 1
         if self.tok.peek() == "-":
             self.tok.take("-")
@@ -972,6 +988,7 @@ class _Parser:
             self.tok.take(op)
             t = self.term()
             e = add(e, t if op == "+" else mul(Const(-1), t))
+        self.depth -= 1
         return e
 
     def term(self) -> Expr:
@@ -979,15 +996,21 @@ class _Parser:
         while self.tok.peek() in ("*", "/"):
             op = self.tok.peek()
             self.tok.take(op)
+            pos = self.tok.pos
             f = self.factor()
-            e = mul(e, f if op == "*" else pow_(f, -1))
+            if op == "/":
+                _check_power(f, Fraction(-1), pos)
+                f = pow_(f, -1)
+            e = mul(e, f)
         return e
 
     def factor(self) -> Expr:
         base = self.base()
         if self.tok.peek() == "^":
             self.tok.take("^")
+            pos = self.tok.pos
             exp = self.exponent()
+            _check_power(base, exp, pos)
             return pow_(base, exp)
         return base
 

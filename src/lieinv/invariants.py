@@ -31,7 +31,7 @@ first-order invariants.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -41,6 +41,7 @@ from . import numeric as nm
 from .errors import ResidualDependence, VerificationFailed
 from .jet import (
     JetSpace,
+    ProlongedField,
     VectorField,
     frame_first,
     prolong2,
@@ -74,6 +75,8 @@ class InvariantSet:
     template: PDETemplate
     verified: bool
     seed: int
+    # prolonged generators of the realization; not part of the result
+    generators: tuple = field(default=(), compare=False, repr=False)
 
     def exprs(self) -> List[ex.Expr]:
         return [e for _, e in self.invariants]
@@ -99,17 +102,14 @@ class InvariantSet:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _verify_annihilation(fields: List[Tuple[Dict[str, ex.Expr], ex.Expr]],
-                         space: JetSpace,
+def _verify_annihilation(fields: Sequence[ProlongedField],
                          invariants: Sequence[Tuple[str, ex.Expr]],
                          cfg: nm.SamplerConfig,
                          params: Optional[Mapping]) -> None:
     """Every invariant must be annihilated by every prolonged generator."""
-    pfields = [prolong2(VectorField.from_dict(space, xi), theta)
-               for xi, theta in fields]
     for label, inv in invariants:
         denoms = ex.denominator_symbols(inv)
-        for idx, pf in enumerate(pfields, start=1):
+        for idx, pf in enumerate(fields, start=1):
             residual = pf.apply(inv)
             if not nm.is_zero(residual, cfg, params, extra_denoms=denoms):
                 raise VerificationFailed(
@@ -150,39 +150,71 @@ def _template(space: JetSpace, first: Sequence[Tuple[str, ex.Expr]],
     return PDETemplate(space, ex.add(*terms), tuple(heads), arg_labels)
 
 
-def free_generators(entry: liealg.AlgebraCatalogEntry, m: int = 1
-                    ) -> Tuple[JetSpace, List]:
-    """Jet space and prolonged generators for the free pipeline."""
-    n = entry.dim
-    xs = tuple(f"x{i}" for i in range(1, n + 1))
+@dataclass(frozen=True)
+class Realization:
+    """An algebra realized once for one pipeline.
+
+    space is the pipeline's jet space, eta the right-invariant frames the
+    invariants are built from, generators the left-invariant fields
+    prolonged to second order on space.
+    """
+
+    space: JetSpace
+    eta: tuple
+    generators: tuple
+
+
+def _gated_fields(entry: liealg.AlgebraCatalogEntry, zspace: JetSpace,
+                  cfg: nm.SamplerConfig):
+    """The frames on zspace, once, after they pass the realization gate."""
+    xi, eta = liealg.build_invariant_fields(entry.sc, zspace)
+    report = liealg.verify_realization(xi, eta, entry.sc, cfg)
+    if not report.passed:
+        raise VerificationFailed(
+            f"realization gate failed for {entry.name}: {report.failures()}")
+    return xi, eta
+
+
+def realize_free(entry: liealg.AlgebraCatalogEntry, m: int = 1,
+                 cfg: nm.SamplerConfig = nm.SamplerConfig()) -> Realization:
+    """Realization for a free action with m invariant variables.
+
+    The frames live on the orbit coordinates x1..xn and are re-rooted on
+    the full space x1..xn, y1..y{m-1} with zero components along y.
+    """
+    xs = tuple(f"x{i}" for i in range(1, entry.dim + 1))
     ys = tuple(f"y{mu}" for mu in range(1, m))
-    space = JetSpace(xs + ys, "u", params=[p for p, _ in entry.params])
-    zspace = JetSpace(xs, "u", params=[p for p, _ in entry.params])
-    xi, _ = liealg.build_invariant_fields(entry.sc, zspace)
-    fields = [prolong2(VectorField.from_dict(space,
-                                             {c: comp for c, comp in f.components}),
-                       ex.ZERO)
-              for f in xi]
-    return space, fields
+    params = [p for p, _ in entry.params]
+    space = JetSpace(xs + ys, "u", params=params)
+    xi, eta = _gated_fields(entry, JetSpace(xs, "u", params=params), cfg)
+    eta = tuple(VectorField.from_dict(space, dict(f.components)) for f in eta)
+    gens = tuple(prolong2(VectorField.from_dict(space, dict(f.components)))
+                 for f in xi)
+    return Realization(space, eta, gens)
 
 
-def transitive_generators(entry: liealg.AlgebraCatalogEntry
-                          ) -> Tuple[JetSpace, List]:
-    """Split jet space and prolonged generators for the transitive pipeline."""
+def realize_transitive(entry: liealg.AlgebraCatalogEntry,
+                       cfg: nm.SamplerConfig = nm.SamplerConfig()
+                       ) -> Realization:
+    """Realization for a simply transitive action.
+
+    The frames live on the z-space with covariant scalar w; the generators
+    act on the split space, where the dependent coordinate becomes the
+    graph u of the dependent variable.  eta stays on the z-space.
+    """
     wspace = entry.split_space("w")
     dep = entry.dep
-    xi, _ = liealg.build_invariant_fields(entry.sc, wspace)
+    xi, eta = _gated_fields(entry, wspace, cfg)
     indep = tuple(c for c in wspace.coords if c != dep)
     split = JetSpace(indep, dep, params=wspace.params)
-    u_of_split = ex.Sym(split.jet())
-    fields = []
+    graph = {wspace.base(dep): ex.Sym(split.jet())}
+    gens = []
     for f in xi:
-        comps = {c: comp for c, comp in f.components}
-        theta = ex.substitute(comps.pop(dep), {wspace.base(dep): u_of_split})
-        comps = {c: ex.substitute(comp, {wspace.base(dep): u_of_split})
-                 for c, comp in comps.items()}
-        fields.append(prolong2(VectorField.from_dict(split, comps), theta))
-    return split, fields
+        comps = dict(f.components)
+        theta = ex.substitute(comps.pop(dep), graph)
+        comps = {c: ex.substitute(comp, graph) for c, comp in comps.items()}
+        gens.append(prolong2(VectorField.from_dict(split, comps), theta))
+    return Realization(split, tuple(eta), tuple(gens))
 
 
 # ---------------------------------------------------------------------------
@@ -201,18 +233,9 @@ def type1_pipeline(entry: liealg.AlgebraCatalogEntry, m: int = 1,
     if m < 1:
         raise ValueError("m must be at least 1")
     n = entry.dim
-    xs = tuple(f"x{i}" for i in range(1, n + 1))
-    ys = tuple(f"y{mu}" for mu in range(1, m))
-    space = JetSpace(xs + ys, "u", params=[p for p, _ in entry.params])
-    zspace = JetSpace(xs, "u", params=[p for p, _ in entry.params])
-    xi, eta = liealg.build_invariant_fields(entry.sc, zspace)
-    report = liealg.verify_realization(xi, eta, entry.sc, cfg)
-    if not report.passed:
-        raise VerificationFailed(
-            f"realization gate failed for {entry.name}: {report.failures()}")
-    # re-root the frames on the full space (zero components along y)
-    eta_full = [VectorField.from_dict(space, {c: comp for c, comp in f.components})
-                for f in eta]
+    real = realize_free(entry, m, cfg)
+    space, eta_full = real.space, real.eta
+    ys = space.coords[n:]
     params = entry.param_map
 
     first: List[Tuple[str, ex.Expr]] = []
@@ -245,9 +268,7 @@ def type1_pipeline(entry: liealg.AlgebraCatalogEntry, m: int = 1,
 
     verified = False
     if verify:
-        gen_fields = [({c: comp for c, comp in f.components}, ex.ZERO)
-                      for f in xi]
-        _verify_annihilation(gen_fields, space, invariants, cfg, params)
+        _verify_annihilation(real.generators, invariants, cfg, params)
         _check_rank(invariants, space, n, cfg, params)
         verified = True
 
@@ -258,7 +279,8 @@ def type1_pipeline(entry: liealg.AlgebraCatalogEntry, m: int = 1,
         second,
     )
     return InvariantSet(entry.name, entry.params, "free", space,
-                        tuple(invariants), template, verified, cfg.seed)
+                        tuple(invariants), template, verified, cfg.seed,
+                        real.generators)
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +349,11 @@ def type2_pipeline(entry: liealg.AlgebraCatalogEntry,
     n = entry.dim
     if n < 2:
         raise ValueError("simply transitive pipeline requires dim >= 2")
-    wspace = entry.split_space("w")
+    real = realize_transitive(entry, cfg)
+    split, eta = real.space, real.eta
+    wspace = eta[0].space
     dep = entry.dep
     d = entry.dep_position()  # 1-based frame index of the dependent coordinate
-    xi, eta = liealg.build_invariant_fields(entry.sc, wspace)
-    report = liealg.verify_realization(xi, eta, entry.sc, cfg)
-    if not report.passed:
-        raise VerificationFailed(
-            f"realization gate failed for {entry.name}: {report.failures()}")
     params = entry.param_map
 
     w1 = [frame_first(f) for f in eta]
@@ -360,8 +379,6 @@ def type2_pipeline(entry: liealg.AlgebraCatalogEntry,
             )
             I_second.append((f"v_{i}{j}", ex.mul(num, ex.pow_(wd, -3))))
 
-    indep = tuple(c for c in wspace.coords if c != dep)
-    split = JetSpace(indep, dep, params=wspace.params)
     subs = _epod_substitutions(wspace, split, dep)
 
     invariants: List[Tuple[str, ex.Expr]] = []
@@ -372,23 +389,15 @@ def type2_pipeline(entry: liealg.AlgebraCatalogEntry,
 
     verified = False
     if verify:
-        gen_fields = []
-        for f in xi:
-            comps = {c: comp for c, comp in f.components}
-            theta = comps.pop(dep)
-            theta = ex.substitute(theta, {wspace.base(dep): ex.Sym(split.jet())})
-            comps = {c: ex.substitute(comp,
-                                      {wspace.base(dep): ex.Sym(split.jet())})
-                     for c, comp in comps.items()}
-            gen_fields.append((comps, theta))
-        _verify_annihilation(gen_fields, split, invariants, cfg, params)
+        _verify_annihilation(real.generators, invariants, cfg, params)
         _check_rank(invariants, split, n, cfg, params)
         verified = True
 
     n_first = len(I_first)
     template = _template(split, invariants[:n_first], invariants[n_first:])
     return InvariantSet(entry.name, entry.params, "transitive", split,
-                        tuple(invariants), template, verified, cfg.seed)
+                        tuple(invariants), template, verified, cfg.seed,
+                        real.generators)
 
 
 def emit_equation(inv: InvariantSet) -> PDETemplate:

@@ -27,12 +27,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from . import expr as ex
 from . import numeric as nm
 from . import putzer
-from .errors import (
-    CatalogError,
-    JacobiViolation,
-    SingularRealization,
-    VerificationFailed,
-)
+from .errors import CatalogError, JacobiViolation, SingularEvaluation
 from .jet import JetSpace, VectorField
 
 
@@ -91,11 +86,6 @@ def validate(sc: StructureConstants) -> None:
                         total += sc.coeff(k, i, m) * sc.coeff(m, j, target)
                     if total != 0:
                         raise JacobiViolation((i, j, k, target))
-
-
-def commutator(X: VectorField, Y: VectorField) -> VectorField:
-    """Lie bracket of two vector fields on a shared coordinate space."""
-    return X.bracket(Y)
 
 
 def load_algebra(data) -> Tuple[StructureConstants, Dict[str, Fraction]]:
@@ -299,7 +289,7 @@ def verify_realization(xi: List[VectorField], eta: List[VectorField],
     for pt in pts:
         try:
             val = ex.compile_numeric(det)(pt)
-        except Exception:
+        except (SingularEvaluation, OverflowError):
             report.det_nonzero = False
             break
         if abs(val) <= 1e-9:

@@ -18,6 +18,7 @@ from .errors import SingularEvaluation, Unsampleable
 DEFAULT_SEED = 0xC0FFEE
 DEFAULT_POINTS = 32
 DEFAULT_TOL = 1e-7
+MAX_TOL = 1e-3
 RANK_PIVOT_TOL = 1e-9
 FD_STEP = 1e-6
 MAX_SAMPLE_ATTEMPTS = 64
@@ -34,6 +35,13 @@ class SamplerConfig:
     jet_range: float = 1.0
     denom_low: float = 0.5
     denom_high: float = 1.5
+
+    def __post_init__(self):
+        # zero points, or a tolerance no residual can exceed, verifies nothing
+        if self.points < 1:
+            raise ValueError(f"points must be at least 1, got {self.points}")
+        if not 0 < self.tol <= MAX_TOL:
+            raise ValueError(f"tol must lie in (0, {MAX_TOL}], got {self.tol}")
 
     def with_seed(self, seed: Optional[int]) -> "SamplerConfig":
         return self if seed is None else replace(self, seed=seed)

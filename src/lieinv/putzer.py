@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import factorial, gcd, isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import expr as ex
@@ -90,13 +90,6 @@ def _ep_exp_shift(p: ExpPoly, lam: CRat) -> ExpPoly:
     return {(mu + lam, m): c for (mu, m), c in p.items()}
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 def _ep_integrate(p: ExpPoly) -> ExpPoly:
     """Definite integral from 0 to t of the exp-polynomial in s."""
     out: ExpPoly = {}
@@ -111,11 +104,11 @@ def _ep_integrate(p: ExpPoly) -> ExpPoly:
         invpow = inv
         sign = CONE
         for k in range(m + 1):
-            coef = CRat(Fraction(_factorial(m) // _factorial(m - k)))
+            coef = CRat(Fraction(factorial(m) // factorial(m - k)))
             _ep_add(out, (mu, m - k), c * sign * coef * invpow)
             invpow = invpow * inv
             sign = -sign
-        boundary = CRat(Fraction(_factorial(m)))
+        boundary = CRat(Fraction(factorial(m)))
         if m % 2 == 1:
             boundary = -boundary
         _ep_add(out, (CZERO, 0), -(c * boundary * invpow_final(inv, m + 1)))
@@ -194,7 +187,7 @@ def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
             continue
         lcm = 1
         for c in coeffs:
-            lcm = lcm * c.denominator // _gcd(lcm, c.denominator)
+            lcm = lcm * c.denominator // gcd(lcm, c.denominator)
         ints = [int(c * lcm) for c in coeffs]
         a0, an = abs(ints[0]), abs(ints[-1])
         found = None
@@ -213,12 +206,6 @@ def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
         roots.append(found)
         coeffs = _deflate(coeffs, found)
     return roots, coeffs
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n: int) -> List[int]:
@@ -284,34 +271,9 @@ def exp_poly_matrix(M: Sequence[Sequence[Fraction]]) -> List[List[ExpPoly]]:
         shifted = _ep_exp_shift(rs[-1], -lams[j])
         integ = _ep_integrate(shifted)
         rs.append(_ep_exp_shift(integ, lams[j]))
-    # P_0 = I; P_j = (A - lam_j I) P_{j-1}
-    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    Ps = [ident]
-    for j in range(n - 1):
-        lam = lams[j]
-        if lam.im != 0:
-            # complex projector factors are fine: pair them with the r_j's,
-            # the total stays real.  Track complex matrix entries.
-            break
-        shifted_A = [[A[i][k] - (lam.re if i == k else 0) for k in range(n)]
-                     for i in range(n)]
-        Ps.append(_mat_mul(shifted_A, Ps[-1]))
-    if len(Ps) < n:
-        return _exp_poly_matrix_complex(A, lams, rs)
-    out = [[dict() for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        for i in range(n):
-            for k in range(n):
-                if Ps[j][i][k] == 0:
-                    continue
-                c = CRat(Ps[j][i][k])
-                for key, v in rs[j].items():
-                    _ep_add(out[i][k], key, v * c)
-    return out
-
-
-def _exp_poly_matrix_complex(A, lams, rs) -> List[List[ExpPoly]]:
-    n = len(A)
+    # P_0 = I; P_j = (A - lam_j I) P_{j-1}, over the complex rationals: a
+    # complex eigenvalue gives complex projectors, paired with the r_j's the
+    # total stays real
     ident = [[CRat(Fraction(int(i == j))) for j in range(n)] for i in range(n)]
     Ps = [ident]
     for j in range(n - 1):

@@ -22,7 +22,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from . import expr as ex
 from . import fixtures as fx
@@ -30,11 +30,8 @@ from . import liealg
 from . import numeric as nm
 from .errors import LieInvError
 from .invariants import (
-    InvariantSet,
     PDETemplate,
-    free_generators,
     instantiate_template,
-    transitive_generators,
     type1_pipeline,
     type2_pipeline,
 )
@@ -234,20 +231,19 @@ def _run_row(table: str, algebra: str, pipeline: str, m: Optional[int],
         pmap = entry.param_map
         if pipeline == "free":
             fixture = fx.free_fixture(algebra, m or 1)
-            space, gens = free_generators(entry, m or 1)
             inv = type1_pipeline(entry, m or 1, cfg)
         else:
             fixture = fx.transitive_fixture(algebra)
-            space, gens = transitive_generators(entry)
             inv = type2_pipeline(entry, cfg)
         row.checks["generated_verified"] = inv.verified
         fixture_exprs = fixture.exprs()
         row.checks["fixture_annihilated"] = all(
-            annihilation_check(gens, e, cfg, pmap) for e in fixture_exprs)
+            annihilation_check(inv.generators, e, cfg, pmap)
+            for e in fixture_exprs)
         row.checks["equivalent"] = nm.equivalence_check(
             inv.exprs(), fixture_exprs, cfg, pmap)
         row.checks["template_sound"] = template_spot_check(
-            inv.template, gens, cfg, pmap)
+            inv.template, inv.generators, cfg, pmap)
     except LieInvError as exc:
         row.error = f"{type(exc).__name__}: {exc}"
     return row

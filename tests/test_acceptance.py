@@ -6,6 +6,7 @@ tolerance, 1e-9 for the exact worked-example identities, 1e-5 relative for
 finite-difference agreement).
 """
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -34,8 +35,7 @@ from lieinv.errors import (
 )
 from lieinv.invariants import (
     eliminate_w,
-    free_generators,
-    transitive_generators,
+    realize_transitive,
     type1_pipeline,
     type2_pipeline,
 )
@@ -48,6 +48,9 @@ from lieinv.verify import (
 from test_covariant import PDE_BATTERY
 
 CFG = nm.SamplerConfig(points=32, tol=1e-7)
+# sha256 of the stdout of `reproduce all --seed 7 --format json`
+REPRODUCE_ALL_SHA256 = (
+    "c14faf124ecef36252a0d3a0881958d0efb8bcaa00902ab4f0368586b41495c6")
 F = Fraction
 
 
@@ -186,7 +189,7 @@ def test_criterion_7_negative_controls():
     # 3 perturbed invariants per algebra fail annihilation
     for name in fx.TRANSITIVE_NAMES:
         entry = liealg.catalog_lookup(name, {})
-        _, gens = transitive_generators(entry)
+        gens = realize_transitive(entry).generators
         fixture = fx.transitive_fixture(name)
         _, e = fixture.parsed()[-1]
         for variant in perturbed_variants(e, fixture.space()):
@@ -221,6 +224,7 @@ def test_criterion_8_determinism(capsys):
     second = capsys.readouterr().out
     assert first == second
     assert json.loads(first)["passed"] is True
+    assert hashlib.sha256(first.encode()).hexdigest() == REPRODUCE_ALL_SHA256
     report(8, "byte-identical reproduce all --seed 7")
 
 

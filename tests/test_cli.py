@@ -105,6 +105,29 @@ class TestCovariant:
         assert main(["covariant", "--from", str(f)]) == 1
         assert "NotRescaleInvariant" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--points", "0"], ["--tol", "1e9"]])
+    def test_from_refuses_vacuous_oracle(self, tmp_path, capsys, flags):
+        # w_xx*w_u is not rescale-invariant; a check at zero points or with
+        # an unbounded tolerance would let it through
+        f = tmp_path / "bad.txt"
+        f.write_text("coords: x, u; dep: w\nlhs: w_xx*w_u\n")
+        assert main(["covariant", "--from", str(f)] + flags) == 2
+        captured = capsys.readouterr()
+        assert "rescale-invariant" not in captured.out
+        assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("lhs", [
+        "u_xx + x^(1/0)",
+        "(" * 3000 + "u_xx" + ")" * 3000,
+        "u_xx + x^(10^50)",
+    ], ids=["zero-division", "deep-nesting", "huge-exponent"])
+    def test_malformed_input_is_one_error_line(self, tmp_path, capsys, lhs):
+        f = tmp_path / "pde.txt"
+        f.write_text(f"coords: x, y; dep: u\nlhs: {lhs}\n")
+        assert main(["covariant", "--to", str(f)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error [ParseError]")
+
 
 class TestReproduce:
     def test_2d_transitive(self, capsys):

@@ -164,6 +164,19 @@ class TestNumeric:
         with pytest.raises(SingularEvaluation):
             ex.eval_numeric(ex.func("log", X), {"x": -1.0})
 
+    def test_evaluators_kept_per_node(self):
+        e = ex.add(ex.mul(ex.Const(-2), X), Y)
+        value = ex.compile_numeric(e)
+        magnitude = ex.compile_numeric(e, magnitude=True)
+        assert ex.compile_numeric(e) is value
+        assert ex.compile_numeric(e, magnitude=True) is magnitude
+        assert value is not magnitude
+        assert value({"x": 1.0, "y": 1.0}) == -1.0
+        assert magnitude({"x": 1.0, "y": 1.0}) == 3.0
+        # an equal but distinct node compiles its own evaluator
+        assert ex.compile_numeric(ex.add(Y, ex.mul(ex.Const(-2), X))) \
+            is not value
+
 
 class TestParseRender:
     CASES = [
@@ -191,6 +204,25 @@ class TestParseRender:
         with pytest.raises(UnknownIdentifier) as err:
             SP.parse("u_x + zz")
         assert err.value.offset == 6
+
+    def test_parse_division_by_zero(self):
+        for text in ("x^(1/0)", "u_x/(x - x)", "0^(-2)*x"):
+            with pytest.raises(ParseError):
+                SP.parse(text)
+
+    def test_parse_nesting_bound(self):
+        depth = ex.MAX_NESTING - 1
+        assert SP.parse("(" * depth + "x" + ")" * depth) == SP.parse("x")
+        with pytest.raises(ParseError):
+            SP.parse("(" * 3000 + "x" + ")" * 3000)
+
+    def test_parse_exponent_bound(self):
+        assert SP.parse(f"x^{ex.MAX_EXPONENT}") == \
+            ex.pow_(SP.parse("x"), ex.MAX_EXPONENT)
+        for text in (f"x^{ex.MAX_EXPONENT + 1}", "x^(10^50)",
+                     "((2^1000)^1000)^1000"):
+            with pytest.raises(ParseError):
+                SP.parse(text)
 
     def test_parse_trailing_garbage(self):
         with pytest.raises(ParseError):

@@ -13,9 +13,9 @@ from lieinv.invariants import (
     InvariantSet,
     eliminate_w,
     emit_equation,
-    free_generators,
     instantiate_template,
-    transitive_generators,
+    realize_free,
+    realize_transitive,
     type1_pipeline,
     type2_pipeline,
 )
@@ -59,7 +59,7 @@ class TestType2:
         inv = type2_pipeline(entry, CFG)
         concrete = instantiate_template(
             inv.template, {"b": lambda a: ex.add(ex.pow_(a, 2), ex.ONE)})
-        _, gens = transitive_generators(entry)
+        gens = realize_transitive(entry).generators
         denoms = ex.denominator_symbols(concrete)
         for g in gens:
             assert nm.is_zero(g.apply(concrete), CFG, extra_denoms=denoms)
@@ -136,9 +136,9 @@ class TestEliminateW:
 
 
 class TestGenerators:
-    def test_free_generators_annihilate_pipeline_output(self):
+    def test_free_realization_annihilates_pipeline_output(self):
         entry = liealg.catalog_lookup("g3_1", {})
-        space, gens = free_generators(entry, 1)
+        gens = realize_free(entry, 1).generators
         inv = type1_pipeline(entry, 1, CFG)
         for e in inv.exprs():
             denoms = ex.denominator_symbols(e)
@@ -147,6 +147,7 @@ class TestGenerators:
 
     def test_transitive_generator_count(self):
         entry = liealg.catalog_lookup("g3_7", {})
-        space, gens = transitive_generators(entry)
+        real = realize_transitive(entry)
+        space, gens = real.space, real.generators
         assert len(gens) == 3
         assert space.coords == ("x", "y")

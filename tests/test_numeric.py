@@ -39,6 +39,14 @@ class TestSampling:
         with pytest.raises(Unsampleable):
             nm.sample_points(syms, CFG, frozenset(), {})
 
+    @pytest.mark.parametrize("kwargs", [
+        {"points": 0}, {"points": -3}, {"tol": 0.0}, {"tol": -1e-7},
+        {"tol": 1e9}, {"tol": float("nan")},
+    ])
+    def test_vacuous_config_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            nm.SamplerConfig(**kwargs)
+
 
 class TestIsZero:
     def test_trivial_zero(self):

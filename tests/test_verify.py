@@ -9,7 +9,7 @@ from lieinv import expr as ex
 from lieinv import fixtures as fx
 from lieinv import liealg
 from lieinv import numeric as nm
-from lieinv.invariants import free_generators, transitive_generators
+from lieinv.invariants import realize_free, realize_transitive
 from lieinv.verify import (
     TABLE_ROWS,
     annihilation_check,
@@ -24,14 +24,14 @@ class TestFixtureSelfTest:
     @pytest.mark.parametrize("name", fx.TRANSITIVE_NAMES)
     def test_transitive_fixtures_annihilated(self, name):
         entry = liealg.catalog_lookup(name, {})
-        _, gens = transitive_generators(entry)
+        gens = realize_transitive(entry).generators
         for label, e in fx.transitive_fixture(name).parsed():
             assert annihilation_check(gens, e, CFG, entry.param_map), label
 
     @pytest.mark.parametrize("name", fx.FREE_NAMES)
     def test_free_fixtures_annihilated(self, name):
         entry = liealg.catalog_lookup(name, {})
-        _, gens = free_generators(entry, 1)
+        gens = realize_free(entry, 1).generators
         for label, e in fx.free_fixture(name, 1).parsed():
             assert annihilation_check(gens, e, CFG, entry.param_map), label
 
@@ -40,7 +40,7 @@ class TestNegativeControls:
     @pytest.mark.parametrize("name", ["g2", "g3_1", "g3_7"])
     def test_perturbed_invariants_fail(self, name):
         entry = liealg.catalog_lookup(name, {})
-        _, gens = transitive_generators(entry)
+        gens = realize_transitive(entry).generators
         fixture = fx.transitive_fixture(name)
         space = fixture.space()
         # perturb the highest-order invariant (always multi-term or moved)
@@ -53,7 +53,7 @@ class TestNegativeControls:
 
     def test_single_term_invariant_perturbation(self):
         entry = liealg.catalog_lookup("2g1", {})
-        _, gens = transitive_generators(entry)
+        gens = realize_transitive(entry).generators
         fixture = fx.transitive_fixture("2g1")
         _, e = fixture.parsed()[0]  # u_x, a single term
         for variant in perturbed_variants(e, fixture.space()):
@@ -65,6 +65,19 @@ class TestReport:
         report = run_fixture_suite(["2d-transitive"], CFG)
         assert report.passed
         assert len(report.rows) == 2
+
+    def test_each_row_realized_once(self, monkeypatch):
+        calls = []
+        build = liealg.build_invariant_fields
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(liealg, "build_invariant_fields", counted)
+        report = run_fixture_suite(["2d-transitive"], CFG)
+        assert report.passed
+        assert len(calls) == len(report.rows) == 2
 
     def test_json_deterministic_and_sorted(self):
         r1 = run_fixture_suite(["1d"], CFG)
