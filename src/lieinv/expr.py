@@ -558,39 +558,53 @@ def diff(e: Expr, s: Symbol) -> Expr:
     """Partial derivative of e with respect to the symbol s.
 
     All other symbols (including jet variables) are treated as independent.
+    Structurally equal subtrees are differentiated once per call.
     """
-    if s not in e.free_symbols():
-        return ZERO
-    if isinstance(e, Sym):
-        return ONE
-    if isinstance(e, Add):
-        return add(*[diff(t, s) for t in e.terms])
-    if isinstance(e, Mul):
-        parts = []
-        for i, f in enumerate(e.factors):
-            df = diff(f, s)
-            if df is ZERO or (isinstance(df, Const) and df.value == 0):
-                continue
-            rest = e.factors[:i] + e.factors[i + 1 :]
-            parts.append(mul(df, *rest))
-        return add(*parts)
-    if isinstance(e, Pow):
-        return mul(Const(e.exp), pow_(e.base, e.exp - 1), diff(e.base, s))
-    if isinstance(e, Func):
-        da = diff(e.arg, s)
-        if e.head == "exp":
-            return mul(e, da)
-        if e.head == "log":
-            return mul(pow_(e.arg, -1), da)
-        if e.head == "sin":
-            return mul(func("cos", e.arg), da)
-        if e.head == "cos":
-            return mul(Const(-1), func("sin", e.arg), da)
-    if isinstance(e, Applied):
-        raise UnsupportedOperation(
-            f"formal derivative of arbitrary-function head {e.head!r} is unsupported"
-        )
-    raise TypeError(type(e))
+    memo = {}
+
+    def rec(x):
+        if s not in x.free_symbols():
+            return ZERO
+        d = memo.get(x)
+        if d is not None:
+            return d
+        if isinstance(x, Sym):
+            d = ONE
+        elif isinstance(x, Add):
+            d = add(*[rec(t) for t in x.terms])
+        elif isinstance(x, Mul):
+            parts = []
+            for i, f in enumerate(x.factors):
+                df = rec(f)
+                if df is ZERO or (isinstance(df, Const) and df.value == 0):
+                    continue
+                rest = x.factors[:i] + x.factors[i + 1 :]
+                parts.append(mul(df, *rest))
+            d = add(*parts)
+        elif isinstance(x, Pow):
+            d = mul(Const(x.exp), pow_(x.base, x.exp - 1), rec(x.base))
+        elif isinstance(x, Func):
+            da = rec(x.arg)
+            if x.head == "exp":
+                d = mul(x, da)
+            elif x.head == "log":
+                d = mul(pow_(x.arg, -1), da)
+            elif x.head == "sin":
+                d = mul(func("cos", x.arg), da)
+            elif x.head == "cos":
+                d = mul(Const(-1), func("sin", x.arg), da)
+            else:
+                raise TypeError(type(x))
+        elif isinstance(x, Applied):
+            raise UnsupportedOperation(
+                f"formal derivative of arbitrary-function head {x.head!r} is unsupported"
+            )
+        else:
+            raise TypeError(type(x))
+        memo[x] = d
+        return d
+
+    return rec(e)
 
 
 def substitute(e: Expr, bindings: Mapping[Symbol, Expr]) -> Expr:
@@ -710,9 +724,14 @@ def _num_pow(b: float, num: int, den: int) -> float:
     if b == 0.0 and num < 0:
         raise SingularEvaluation("zero base with negative exponent")
     if den == 1:
-        if abs(b) < 1e-280 and num < 0:
+        if num >= 0:
+            return b ** num
+        if abs(b) < 1e-280:
             raise SingularEvaluation("vanishing denominator")
-        return b ** num if num >= 0 else 1.0 / (b ** (-num))
+        d = b ** (-num)
+        if d == 0.0:
+            raise SingularEvaluation("denominator underflows to zero")
+        return 1.0 / d
     if b < 0:
         raise SingularEvaluation("negative base with fractional exponent")
     return b ** (num / den)
@@ -730,58 +749,78 @@ def _num_exp(x: float) -> float:
     return math.exp(x)
 
 
-def _codegen(e: Expr, names: dict, magnitude: bool) -> str:
+def _codegen(e: Expr, magnitude: bool) -> str:
+    """Source of a flat function `f(a)` evaluating e, one local per subtree.
+
+    Structurally equal subtrees share one local, assigned in first-occurrence
+    post-order, which is the order a nested expression would evaluate them
+    in; constants stay inline literals.
+    """
+    refs = {}  # subtree -> local name
+    lines = ["def f(a):"]
+
     def gen(x):
         if isinstance(x, Const):
             v = abs(x.value) if magnitude else x.value
             if v.denominator == 1:
                 return f"({v.numerator})"
             return f"({v.numerator}/{v.denominator})"
+        ref = refs.get(x)
+        if ref is not None:
+            return ref
         if isinstance(x, Sym):
-            ref = f"a[{names[x.symbol]!r}]"
-            return f"abs({ref})" if magnitude else ref
-        if isinstance(x, Add):
-            return "(" + "+".join(gen(t) for t in x.terms) + ")"
-        if isinstance(x, Mul):
-            return "(" + "*".join(gen(f) for f in x.factors) + ")"
-        if isinstance(x, Pow):
-            return f"P({gen(x.base)},{x.exp.numerator},{x.exp.denominator})"
-        if isinstance(x, Func):
-            inner = gen(x.arg)
+            src = f"a[{x.symbol.name!r}]"
+            if magnitude:
+                src = f"abs({src})"
+        elif isinstance(x, Add):
+            src = "+".join([gen(t) for t in x.terms])
+        elif isinstance(x, Mul):
+            src = "*".join([gen(f) for f in x.factors])
+        elif isinstance(x, Pow):
+            src = f"P({gen(x.base)},{x.exp.numerator},{x.exp.denominator})"
+        elif isinstance(x, Func):
+            src = f"F[{x.head!r}]({gen(x.arg)})"
             if magnitude and x.head != "exp":
-                return f"abs(F[{x.head!r}]({inner}))"
-            return f"F[{x.head!r}]({inner})"
-        if isinstance(x, Applied):
+                src = f"abs({src})"
+        elif isinstance(x, Applied):
             raise UnboundSymbol(
                 f"cannot numerically evaluate arbitrary-function head {x.head!r}"
             )
-        raise TypeError(type(x))
+        else:
+            raise TypeError(type(x))
+        ref = f"t{len(lines) - 1}"
+        lines.append(f" {ref}={src}")
+        refs[x] = ref
+        return ref
 
-    return gen(e)
+    lines.append(f" return {gen(e)}+0.0")
+    return "\n".join(lines)
 
 
 def compile_numeric(e: Expr, magnitude: bool = False):
     """Compile e to a fast evaluator mapping {symbol name: float} -> float.
 
-    With magnitude=True the compiled function computes a cancellation-free
-    magnitude estimate: |.| is applied at the leaves and propagated through
-    sums and products.  Both evaluators are kept on the node itself, so
-    they live exactly as long as the tree does.
+    The generated function is flat: each distinct subtree is computed once
+    into a local, in the order and with the operations a nested expression
+    would use, so it returns the same float (or raises at the same
+    operation) and has no nesting limit of its own.  With magnitude=True
+    it computes a cancellation-free magnitude estimate: |.| is applied at
+    the leaves and propagated through sums and products.  Both evaluators
+    are kept on the node itself, so they live exactly as long as the tree
+    does.
     """
     if e._fns is None:
         e._fns = [None, None]
     fn = e._fns[magnitude]
     if fn is not None:
         return fn
-    names = {s: s.name for s in e.free_symbols()}
-    src = _codegen(e, names, magnitude)
     env = {
         "P": _num_pow,
         "F": {"exp": _num_exp, "log": _num_log, "sin": math.sin, "cos": math.cos},
         "abs": abs,
     }
-    fn = eval(f"lambda a: ({src})+0.0", env)  # noqa: S307 - generated from our own AST
-    e._fns[magnitude] = fn
+    exec(_codegen(e, magnitude), env)  # noqa: S102 - generated from our own AST
+    fn = e._fns[magnitude] = env["f"]
     return fn
 
 
@@ -936,9 +975,10 @@ class _Tokenizer:
         return Fraction(t[start:i])
 
 
-# Input limits: deeper nesting would exhaust the interpreter's stack (and the
-# compiler's parenthesis limit in compile_numeric); larger exponents build
-# constants too big to hold or floats that overflow.
+# Input limits: deeper nesting would exhaust the interpreter's stack in the
+# recursive parser, constructors and tree walks (compile_numeric emits flat
+# code, so it has no parenthesis limit); larger exponents build constants too
+# big to hold or floats that overflow.
 MAX_NESTING = 32
 MAX_EXPONENT = 1000
 MAX_CONST_BITS = 1 << 16

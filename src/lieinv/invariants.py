@@ -109,8 +109,9 @@ def _verify_annihilation(fields: Sequence[ProlongedField],
     """Every invariant must be annihilated by every prolonged generator."""
     for label, inv in invariants:
         denoms = ex.denominator_symbols(inv)
+        partials = {}
         for idx, pf in enumerate(fields, start=1):
-            residual = pf.apply(inv)
+            residual = pf.apply(inv, partials)
             if not nm.is_zero(residual, cfg, params, extra_denoms=denoms):
                 raise VerificationFailed(
                     f"invariant {label} is not annihilated by generator X{idx}")

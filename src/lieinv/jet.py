@@ -210,15 +210,30 @@ class ProlongedField:
                                         total_derivative(self.xi[c], b, space)))
                 self.phi2[(a, b)] = ex.add(*terms)
 
-    def apply(self, e: ex.Expr) -> ex.Expr:
-        """Apply the prolonged derivation to a second-order jet expression."""
+    def apply(self, e: ex.Expr,
+              partials: Optional[Dict[ex.Symbol, ex.Expr]] = None) -> ex.Expr:
+        """Apply the prolonged derivation to a second-order jet expression.
+
+        `partials` caches de/ds by symbol s for this e; pass the same dict
+        when applying several fields to one expression so each partial is
+        built once.
+        """
+        if partials is None:
+            partials = {}
+
+        def d(s):
+            p = partials.get(s)
+            if p is None:
+                p = partials[s] = ex.diff(e, s)
+            return p
+
         space = self.space
-        parts = [ex.mul(self.theta, ex.diff(e, space.jet()))]
+        parts = [ex.mul(self.theta, d(space.jet()))]
         for a in space.coords:
-            parts.append(ex.mul(self.xi[a], ex.diff(e, space.base(a))))
-            parts.append(ex.mul(self.phi1[a], ex.diff(e, space.jet(a))))
+            parts.append(ex.mul(self.xi[a], d(space.base(a))))
+            parts.append(ex.mul(self.phi1[a], d(space.jet(a))))
         for (a, b), phi in self.phi2.items():
-            parts.append(ex.mul(phi, ex.diff(e, space.jet(a, b))))
+            parts.append(ex.mul(phi, d(space.jet(a, b))))
         return ex.add(*parts)
 
 

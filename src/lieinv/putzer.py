@@ -101,24 +101,17 @@ def _ep_integrate(p: ExpPoly) -> ExpPoly:
         #   = e^{mu t} * sum_{k=0}^{m} (-1)^k m!/(m-k)! mu^{-(k+1)} t^{m-k}
         #     - (-1)^m m! mu^{-(m+1)}
         inv = mu.inv()
-        invpow = inv
+        invpow = CONE
         sign = CONE
         for k in range(m + 1):
+            invpow = invpow * inv  # mu^{-(k+1)}
             coef = CRat(Fraction(factorial(m) // factorial(m - k)))
             _ep_add(out, (mu, m - k), c * sign * coef * invpow)
-            invpow = invpow * inv
             sign = -sign
         boundary = CRat(Fraction(factorial(m)))
         if m % 2 == 1:
             boundary = -boundary
-        _ep_add(out, (CZERO, 0), -(c * boundary * invpow_final(inv, m + 1)))
-    return out
-
-
-def invpow_final(inv: CRat, n: int) -> CRat:
-    out = CONE
-    for _ in range(n):
-        out = out * inv
+        _ep_add(out, (CZERO, 0), -(c * boundary * invpow))
     return out
 
 

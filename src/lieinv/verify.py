@@ -43,8 +43,9 @@ def annihilation_check(fields: Sequence[ProlongedField], e: ex.Expr,
                        params: Optional[Mapping] = None) -> bool:
     """True iff every prolonged generator annihilates e (randomized)."""
     denoms = ex.denominator_symbols(e)
+    partials = {}
     for f in fields:
-        if not nm.is_zero(f.apply(e), cfg, params, extra_denoms=denoms):
+        if not nm.is_zero(f.apply(e, partials), cfg, params, extra_denoms=denoms):
             return False
     return True
 

@@ -1,9 +1,13 @@
 """Command-line interface: commands, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import lieinv
 from lieinv.cli import main
 
 SO3 = {
@@ -158,3 +162,13 @@ class TestReproduce:
 
     def test_unknown_table(self, capsys):
         assert main(["reproduce", "9d"]) == 2
+
+
+class TestModuleEntry:
+    def test_python_m_help(self):
+        src = os.path.dirname(os.path.dirname(lieinv.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "lieinv", "--help"],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: lieinv")

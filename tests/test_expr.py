@@ -177,6 +177,38 @@ class TestNumeric:
         assert ex.compile_numeric(ex.add(Y, ex.mul(ex.Const(-2), X))) \
             is not value
 
+    def test_negative_power_underflow_is_singular(self):
+        # 1e-10 ** 40 underflows to 0.0; the point must be redrawn, not crash
+        with pytest.raises(SingularEvaluation):
+            ex.eval_numeric(ex.pow_(X, -40), {"x": 1e-10})
+
+    def test_deeply_nested_tree_evaluates(self):
+        # sin(x + 2*sin(x + 2*...)) 120 levels deep, built by the constructors
+        e, val, mag = X, 0.3, 0.3
+        for _ in range(120):
+            e = ex.func("sin", ex.add(X, ex.mul(ex.Const(2), e)))
+            val = math.sin(0.3 + 2 * val)
+            mag = abs(math.sin(0.3 + 2 * mag))
+        assert ex.compile_numeric(e)({"x": 0.3}) == val
+        assert ex.compile_numeric(e, magnitude=True)({"x": 0.3}) == mag
+
+    def test_repeated_subtree_emitted_once(self):
+        t = ex.add(X, ex.mul(ex.Const(-3), Y))
+        e = ex.add(ex.mul(ex.func("sin", t), ex.pow_(t, 2)),
+                   ex.mul(ex.Const(Fraction(1, 3)), ex.func("exp", t)),
+                   ex.pow_(ex.func("cos", t), -1))
+        x, y = 0.7, -0.2
+        tv = x + (-3) * y
+        want = 1.0 / math.cos(tv) + (1 / 3) * math.exp(tv) + tv ** 2 * math.sin(tv)
+        tm = abs(x) + 3 * abs(y)
+        want_mag = (1.0 / abs(math.cos(tm)) + (1 / 3) * math.exp(tm)
+                    + tm ** 2 * abs(math.sin(tm)))
+        assert ex.compile_numeric(e)({"x": x, "y": y}) == want
+        assert ex.compile_numeric(e, magnitude=True)({"x": x, "y": y}) \
+            == want_mag
+        src = ex._codegen(e, False)
+        assert src.count("(-3)*") == 1 and src.count("a['x']") == 1
+
 
 class TestParseRender:
     CASES = [

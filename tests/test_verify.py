@@ -36,6 +36,34 @@ class TestFixtureSelfTest:
             assert annihilation_check(gens, e, CFG, entry.param_map), label
 
 
+class TestSharedPartials:
+    def test_each_partial_built_once_per_expression(self, monkeypatch):
+        entry = liealg.catalog_lookup("g3_7", {})
+        gens = realize_transitive(entry).generators
+        assert len(gens) == 3
+        e = dict(fx.transitive_fixture("g3_7").parsed())["v_13"]
+        calls = []
+        diff = ex.diff
+
+        def counting(x, s):
+            calls.append(s)
+            return diff(x, s)
+
+        monkeypatch.setattr(ex, "diff", counting)
+        assert annihilation_check(gens, e, CFG, entry.param_map)
+        space = gens[0].space
+        symbols = [space.base(c) for c in space.coords] + space.jet_symbols(2)
+        assert sorted(calls, key=str) == sorted(symbols, key=str)
+
+    def test_shared_partials_give_the_same_result(self):
+        entry = liealg.catalog_lookup("g3_7", {})
+        gens = realize_transitive(entry).generators
+        for _, e in fx.transitive_fixture("g3_7").parsed():
+            partials = {}
+            for f in gens:
+                assert f.apply(e, partials) == f.apply(e)
+
+
 class TestNegativeControls:
     @pytest.mark.parametrize("name", ["g2", "g3_1", "g3_7"])
     def test_perturbed_invariants_fail(self, name):
