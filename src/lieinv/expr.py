@@ -7,6 +7,12 @@ slots.  Every constructor canonicalizes: sums and products are flattened,
 constants folded exactly, like terms and like powers collected, and operands
 sorted by a fixed total order, so structurally equal trees compare equal.
 
+Exact rationals are normalized: `Const.value` and `Pow.exp` are a Python
+`int` when integral and a `Fraction` otherwise, so
+`Const(Fraction(6, 3)).value` is the int 2.  Both types carry
+`numerator`/`denominator`, which is all that sort keys, rendering and
+codegen read.
+
 Canonical form conventions:
   * tan(a) is accepted on input and rewritten to sin(a)*cos(a)^(-1); no tan
     node survives canonicalization.
@@ -28,8 +34,6 @@ from .errors import (
     UnknownIdentifier,
     UnsupportedOperation,
 )
-
-Rational = Fraction
 
 ELEMENTARY_HEADS = ("exp", "log", "sin", "cos")
 # accepted by the parser, rewritten away during canonicalization
@@ -140,12 +144,28 @@ class Expr:
         return render(self)
 
 
+def _exact(v):
+    """Normalize an exact rational: int if integral, else Fraction."""
+    if type(v) is not int:
+        if type(v) is not Fraction:
+            v = Fraction(v)
+        if v.denominator == 1:
+            return v.numerator
+    return v
+
+
+def _rat_pow(v, n: int):
+    """v**n for an exact rational v and integer n; int ** -n is a float."""
+    return v ** n if n >= 0 else Fraction(v) ** n
+
+
 class Const(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        super().__init__()
-        self.value = Fraction(value)
+        # Expr.__init__ inlined: Const is the node built most often
+        self._key = self._hash = self._free = self._fns = None
+        self.value = _exact(value)
 
     def _make_key(self):
         return (0, (self.value.numerator, self.value.denominator))
@@ -180,7 +200,7 @@ class Sym(Expr):
 class Pow(Expr):
     __slots__ = ("base", "exp")
 
-    def __init__(self, base: Expr, exp: Fraction):
+    def __init__(self, base: Expr, exp: int | Fraction):
         super().__init__()
         self.base = base
         self.exp = exp
@@ -287,7 +307,7 @@ def _split_coeff(term: Expr):
             rest = term.factors[1:]
             mono = rest[0] if len(rest) == 1 else Mul(rest)
             return first.value, mono
-    return Fraction(1), term
+    return 1, term
 
 
 def _monomial_factors(mono: Expr):
@@ -351,8 +371,8 @@ def _pythagorean_merge(monos: dict):
                 skey, srest = hit
                 if skey == key:
                     continue
-                monos[skey][1] = Fraction(0)
-                monos[key][1] = Fraction(0)
+                monos[skey][1] = 0
+                monos[key][1] = 0
                 tgt = None if rest is None else rest.sort_key()
                 if tgt in monos:
                     monos[tgt][1] += coeff
@@ -407,7 +427,7 @@ def mul(*factors) -> Expr:
             flat.extend(f.factors)
         else:
             flat.append(f)
-    const = Fraction(1)
+    const = 1
     powers = {}  # base key -> [base, exponent]
     order = []
     for f in flat:
@@ -417,9 +437,9 @@ def mul(*factors) -> Expr:
         if isinstance(f, Pow):
             base, exp = f.base, f.exp
         else:
-            base, exp = f, Fraction(1)
+            base, exp = f, 1
         if isinstance(base, Const) and exp.denominator == 1:
-            const *= base.value ** exp
+            const *= _rat_pow(base.value, exp)
             continue
         key = base.sort_key()
         if key in powers:
@@ -434,7 +454,7 @@ def mul(*factors) -> Expr:
         base, exp = powers[key]
         if exp == 0:
             continue
-        out.append(pow_(base, exp))
+        out.append(base if exp == 1 else pow_(base, exp))
     # pow_ may have folded, e.g. into constants or nested products
     if any(isinstance(f, (Mul, Const)) for f in out):
         return mul(Const(const), *out)
@@ -452,7 +472,7 @@ def mul(*factors) -> Expr:
 
 def pow_(base, exp) -> Expr:
     base = as_expr(base)
-    exp = Fraction(exp)
+    exp = _exact(exp)
     if exp == 0:
         return ONE
     if exp == 1:
@@ -463,7 +483,7 @@ def pow_(base, exp) -> Expr:
                 return ZERO
             return Pow(base, exp)  # singular; caught at evaluation
         if exp.denominator == 1:
-            return Const(base.value**exp)
+            return Const(_rat_pow(base.value, exp))
         if base.value == 1:
             return ONE
     if isinstance(base, Pow) and exp.denominator == 1:
@@ -546,7 +566,10 @@ def _rebuild(e: Expr, sym: Optional[Callable] = None,
             return applied(x.head, args) if out is None else out
         raise TypeError(type(x))
 
-    return rec(e)
+    try:
+        return rec(e)
+    finally:
+        del rec  # rec reaches itself through its closure; break the cycle
 
 
 def simplify_basic(e: Expr) -> Expr:
@@ -604,7 +627,10 @@ def diff(e: Expr, s: Symbol) -> Expr:
         memo[x] = d
         return d
 
-    return rec(e)
+    try:
+        return rec(e)
+    finally:
+        del rec  # rec reaches itself through its closure; free the memo now
 
 
 def substitute(e: Expr, bindings: Mapping[Symbol, Expr]) -> Expr:
@@ -723,18 +749,22 @@ def denominator_symbols(e: Expr) -> frozenset:
 def _num_pow(b: float, num: int, den: int) -> float:
     if b == 0.0 and num < 0:
         raise SingularEvaluation("zero base with negative exponent")
-    if den == 1:
-        if num >= 0:
-            return b ** num
-        if abs(b) < 1e-280:
-            raise SingularEvaluation("vanishing denominator")
-        d = b ** (-num)
-        if d == 0.0:
-            raise SingularEvaluation("denominator underflows to zero")
-        return 1.0 / d
-    if b < 0:
-        raise SingularEvaluation("negative base with fractional exponent")
-    return b ** (num / den)
+    try:
+        if den == 1:
+            if num >= 0:
+                return b ** num
+            if abs(b) < 1e-280:
+                raise SingularEvaluation("vanishing denominator")
+            d = b ** (-num)
+            if d == 0.0:
+                raise SingularEvaluation("denominator underflows to zero")
+            return 1.0 / d
+        if b < 0:
+            raise SingularEvaluation("negative base with fractional exponent")
+        return b ** (num / den)
+    except OverflowError:
+        # float ** raises where it cannot return a finite result
+        raise SingularEvaluation("power overflows") from None
 
 
 def _num_log(x: float) -> float:
@@ -793,7 +823,10 @@ def _codegen(e: Expr, magnitude: bool) -> str:
         refs[x] = ref
         return ref
 
-    lines.append(f" return {gen(e)}+0.0")
+    try:
+        lines.append(f" return {gen(e)}+0.0")
+    finally:
+        del gen  # gen reaches itself through its closure; free refs now
     return "\n".join(lines)
 
 
@@ -846,7 +879,7 @@ def eval_numeric(e: Expr, assignment: Mapping) -> float:
 # Rendering
 
 
-def _render_const(v: Fraction) -> str:
+def _render_const(v: int | Fraction) -> str:
     if v.denominator == 1:
         return str(v.numerator)
     return f"{v.numerator}/{v.denominator}"
@@ -984,7 +1017,7 @@ MAX_EXPONENT = 1000
 MAX_CONST_BITS = 1 << 16
 
 
-def _check_power(base: Expr, exp: Fraction, pos: int) -> None:
+def _check_power(base: Expr, exp: int | Fraction, pos: int) -> None:
     """Refuse base^exp if it divides by zero or grows beyond the limits."""
     if abs(exp.numerator) > MAX_EXPONENT:
         raise ParseError(f"exponent numerator exceeds {MAX_EXPONENT}", pos)
@@ -1054,7 +1087,7 @@ class _Parser:
             return pow_(base, exp)
         return base
 
-    def exponent(self) -> Fraction:
+    def exponent(self) -> int | Fraction:
         self.tok.skip_ws()
         pos = self.tok.pos
         if self.tok.peek() == "(":

@@ -8,6 +8,7 @@ appear in any denominator are sampled bounded away from zero.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Optional, Sequence
@@ -98,8 +99,10 @@ def is_zero(e: ex.Expr, cfg: SamplerConfig = SamplerConfig(),
 
     The magnitude is the cancellation-free estimate of e itself, so genuine
     identities with large intermediate terms still pass, while expressions
-    that are merely small never do.  Points where evaluation is singular are
-    re-drawn; persistent singularity raises Unsampleable.
+    that are merely small never do.  Since max(1, magnitude) >= 1, the
+    magnitude is evaluated only at points where |e(p)| > tol.  Points where
+    evaluation is singular, or where the value or the magnitude is not
+    finite, are re-drawn; persistent singularity raises Unsampleable.
     """
     if isinstance(e, ex.Const):
         return e.value == 0
@@ -114,11 +117,15 @@ def is_zero(e: ex.Expr, cfg: SamplerConfig = SamplerConfig(),
         progressed = False
         for pt in pts:
             try:
-                val = _eval_at(e, pt)
-                scale = _magnitude(e, pt)
+                val = abs(_eval_at(e, pt))
+                bound = cfg.tol
+                if val > bound:
+                    bound *= max(1.0, _magnitude(e, pt))
             except SingularEvaluation:
                 continue
-            if abs(val) > cfg.tol * max(1.0, scale):
+            if not (math.isfinite(val) and math.isfinite(bound)):
+                continue
+            if val > bound:
                 return False
             checked += 1
             progressed = True

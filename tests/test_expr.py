@@ -1,5 +1,6 @@
 """Expression kernel: constructors, calculus, parse/render, evaluation."""
 
+import gc
 import math
 from fractions import Fraction
 
@@ -80,6 +81,50 @@ class TestCanonicalization:
         assert ex.func("log", ex.ONE) == ex.ZERO
         assert ex.func("sin", ex.ZERO) == ex.ZERO
         assert ex.func("cos", ex.ZERO) == ex.ONE
+
+
+def _fraction_const(v):
+    """A Const whose value is kept as a Fraction, as built before ints."""
+    c = ex.Const(0)
+    c.value = Fraction(v)
+    return c
+
+
+class TestExactNormalization:
+    def test_integral_const_is_int(self):
+        two = ex.Const(Fraction(6, 3)).value
+        assert two == 2 and type(two) is int
+        assert type(ex.Const(Fraction(1, 2)).value) is Fraction
+
+    def test_negative_power_of_const_stays_exact(self):
+        half = ex.pow_(ex.Const(2), -1)
+        assert half == ex.Const(Fraction(1, 2))
+        assert type(half.value) is Fraction
+        e = ex.mul(ex.Const(2), ex.pow_(ex.Const(3), -2))
+        assert e == ex.Const(Fraction(2, 9))
+        assert type(e.value) is Fraction
+
+    def test_integral_exponent_is_int(self):
+        e = ex.pow_(X, Fraction(4, 2))
+        assert e.exp == 2 and type(e.exp) is int
+        assert type(ex.pow_(X, Fraction(1, 2)).exp) is Fraction
+
+    def test_keys_and_render_match_fraction_built(self):
+        pairs = [
+            (ex.Const(3), _fraction_const(3)),
+            (ex.Const(-5), _fraction_const(-5)),
+            (ex.pow_(X, 2), ex.Pow(X, Fraction(2))),
+            (ex.pow_(Y, -3), ex.Pow(Y, Fraction(-3))),
+            (ex.mul(ex.Const(3), X), ex.Mul((_fraction_const(3), X))),
+            (ex.mul(ex.Const(-2), ex.pow_(X, -1)),
+             ex.Mul((_fraction_const(-2), ex.Pow(X, Fraction(-1))))),
+        ]
+        for new, old in pairs:
+            assert new.sort_key() == old.sort_key()
+            assert hash(new) == hash(old) and new == old
+            assert ex.render(new) == ex.render(old)
+            assert ex._codegen(new, False) == ex._codegen(old, False)
+            assert ex._codegen(new, True) == ex._codegen(old, True)
 
 
 class TestDiff:
@@ -181,6 +226,28 @@ class TestNumeric:
         # 1e-10 ** 40 underflows to 0.0; the point must be redrawn, not crash
         with pytest.raises(SingularEvaluation):
             ex.eval_numeric(ex.pow_(X, -40), {"x": 1e-10})
+
+    @pytest.mark.parametrize("text, x", [
+        ("x^40", 1e10), ("x^(-40)", 1e10), ("x^(3/2)", 1e300),
+    ])
+    def test_power_overflow_is_singular(self, text, x):
+        # float ** raises OverflowError here; the point must be redrawn
+        with pytest.raises(SingularEvaluation):
+            ex.eval_numeric(SP.parse(text), {"x": x})
+
+    def test_walks_leave_no_reference_cycles(self):
+        # the recursive walkers must free their memos when they return,
+        # not at the next cyclic garbage collection
+        e = SP.parse("sin(x*y)^2/(x + exp(u_x)) + cos(x*y)")
+        gc.collect()
+        gc.disable()
+        try:
+            ex.diff(e, SP.base("x"))
+            ex._codegen(e, False)
+            ex.simplify_basic(e)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_deeply_nested_tree_evaluates(self):
         # sin(x + 2*sin(x + 2*...)) 120 levels deep, built by the constructors

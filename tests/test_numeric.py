@@ -68,9 +68,30 @@ class TestIsZero:
         assert not nm.is_zero(p("u_x + 1/1000000"), CFG)
 
     def test_large_cancellation_scale(self):
-        # identity with huge intermediate terms still passes
+        # identity with huge intermediate terms still passes: |value| exceeds
+        # tol at some points but stays within tol * scale
         e = p("(x + 1000000)^2 - x^2 - 2000000*x - 1000000000000")
+        assert any(abs(ex.eval_numeric(e, pt)) > CFG.tol
+                   for pt in nm.sample_points(e.free_symbols(), CFG))
         assert nm.is_zero(e, CFG)
+        assert e._fns[1] is not None
+
+    def test_scale_only_evaluated_above_tol(self):
+        e = p("sin(2*x) - 2*sin(x)*cos(x)")
+        assert nm.is_zero(e, CFG)
+        assert e._fns[0] is not None and e._fns[1] is None
+
+    def test_non_finite_residual_is_unsampleable(self):
+        # exp(800 + x + y): the value overflows to inf - inf = nan everywhere
+        e = p("exp(400+x)*exp(400+y)*(1+x) - x*exp(400+x)*exp(400+y)")
+        with pytest.raises(Unsampleable):
+            nm.is_zero(e, CFG)
+
+    def test_non_finite_scale_is_unsampleable(self):
+        # value exp(400) is finite, but its magnitude overflows to inf
+        e = p("exp(50 + 300*cos(x))*exp(350 - 300*cos(x))")
+        with pytest.raises(Unsampleable):
+            nm.is_zero(e, CFG)
 
     def test_small_but_nonzero_fails(self):
         assert not nm.is_zero(p("x/100000"), CFG)
