@@ -31,6 +31,8 @@ from .errors import (
 )
 from .jet import JetSpace
 
+DEGREE_FIT_POINTS = 8
+
 
 @dataclass(frozen=True)
 class ScalarPDE:
@@ -144,8 +146,7 @@ def _min_wn_exponent(e: ex.Expr, wn_sym: ex.Symbol) -> int:
 
 
 def to_covariant(pde: ScalarPDE, cfg: nm.SamplerConfig = nm.SamplerConfig(),
-                 params: Optional[dict] = None,
-                 check: bool = True) -> CovariantPDE:
+                 params: Optional[dict] = None) -> CovariantPDE:
     """Covariant form of a split scalar PDE, cleared of w_n denominators."""
     wspace = wspace_for(pde.space)
     dep = pde.space.dep
@@ -159,11 +160,8 @@ def to_covariant(pde: ScalarPDE, cfg: nm.SamplerConfig = nm.SamplerConfig(),
     wn_sym = wspace.jet(dep)
     kappa = -_min_wn_exponent(expanded, wn_sym)
     cleared = ex.expand(ex.mul(ex.pow_(ex.Sym(wn_sym), kappa), expanded))
-    if check:
-        degree = homogeneity_degree(cleared, wspace, cfg, params)
-        rescale_invariance_check(cleared, wspace, cfg, params)
-    else:
-        degree = kappa
+    degree = homogeneity_degree(cleared, wspace, cfg, params)
+    rescale_invariance_check(cleared, wspace, cfg, params)
     return CovariantPDE(wspace, cleared, dep, degree)
 
 
@@ -194,33 +192,35 @@ def rescale_fields(e: ex.Expr, wspace: JetSpace) -> List[ex.Expr]:
 def homogeneity_degree(e: ex.Expr, wspace: JetSpace,
                        cfg: nm.SamplerConfig = nm.SamplerConfig(),
                        params: Optional[dict] = None) -> int:
-    """Degree k with D e = k e, fitted numerically and confirmed by is_zero."""
+    """Degree k with D e = k e, fitted numerically and confirmed by is_zero.
+
+    The ratio D e / e is fitted at DEGREE_FIT_POINTS regular points; a point
+    where e vanishes is singular for the ratio and is redrawn.
+    """
     de = euler_operator(e, wspace)
-    ratio_pts = nm.sample_points(
-        e.free_symbols() | de.free_symbols(),
-        nm.SamplerConfig(seed=cfg.seed, points=8),
-        ex.denominator_symbols(e) | {s for s in e.free_symbols()
-                                     if s.kind == ex.JET},
-        params,
-    )
-    fit = None
     fe = ex.compile_numeric(e)
     fde = ex.compile_numeric(de)
-    for pt in ratio_pts:
-        try:
-            denom = fe(pt)
-            if abs(denom) < 1e-12:
-                continue
-            k = fde(pt) / denom
-        except (SingularEvaluation, OverflowError):
-            continue
+    fit = None
+
+    def visit(pt):
+        nonlocal fit
+        denom = fe(pt)
+        if abs(denom) < 1e-12:
+            raise SingularEvaluation("the equation vanishes at this point")
+        k = fde(pt) / denom
         if fit is None:
             fit = k
         elif abs(fit - k) > 1e-9 * max(1.0, abs(fit)):
             raise NotHomogeneous(
                 f"inconsistent homogeneity ratios {fit} vs {k}")
-    if fit is None:
-        raise NotHomogeneous("could not sample a regular point for the degree fit")
+        return None
+
+    nm.at_regular_points(
+        e.free_symbols() | de.free_symbols(),
+        nm.SamplerConfig(seed=cfg.seed, points=DEGREE_FIT_POINTS),
+        ex.denominator_symbols(e) | {s for s in e.free_symbols()
+                                     if s.kind == ex.JET},
+        params, visit)
     k = Fraction(fit).limit_denominator(1000)
     if k.denominator != 1:
         raise NotHomogeneous(f"non-integer homogeneity degree {k}")

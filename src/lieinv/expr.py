@@ -657,28 +657,27 @@ def substitute_heads(e: Expr, heads: Mapping[str, Callable]) -> Expr:
     return _rebuild(e, app=app)
 
 
+def _walk(e: Expr):
+    """Every node of e, a shared subtree once per occurrence (explicit stack)."""
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        yield x
+        if isinstance(x, Add):
+            stack.extend(x.terms)
+        elif isinstance(x, Mul):
+            stack.extend(x.factors)
+        elif isinstance(x, Pow):
+            stack.append(x.base)
+        elif isinstance(x, Func):
+            stack.append(x.arg)
+        elif isinstance(x, Applied):
+            stack.extend(x.args)
+
+
 def applied_heads(e: Expr) -> set:
     """Names of all arbitrary-function heads occurring in e."""
-    out = set()
-
-    def rec(x):
-        if isinstance(x, Applied):
-            out.add(x.head)
-            for a in x.args:
-                rec(a)
-        elif isinstance(x, Add):
-            for t in x.terms:
-                rec(t)
-        elif isinstance(x, Mul):
-            for f in x.factors:
-                rec(f)
-        elif isinstance(x, Pow):
-            rec(x.base)
-        elif isinstance(x, Func):
-            rec(x.arg)
-
-    rec(e)
-    return out
+    return {x.head for x in _walk(e) if isinstance(x, Applied)}
 
 
 def expand(e: Expr) -> Expr:
@@ -720,25 +719,9 @@ def _distribute(a: Expr, b: Expr) -> Expr:
 def denominator_symbols(e: Expr) -> frozenset:
     """Symbols occurring inside the base of any negative-exponent power."""
     out = set()
-
-    def rec(x):
-        if isinstance(x, Pow):
-            if x.exp < 0:
-                out.update(x.base.free_symbols())
-            rec(x.base)
-        elif isinstance(x, Add):
-            for t in x.terms:
-                rec(t)
-        elif isinstance(x, Mul):
-            for f in x.factors:
-                rec(f)
-        elif isinstance(x, Func):
-            rec(x.arg)
-        elif isinstance(x, Applied):
-            for a in x.args:
-                rec(a)
-
-    rec(e)
+    for x in _walk(e):
+        if isinstance(x, Pow) and x.exp < 0:
+            out |= x.base.free_symbols()
     return frozenset(out)
 
 
@@ -749,22 +732,18 @@ def denominator_symbols(e: Expr) -> frozenset:
 def _num_pow(b: float, num: int, den: int) -> float:
     if b == 0.0 and num < 0:
         raise SingularEvaluation("zero base with negative exponent")
-    try:
-        if den == 1:
-            if num >= 0:
-                return b ** num
-            if abs(b) < 1e-280:
-                raise SingularEvaluation("vanishing denominator")
-            d = b ** (-num)
-            if d == 0.0:
-                raise SingularEvaluation("denominator underflows to zero")
-            return 1.0 / d
-        if b < 0:
-            raise SingularEvaluation("negative base with fractional exponent")
-        return b ** (num / den)
-    except OverflowError:
-        # float ** raises where it cannot return a finite result
-        raise SingularEvaluation("power overflows") from None
+    if den == 1:
+        if num >= 0:
+            return b ** num
+        if abs(b) < 1e-280:
+            raise SingularEvaluation("vanishing denominator")
+        d = b ** (-num)
+        if d == 0.0:
+            raise SingularEvaluation("denominator underflows to zero")
+        return 1.0 / d
+    if b < 0:
+        raise SingularEvaluation("negative base with fractional exponent")
+    return b ** (num / den)
 
 
 def _num_log(x: float) -> float:
@@ -784,10 +763,13 @@ def _codegen(e: Expr, magnitude: bool) -> str:
 
     Structurally equal subtrees share one local, assigned in first-occurrence
     post-order, which is the order a nested expression would evaluate them
-    in; constants stay inline literals.
+    in; constants stay inline literals.  This is the one place that decides
+    what a singular point is: the body runs inside one `try`, and an
+    OverflowError or ValueError (math.sin(inf)), like a result that is not
+    finite, raises SingularEvaluation (bound as `S`).
     """
     refs = {}  # subtree -> local name
-    lines = ["def f(a):"]
+    lines = ["def f(a):", " try:"]
 
     def gen(x):
         if isinstance(x, Const):
@@ -818,15 +800,22 @@ def _codegen(e: Expr, magnitude: bool) -> str:
             )
         else:
             raise TypeError(type(x))
-        ref = f"t{len(lines) - 1}"
-        lines.append(f" {ref}={src}")
+        ref = f"t{len(refs)}"
+        lines.append(f"  {ref}={src}")
         refs[x] = ref
         return ref
 
     try:
-        lines.append(f" return {gen(e)}+0.0")
+        lines.append(f"  r={gen(e)}+0.0")
     finally:
         del gen  # gen reaches itself through its closure; free refs now
+    lines += [
+        " except (OverflowError, ValueError) as x:",
+        "  raise S(str(x)) from None",
+        " if r-r:",  # inf - inf and nan - nan are nan, which is truthy
+        "  raise S('non-finite value')",
+        " return r",
+    ]
     return "\n".join(lines)
 
 
@@ -836,7 +825,10 @@ def compile_numeric(e: Expr, magnitude: bool = False):
     The generated function is flat: each distinct subtree is computed once
     into a local, in the order and with the operations a nested expression
     would use, so it returns the same float (or raises at the same
-    operation) and has no nesting limit of its own.  With magnitude=True
+    operation) and has no nesting limit of its own.  Every finite float
+    it returns is the one that nested evaluation gives; a point where
+    evaluation overflows, leaves the domain or ends non-finite raises
+    SingularEvaluation instead.  With magnitude=True
     it computes a cancellation-free magnitude estimate: |.| is applied at
     the leaves and propagated through sums and products.  Both evaluators
     are kept on the node itself, so they live exactly as long as the tree
@@ -851,9 +843,11 @@ def compile_numeric(e: Expr, magnitude: bool = False):
         "P": _num_pow,
         "F": {"exp": _num_exp, "log": _num_log, "sin": math.sin, "cos": math.cos},
         "abs": abs,
+        "S": SingularEvaluation,
     }
     exec(_codegen(e, magnitude), env)  # noqa: S102 - generated from our own AST
-    fn = e._fns[magnitude] = env["f"]
+    # popped, so the evaluator does not hold itself through its globals
+    fn = e._fns[magnitude] = env.pop("f")
     return fn
 
 

@@ -50,9 +50,6 @@ class JetSpace:
                 raise KeyError(f"{c!r} is not a coordinate of this space")
         return ex.jet_symbol(self.dep, index)
 
-    def base_exprs(self) -> Dict[str, ex.Expr]:
-        return {c: ex.Sym(s) for c, s in self._base.items()}
-
     def jet_symbols(self, max_order: int = 2):
         """All jet symbols up to the given order, in a fixed order."""
         out = [self.jet()]

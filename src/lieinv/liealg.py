@@ -30,6 +30,8 @@ from . import putzer
 from .errors import CatalogError, JacobiViolation, SingularEvaluation
 from .jet import JetSpace, VectorField
 
+DET_POINTS = 16
+
 
 @dataclass(frozen=True)
 class StructureConstants:
@@ -252,8 +254,7 @@ def _field_combination(fields: List[VectorField], coeffs: List[Fraction],
 def verify_realization(xi: List[VectorField], eta: List[VectorField],
                        sc: StructureConstants,
                        cfg: nm.SamplerConfig = nm.SamplerConfig(),
-                       params: Optional[Mapping] = None,
-                       det_points: int = 16) -> RealizationReport:
+                       params: Optional[Mapping] = None) -> RealizationReport:
     """Numeric gate: commutation relations of both frames plus det || xi || != 0."""
     n = sc.dim
     space = xi[0].space
@@ -282,19 +283,19 @@ def verify_realization(xi: List[VectorField], eta: List[VectorField],
 
     det = mat_det([[xi[i].component(c) for c in space.coords]
                    for i in range(n)])
-    det_syms = det.free_symbols()
-    pts = nm.sample_points(det_syms, nm.SamplerConfig(seed=cfg.seed,
-                                                      points=det_points),
-                           ex.denominator_symbols(det), params)
-    for pt in pts:
+    det_fn = ex.compile_numeric(det)
+
+    def det_vanishes(pt):
+        # no redraw: a singular point fails the gate like a vanishing det
         try:
-            val = ex.compile_numeric(det)(pt)
-        except (SingularEvaluation, OverflowError):
-            report.det_nonzero = False
-            break
-        if abs(val) <= 1e-9:
-            report.det_nonzero = False
-            break
+            return True if abs(det_fn(pt)) <= 1e-9 else None
+        except SingularEvaluation:
+            return True
+
+    if nm.at_regular_points(det.free_symbols(),
+                            nm.SamplerConfig(seed=cfg.seed, points=DET_POINTS),
+                            ex.denominator_symbols(det), params, det_vanishes):
+        report.det_nonzero = False
     return report
 
 

@@ -8,10 +8,9 @@ appear in any denominator are sampled bounded away from zero.
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from . import expr as ex
 from .errors import SingularEvaluation, Unsampleable
@@ -23,6 +22,12 @@ MAX_TOL = 1e-3
 RANK_PIVOT_TOL = 1e-9
 FD_STEP = 1e-6
 MAX_SAMPLE_ATTEMPTS = 64
+# base coordinates in [-BASE_RANGE, BASE_RANGE], jet variables in
+# [-JET_RANGE, JET_RANGE], denominator symbols DENOM_LOW <= |v| <= DENOM_HIGH
+BASE_RANGE = 0.4
+JET_RANGE = 1.0
+DENOM_LOW = 0.5
+DENOM_HIGH = 1.5
 
 
 @dataclass(frozen=True)
@@ -32,10 +37,6 @@ class SamplerConfig:
     seed: int = DEFAULT_SEED
     points: int = DEFAULT_POINTS
     tol: float = DEFAULT_TOL
-    base_range: float = 0.4
-    jet_range: float = 1.0
-    denom_low: float = 0.5
-    denom_high: float = 1.5
 
     def __post_init__(self):
         # zero points, or a tolerance no residual can exceed, verifies nothing
@@ -49,16 +50,16 @@ class SamplerConfig:
 
 
 def _draw(rng: random.Random, sym: ex.Symbol, denom: bool,
-          cfg: SamplerConfig, params: Mapping) -> float:
+          params: Mapping) -> float:
     if sym.kind == ex.PARAM:
         v = params.get(sym.name)
         if v is None:
             raise Unsampleable(f"parameter {sym.name!r} has no assigned value")
         return float(v)
     if denom:
-        mag = rng.uniform(cfg.denom_low, cfg.denom_high)
+        mag = rng.uniform(DENOM_LOW, DENOM_HIGH)
         return mag if rng.random() < 0.5 else -mag
-    r = cfg.jet_range if sym.kind == ex.JET else cfg.base_range
+    r = JET_RANGE if sym.kind == ex.JET else BASE_RANGE
     return rng.uniform(-r, r)
 
 
@@ -78,18 +79,40 @@ def sample_points(symbols: Iterable[ex.Symbol], cfg: SamplerConfig,
     for _ in range(cfg.points):
         pt = {}
         for s in symbols:
-            pt[s.name] = _draw(rng, s, s.name in denom_names, cfg, params)
+            pt[s.name] = _draw(rng, s, s.name in denom_names, params)
         out.append(pt)
     return out
 
 
-def _magnitude(e: ex.Expr, point: Mapping) -> float:
-    """Cancellation-free magnitude of e at a point (abs at leaves, propagated)."""
-    return ex.compile_numeric(e, magnitude=True)(dict(point))
+def at_regular_points(syms: frozenset, cfg: SamplerConfig,
+                      denoms: frozenset, params: Optional[Mapping],
+                      visit: Callable[[dict], Any]) -> Any:
+    """Call visit at cfg.points regular points; the point policy of every check.
 
-
-def _eval_at(e: ex.Expr, point: Mapping) -> float:
-    return ex.compile_numeric(e)(dict(point))
+    Points come from sample_points, with the symbols in denoms kept off
+    zero.  visit(point) returns None to go on or a verdict, which stops the
+    loop and is returned.  A point where visit raises SingularEvaluation is
+    not counted: it is redrawn in the next batch, drawn under seed + 1.
+    Returns None once cfg.points points were visited without a verdict, and
+    raises Unsampleable if MAX_SAMPLE_ATTEMPTS batches leave that quota
+    unfilled.
+    """
+    need = cfg.points
+    for attempt in range(MAX_SAMPLE_ATTEMPTS):
+        batch = replace(cfg, seed=cfg.seed + attempt, points=need)
+        for pt in sample_points(syms, batch, denoms, params):
+            try:
+                verdict = visit(pt)
+            except SingularEvaluation:
+                continue
+            if verdict is not None:
+                return verdict
+            need -= 1
+        if need == 0:
+            return None
+    raise Unsampleable(
+        f"could not draw {cfg.points} regular points after "
+        f"{MAX_SAMPLE_ATTEMPTS} attempts")
 
 
 def is_zero(e: ex.Expr, cfg: SamplerConfig = SamplerConfig(),
@@ -100,44 +123,22 @@ def is_zero(e: ex.Expr, cfg: SamplerConfig = SamplerConfig(),
     The magnitude is the cancellation-free estimate of e itself, so genuine
     identities with large intermediate terms still pass, while expressions
     that are merely small never do.  Since max(1, magnitude) >= 1, the
-    magnitude is evaluated only at points where |e(p)| > tol.  Points where
-    evaluation is singular, or where the value or the magnitude is not
-    finite, are re-drawn; persistent singularity raises Unsampleable.
+    magnitude is evaluated only at points where |e(p)| > tol.  A point where
+    the value or the magnitude is singular is redrawn (at_regular_points).
     """
     if isinstance(e, ex.Const):
         return e.value == 0
-    syms = e.free_symbols()
+    value = ex.compile_numeric(e)
+
+    def visit(pt):
+        val = abs(value(pt))
+        if val <= cfg.tol:
+            return None
+        bound = cfg.tol * max(1.0, ex.compile_numeric(e, magnitude=True)(pt))
+        return False if val > bound else None
+
     denoms = ex.denominator_symbols(e) | extra_denoms
-    checked = 0
-    attempt_cfg = cfg
-    attempts = 0
-    while checked < cfg.points:
-        pts = sample_points(syms, replace(attempt_cfg, points=cfg.points - checked),
-                            denoms, params)
-        progressed = False
-        for pt in pts:
-            try:
-                val = abs(_eval_at(e, pt))
-                bound = cfg.tol
-                if val > bound:
-                    bound *= max(1.0, _magnitude(e, pt))
-            except SingularEvaluation:
-                continue
-            if not (math.isfinite(val) and math.isfinite(bound)):
-                continue
-            if val > bound:
-                return False
-            checked += 1
-            progressed = True
-        attempts += 1
-        if attempts >= MAX_SAMPLE_ATTEMPTS:
-            raise Unsampleable(
-                f"could not draw {cfg.points} regular points after "
-                f"{attempts} attempts for {ex.render(e)}"
-            )
-        if not progressed or checked < cfg.points:
-            attempt_cfg = replace(attempt_cfg, seed=attempt_cfg.seed + 1)
-    return True
+    return at_regular_points(e.free_symbols(), cfg, denoms, params, visit) is None
 
 
 def exprs_equal(a: ex.Expr, b: ex.Expr, cfg: SamplerConfig = SamplerConfig(),
@@ -147,8 +148,7 @@ def exprs_equal(a: ex.Expr, b: ex.Expr, cfg: SamplerConfig = SamplerConfig(),
     return is_zero(a - b, cfg, params, extra_denoms=denoms)
 
 
-def fd_gradient(e: ex.Expr, point: Mapping, order: Sequence[str],
-                step: float = FD_STEP) -> list:
+def fd_gradient(e: ex.Expr, point: Mapping, order: Sequence[str]) -> list:
     """Central-difference gradient of e with respect to the named symbols."""
     fn = ex.compile_numeric(e)
     base = dict(point)
@@ -156,13 +156,13 @@ def fd_gradient(e: ex.Expr, point: Mapping, order: Sequence[str],
     for name in order:
         hi = dict(base)
         lo = dict(base)
-        hi[name] = base[name] + step
-        lo[name] = base[name] - step
-        out.append((fn(hi) - fn(lo)) / (2.0 * step))
+        hi[name] = base[name] + FD_STEP
+        lo[name] = base[name] - FD_STEP
+        out.append((fn(hi) - fn(lo)) / (2.0 * FD_STEP))
     return out
 
 
-def _row_echelon_rank(matrix: list, tol: float = RANK_PIVOT_TOL) -> int:
+def _row_echelon_rank(matrix: list) -> int:
     """Rank by Gaussian elimination with full pivoting.
 
     The pivot threshold is relative to the largest pivot seen so far.
@@ -187,7 +187,7 @@ def _row_echelon_rank(matrix: list, tol: float = RANK_PIVOT_TOL) -> int:
         pv, pi, pj = best
         if first_pivot is None:
             first_pivot = pv
-        if pv <= tol * max(1.0, first_pivot if first_pivot else 1.0):
+        if pv <= RANK_PIVOT_TOL * max(1.0, first_pivot if first_pivot else 1.0):
             break
         m[r], m[pi] = m[pi], m[r]
         used_cols.add(pj)
@@ -208,39 +208,29 @@ def functional_rank(exprs: Sequence[ex.Expr], cfg: SamplerConfig = SamplerConfig
 
     Differentiation is by central differences with respect to the union of
     free symbols (parameters excluded); the result is the maximum rank over
-    the sampled points, which equals the generic rank with probability one.
+    the sampled regular points, which equals the generic rank with
+    probability one.  Sampling stops early once the rank is full.
     """
     exprs = list(exprs)
     if not exprs:
         return 0
-    syms = set()
-    denoms = frozenset()
-    for e in exprs:
-        syms |= {s for s in e.free_symbols() if s.kind != ex.PARAM}
-        denoms |= ex.denominator_symbols(e)
+    syms = frozenset().union(*[e.free_symbols() for e in exprs])
+    denoms = frozenset().union(*[ex.denominator_symbols(e) for e in exprs])
     if variables is not None:
         var_order = [s.name for s in variables]
         syms |= set(variables)
     else:
-        var_order = sorted(s.name for s in syms)
-    param_syms = set()
-    for e in exprs:
-        param_syms |= {s for s in e.free_symbols() if s.kind == ex.PARAM}
-    pts = sample_points(syms | param_syms, replace(cfg, points=cfg.points),
-                        denoms, params)
+        var_order = sorted(s.name for s in syms if s.kind != ex.PARAM)
+    full = min(len(exprs), len(var_order))
     best = 0
-    evaluated = 0
-    for pt in pts:
-        try:
-            jac = [fd_gradient(e, pt, var_order) for e in exprs]
-        except SingularEvaluation:
-            continue
-        evaluated += 1
+
+    def visit(pt):
+        nonlocal best
+        jac = [fd_gradient(e, pt, var_order) for e in exprs]
         best = max(best, _row_echelon_rank(jac))
-        if best == min(len(exprs), len(var_order)):
-            break
-    if evaluated == 0:
-        raise Unsampleable("all sampled points were singular for the Jacobian")
+        return best if best == full else None
+
+    at_regular_points(syms, cfg, denoms, params, visit)
     return best
 
 

@@ -71,20 +71,6 @@ def _ep_add(p: ExpPoly, key, c: CRat):
         p[key] = cur
 
 
-def _ep_scale(p: ExpPoly, c: CRat) -> ExpPoly:
-    out: ExpPoly = {}
-    for k, v in p.items():
-        _ep_add(out, k, v * c)
-    return out
-
-
-def _ep_sum(a: ExpPoly, b: ExpPoly) -> ExpPoly:
-    out = dict(a)
-    for k, v in b.items():
-        _ep_add(out, k, v)
-    return out
-
-
 def _ep_exp_shift(p: ExpPoly, lam: CRat) -> ExpPoly:
     """Multiply the exp-polynomial by e^{lam t}."""
     return {(mu + lam, m): c for (mu, m), c in p.items()}

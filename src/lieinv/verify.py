@@ -37,6 +37,10 @@ from .invariants import (
 )
 from .jet import JetSpace, ProlongedField
 
+# random instantiations of the arbitrary-function slots per template check
+TEMPLATE_DRAWS = 5
+TEMPLATE_SEED = 1
+
 
 def annihilation_check(fields: Sequence[ProlongedField], e: ex.Expr,
                        cfg: nm.SamplerConfig = nm.SamplerConfig(),
@@ -99,10 +103,9 @@ def _random_polynomial_bindings(template: PDETemplate, rng: random.Random
 def template_spot_check(template: PDETemplate,
                         fields: Sequence[ProlongedField],
                         cfg: nm.SamplerConfig,
-                        params: Optional[Mapping],
-                        draws: int = 5, seed: int = 1) -> bool:
-    rng = random.Random(seed)
-    for _ in range(draws):
+                        params: Optional[Mapping]) -> bool:
+    rng = random.Random(TEMPLATE_SEED)
+    for _ in range(TEMPLATE_DRAWS):
         instantiated = instantiate_template(
             template, _random_polynomial_bindings(template, rng))
         if not annihilation_check(fields, instantiated, cfg, params):

@@ -132,6 +132,15 @@ class TestCovariant:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error [ParseError]")
 
+    def test_to_unsampleable_is_one_error_line(self, tmp_path, capsys):
+        # sin(exp(800 + x + u)) is sin(inf) at every point
+        f = tmp_path / "pde.txt"
+        f.write_text("coords: x; dep: u\n"
+                     "lhs: u_xx + sin(exp(400+x)*exp(400+u))\n")
+        assert main(["covariant", "--to", str(f)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error [Unsampleable]")
+
 
 class TestReproduce:
     def test_2d_transitive(self, capsys):

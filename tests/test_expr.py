@@ -236,8 +236,9 @@ class TestNumeric:
             ex.eval_numeric(SP.parse(text), {"x": x})
 
     def test_walks_leave_no_reference_cycles(self):
-        # the recursive walkers must free their memos when they return,
-        # not at the next cyclic garbage collection
+        # the walkers must free their memos when they return, and a dropped
+        # node's evaluator must go with it, not at the next cyclic garbage
+        # collection
         e = SP.parse("sin(x*y)^2/(x + exp(u_x)) + cos(x*y)")
         gc.collect()
         gc.disable()
@@ -245,6 +246,9 @@ class TestNumeric:
             ex.diff(e, SP.base("x"))
             ex._codegen(e, False)
             ex.simplify_basic(e)
+            ex.denominator_symbols(e)
+            ex.applied_heads(e)
+            ex.compile_numeric(ex.add(e, X))
             assert gc.collect() == 0
         finally:
             gc.enable()

@@ -9,6 +9,7 @@ from lieinv import expr as ex
 from lieinv import liealg
 from lieinv import numeric as nm
 from lieinv.errors import CatalogError, JacobiViolation
+from lieinv.jet import JetSpace, VectorField
 
 CFG = nm.SamplerConfig()
 F = Fraction
@@ -144,3 +145,13 @@ class TestInvariantFields:
         _, eta = other.fields()
         rep = liealg.verify_realization(xi, eta, entry.sc, CFG, {})
         assert not rep.passed
+
+    def test_non_finite_det_fails_gate(self):
+        # the frames commute, but det = exp(710 + x + y) overflows to inf
+        space = JetSpace(("x", "y"), "u")
+        xi = [VectorField.from_dict(space, {"x": "exp(355+x)"}),
+              VectorField.from_dict(space, {"y": "exp(355+y)"})]
+        sc = liealg.StructureConstants.from_dict(2, {})
+        rep = liealg.verify_realization(xi, xi, sc, CFG, {})
+        assert all(ok for _, ok in rep.pairs)
+        assert rep.det_nonzero is False

@@ -93,6 +93,17 @@ class TestIsZero:
         with pytest.raises(Unsampleable):
             nm.is_zero(e, CFG)
 
+    def test_domain_error_is_unsampleable(self):
+        # exp(800 + x + y) overflows to inf, and sin(inf) leaves the domain
+        with pytest.raises(Unsampleable):
+            nm.is_zero(p("sin(exp(400+x)*exp(400+y))"), CFG)
+
+    def test_quota_filled_by_last_batch(self):
+        # log(x - 39/100) is singular for x < 39/100, so nearly every point
+        # is redrawn; under seed 90 only the 64th and last batch is regular
+        e = JetSpace(("x",), "u").parse("exp(log(x - 39/100)) - x + 39/100")
+        assert nm.is_zero(e, nm.SamplerConfig(seed=90, points=1))
+
     def test_small_but_nonzero_fails(self):
         assert not nm.is_zero(p("x/100000"), CFG)
 
@@ -116,6 +127,12 @@ class TestRank:
 
     def test_empty(self):
         assert nm.functional_rank([], CFG) == 0
+
+    def test_non_finite_jacobian_is_unsampleable(self):
+        # exp(1200 + x + y) is inf at every point; its central differences
+        # would be nan and the rank 0
+        with pytest.raises(Unsampleable):
+            nm.functional_rank([p("exp(600+x)*exp(600+y)")], CFG)
 
     def test_equivalence_sign_flip(self):
         assert nm.equivalence_check([p("-exp(u)*u_x")], [p("exp(u)*u_x")], CFG)
