@@ -10,13 +10,7 @@ Run:  python3 demos/covariant_round_trip.py
 
 from lieinv import expr as ex
 from lieinv import numeric as nm
-from lieinv.covariant import (
-    from_covariant,
-    homogeneity_degree,
-    parse_pde,
-    rescale_invariance_check,
-    to_covariant,
-)
+from lieinv.covariant import from_covariant, parse_pde, to_covariant
 
 cfg = nm.SamplerConfig()
 
@@ -29,10 +23,9 @@ EXAMPLES = [
 for text in EXAMPLES:
     pde = parse_pde(text)
     print(f"original:   {ex.render(pde.lhs)} = 0")
-    cov = to_covariant(pde, cfg)
+    cov = to_covariant(pde, cfg)  # raises unless homogeneous and invariant
     print(f"covariant:  {ex.render(cov.lhs)} = 0")
-    print(f"  homogeneity degree: {homogeneity_degree(cov.lhs, cov.space, cfg)}")
-    rescale_invariance_check(cov.lhs, cov.space, cfg, {})  # raises on failure
+    print(f"  homogeneity degree: {cov.degree}")
     print("  invariant under w -> f(w): yes")
     back = from_covariant(cov, cfg)
     diff = ex.add(back.lhs, ex.mul(ex.Const(-1), pde.lhs))

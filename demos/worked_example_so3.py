@@ -9,7 +9,7 @@ Run:  python3 demos/worked_example_so3.py
 
 from lieinv import expr as ex
 from lieinv import numeric as nm
-from lieinv.invariants import emit_equation, type2_pipeline
+from lieinv.invariants import type2_pipeline
 from lieinv.liealg import catalog_lookup, verify_realization
 
 cfg = nm.SamplerConfig()
@@ -34,12 +34,12 @@ for name, fields in (("xi", xi), ("eta", eta)):
 gate = verify_realization(xi, eta, entry.sc, cfg, entry.param_map)
 print(f"\nrealization gate: {'PASS' if gate.passed else 'FAIL'}")
 
-inv = type2_pipeline(entry, cfg)
+inv = type2_pipeline(entry, cfg)  # raises unless every check passes
 print("\n== differential invariants (verified numerically) ==")
 for label, e in inv.labelled().items():
     print(f"  {label} = {ex.render(e)}")
 
-template = emit_equation(inv)  # raises unless the set is verified
+template = inv.template
 print("\n== invariant quasi-linear template ==")
 print(f"  {ex.render(template.lhs)} = 0")
 print(f"  free coefficient heads: {', '.join(template.heads)}")

@@ -40,7 +40,6 @@ from .covariant import (
 from .invariants import (
     InvariantSet,
     PDETemplate,
-    emit_equation,
     instantiate_template,
     type1_pipeline,
     type2_pipeline,
@@ -82,7 +81,6 @@ __all__ = [
     "build_invariant_fields",
     "catalog_lookup",
     "diff",
-    "emit_equation",
     "equivalence_check",
     "from_covariant",
     "functional_rank",

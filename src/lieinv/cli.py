@@ -41,7 +41,7 @@ def _parse_params(items: List[str]) -> Dict[str, Dict[str, Fraction]]:
         algebra, _, param = key.partition(":")
         if not param:
             algebra, param = "", algebra
-        out.setdefault(algebra, {})[param] = Fraction(value)
+        out.setdefault(algebra, {})[param] = liealg.parse_rational(value)
     return out
 
 
@@ -83,14 +83,10 @@ def cmd_invariants(args) -> int:
     merged.update(params.get(args.algebra, {}))
     cfg = _sampler(args)
     entry = liealg.catalog_lookup(args.algebra, merged)
-    verify = not args.unchecked
     if args.pipeline == "free":
-        inv = type1_pipeline(entry, args.m, cfg, verify=verify)
+        inv = type1_pipeline(entry, args.m, cfg)
     else:
-        inv = type2_pipeline(entry, cfg, verify=verify)
-    if verify and not inv.verified:
-        print("verification failed", file=sys.stderr)
-        return 1
+        inv = type2_pipeline(entry, cfg)
     if args.format == "json":
         print(inv.to_json(pretty=args.pretty))
     elif args.format == "csv":
@@ -123,20 +119,17 @@ def cmd_covariant(args) -> int:
     # --from: the file's coords are the z-coordinates, its dep is the
     # covariant scalar (usually w); the last coordinate plays the role of
     # the original dependent variable.
-    wspace = pde.space
-    dep_coord = wspace.coords[-1]
-    degree = cov.homogeneity_degree(pde.lhs, wspace, cfg, params)
-    cov.rescale_invariance_check(pde.lhs, wspace, cfg, params)
-    covpde = cov.CovariantPDE(wspace, pde.lhs, dep_coord, degree)
-    out = cov.from_covariant(covpde, cfg=cfg, params=params, check=False)
-    print(f"rescale-invariant: yes (degree {degree})")
+    covpde = cov.CovariantPDE(pde.space, pde.lhs, pde.space.coords[-1],
+                              cfg, params)
+    out = cov.from_covariant(covpde)
+    print(f"rescale-invariant: yes (degree {covpde.degree})")
     print(f"coords: {', '.join(out.space.coords)}; dep: {out.space.dep}")
     print(f"lhs: {ex.render(out.lhs)}")
     return 0
 
 
 def cmd_reproduce(args) -> int:
-    tables = args.table if args.table else ["all"]
+    tables = args.table or ["all"]
     cfg = _sampler(args)
     overrides = {k: v for k, v in _parse_params(args.params).items() if k}
     report = run_fixture_suite(tables, cfg, overrides)
@@ -171,8 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "csv", "text"],
                    default="text")
     p.add_argument("--pretty", action="store_true")
-    p.add_argument("--unchecked", action="store_true",
-                   help="emit results without numeric verification")
     _add_sampler_flags(p)
     p.set_defaults(fn=cmd_invariants)
 
@@ -193,8 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("table", nargs="*", default=[],
                    help=f"tables to run (default: all); one of "
                         f"{', '.join(TABLE_NAMES)}")
-    p.add_argument("--table", dest="table_flag", action="append", default=[],
-                   choices=list(TABLE_NAMES), help=argparse.SUPPRESS)
     p.add_argument("--params", action="append", default=[],
                    metavar="ALGEBRA:K=V",
                    help="override parameter draws, e.g. g3_4:h=1/3")
@@ -209,8 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "reproduce":
-        args.table = list(args.table) + list(args.table_flag)
     try:
         return args.fn(args)
     except LieInvError as exc:

@@ -7,17 +7,18 @@ E~(z, w_i, w_ij) = 0, w = 0) by the implicit-differentiation substitutions
   u_a  -> -w_a / w_n,
   u_ab -> -w_ab/w_n + w_na w_b/w_n^2 + w_nb w_a/w_n^2 - w_a w_b w_nn/w_n^3,
 
-followed by clearing the power of w_n from the denominators.  The resulting
-E~ is homogeneous of some integer degree in the w-derivatives and is
-annihilated by the rescaling fields R_j = sum_i (1 + delta_ij) w_i d/dw_ij;
-both properties are verified numerically and are the round-trip contract
-with from_covariant, which restores the split form on the normalized
+followed by clearing the power of w_n from the denominators.  The contract
+of the covariant form is that E~ is homogeneous of some integer degree in
+the w-derivatives and is annihilated by the rescaling fields
+R_j = sum_i (1 + delta_ij) w_i d/dw_ij.  CovariantPDE checks both
+numerically when it is made, so every covariant form passed its check
+once; from_covariant then restores the split form on the normalized
 section w_n = 1, w_a = -u_a, w_an = 0, w_nn = 0 (so w_ab = -u_ab).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -47,16 +48,26 @@ class ScalarPDE:
 
 @dataclass(frozen=True)
 class CovariantPDE:
-    """The covariant pair E~(z, w_i, w_ij) = 0, w = 0.
+    """The covariant pair E~(z, w_i, w_ij) = 0, w = 0, checked when made.
 
     dep_coord names the z-coordinate that was the dependent variable of the
-    split form; degree is the homogeneity degree in the w-derivatives.
+    split form.  Construction fits degree, the homogeneity degree of lhs in
+    the w-derivatives, and then checks that every R_j annihilates lhs, both
+    with the oracle under cfg and params; it raises NotHomogeneous or
+    NotRescaleInvariant otherwise.
     """
 
     space: JetSpace
     lhs: ex.Expr
     dep_coord: str
-    degree: int
+    cfg: InitVar[nm.SamplerConfig]
+    params: InitVar[Optional[dict]] = None
+    degree: int = field(init=False)
+
+    def __post_init__(self, cfg, params):
+        object.__setattr__(self, "degree", homogeneity_degree(
+            self.lhs, self.space, cfg, params))
+        rescale_invariance_check(self.lhs, self.space, cfg, params)
 
     def __str__(self):
         return f"{ex.render(self.lhs)} = 0,  {self.space.dep} = 0"
@@ -81,6 +92,8 @@ def parse_pde(text: str, params: Tuple[str, ...] = ()) -> ScalarPDE:
         if required not in fields:
             raise ParseError(f"missing PDE field {required!r}", 0)
     coords = tuple(c.strip() for c in fields["coords"].split(",") if c.strip())
+    if not coords:
+        raise ParseError("the PDE field 'coords' names no coordinate", 0)
     declared = tuple(p.strip() for p in fields.get("params", "").split(",")
                      if p.strip())
     space = JetSpace(coords, fields["dep"], params=tuple(params) + declared)
@@ -160,9 +173,7 @@ def to_covariant(pde: ScalarPDE, cfg: nm.SamplerConfig = nm.SamplerConfig(),
     wn_sym = wspace.jet(dep)
     kappa = -_min_wn_exponent(expanded, wn_sym)
     cleared = ex.expand(ex.mul(ex.pow_(ex.Sym(wn_sym), kappa), expanded))
-    degree = homogeneity_degree(cleared, wspace, cfg, params)
-    rescale_invariance_check(cleared, wspace, cfg, params)
-    return CovariantPDE(wspace, cleared, dep, degree)
+    return CovariantPDE(wspace, cleared, dep, cfg, params)
 
 
 def euler_operator(e: ex.Expr, wspace: JetSpace) -> ex.Expr:
@@ -261,33 +272,40 @@ def J_invariants(wspace: JetSpace, dep_coord: str
     return first, second
 
 
-def from_covariant(cov: CovariantPDE,
-                   cfg: nm.SamplerConfig = nm.SamplerConfig(),
-                   params: Optional[dict] = None,
-                   check: bool = True) -> ScalarPDE:
-    """Split form of a covariant PDE via the normalized section.
+def normalized_section(wspace: JetSpace, split: JetSpace
+                       ) -> Dict[ex.Symbol, ex.Expr]:
+    """The normalized section as a substitution from z-jets to split jets.
 
-    Requires rescale invariance and homogeneity (the covariant-form
-    contract); then substituting w_n = 1, w_a = -u_a, w_an = 0, w_nn = 0,
-    and w_ab = -u_ab restores a representative split equation.
+    With n = split.dep, the dependent coordinate among wspace.coords: on
+    w = 0, w_n = 1, w_a = -u_a, w_an = 0, w_nn = 0, w_ab = -u_ab and z^n = u.
     """
-    wspace = cov.space
-    dep = cov.dep_coord
-    if check:
-        homogeneity_degree(cov.lhs, wspace, cfg, params)
-        rescale_invariance_check(cov.lhs, wspace, cfg, params)
-    indep = tuple(c for c in wspace.coords if c != dep)
-    split_space = JetSpace(indep, dep, params=wspace.params)
-    subs: Dict[ex.Symbol, ex.Expr] = {}
-    subs[wspace.jet()] = ex.ZERO  # on the section w = 0
-    subs[wspace.jet(dep)] = ex.ONE
-    subs[wspace.jet(dep, dep)] = ex.ZERO
-    subs[wspace.base(dep)] = ex.Sym(split_space.jet())
+    dep = split.dep
+    subs: Dict[ex.Symbol, ex.Expr] = {
+        wspace.jet(): ex.ZERO,
+        wspace.jet(dep): ex.ONE,
+        wspace.jet(dep, dep): ex.ZERO,
+        wspace.base(dep): ex.Sym(split.jet()),
+    }
+    indep = split.coords
     for a in indep:
-        subs[wspace.jet(a)] = ex.mul(ex.Const(-1), ex.Sym(split_space.jet(a)))
+        subs[wspace.jet(a)] = ex.mul(ex.Const(-1), ex.Sym(split.jet(a)))
         subs[wspace.jet(dep, a)] = ex.ZERO
     for i, a in enumerate(indep):
         for b in indep[i:]:
             subs[wspace.jet(a, b)] = ex.mul(ex.Const(-1),
-                                            ex.Sym(split_space.jet(a, b)))
-    return ScalarPDE(split_space, ex.substitute(cov.lhs, subs))
+                                            ex.Sym(split.jet(a, b)))
+    return subs
+
+
+def from_covariant(cov: CovariantPDE, cfg: Optional[nm.SamplerConfig] = None,
+                   params: Optional[dict] = None) -> ScalarPDE:
+    """Split form of a covariant PDE: its lhs on the normalized section.
+
+    cov passed the covariant-form contract when it was made, so nothing is
+    checked here; cfg and params are accepted and unused.
+    """
+    wspace = cov.space
+    indep = tuple(c for c in wspace.coords if c != cov.dep_coord)
+    split = JetSpace(indep, cov.dep_coord, params=wspace.params)
+    return ScalarPDE(split, ex.substitute(cov.lhs,
+                                          normalized_section(wspace, split)))

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from . import covariant
 from . import expr as ex
 from . import liealg
 from . import numeric as nm
@@ -73,6 +74,7 @@ class InvariantSet:
     space: JetSpace
     invariants: tuple  # ((label, Expr), ...)
     template: PDETemplate
+    # always True: a pipeline raises rather than return an unchecked set
     verified: bool
     seed: int
     # prolonged generators of the realization; not part of the result
@@ -223,8 +225,7 @@ def realize_transitive(entry: liealg.AlgebraCatalogEntry,
 
 
 def type1_pipeline(entry: liealg.AlgebraCatalogEntry, m: int = 1,
-                   cfg: nm.SamplerConfig = nm.SamplerConfig(),
-                   verify: bool = True) -> InvariantSet:
+                   cfg: nm.SamplerConfig = nm.SamplerConfig()) -> InvariantSet:
     """Invariants and template for a free action with m invariant variables.
 
     The n = dim orbit coordinates are named x1..xn; the m - 1 transversal
@@ -267,11 +268,8 @@ def type1_pipeline(entry: liealg.AlgebraCatalogEntry, m: int = 1,
     invariants.extend(first)
     invariants.extend(second)
 
-    verified = False
-    if verify:
-        _verify_annihilation(real.generators, invariants, cfg, params)
-        _check_rank(invariants, space, n, cfg, params)
-        verified = True
+    _verify_annihilation(real.generators, invariants, cfg, params)
+    _check_rank(invariants, space, n, cfg, params)
 
     template = _template(
         space,
@@ -280,7 +278,7 @@ def type1_pipeline(entry: liealg.AlgebraCatalogEntry, m: int = 1,
         second,
     )
     return InvariantSet(entry.name, entry.params, "free", space,
-                        tuple(invariants), template, verified, cfg.seed,
+                        tuple(invariants), template, True, cfg.seed,
                         real.generators)
 
 
@@ -321,8 +319,9 @@ def eliminate_w(e: ex.Expr, wspace: JetSpace, split: JetSpace, dep: str,
     """Remove the residual w-jets from an epod-substituted invariant.
 
     Verifies numerically that the expression is independent of each of
-    {w_n, w_an, w_nn} (partial derivative is_zero), then normalizes
-    w_n -> 1, w_an -> 0, w_nn -> 0.  Raises ResidualDependence otherwise.
+    {w_n, w_an, w_nn} (partial derivative is_zero), then puts it on the
+    normalized section, where w_n -> 1, w_an -> 0, w_nn -> 0 are the only
+    substitutions left to make.  Raises ResidualDependence otherwise.
     """
     residual_syms = [wspace.jet(dep)]
     residual_syms += [wspace.jet(dep, a) for a in wspace.coords if a != dep]
@@ -335,17 +334,11 @@ def eliminate_w(e: ex.Expr, wspace: JetSpace, split: JetSpace, dep: str,
         if not nm.is_zero(d, cfg, params, extra_denoms=denoms):
             raise ResidualDependence(
                 f"{label or ex.render(e)} still depends on {s.name}")
-    subs: Dict[ex.Symbol, ex.Expr] = {wspace.jet(dep): ex.ONE,
-                                      wspace.jet(dep, dep): ex.ZERO}
-    for a in wspace.coords:
-        if a != dep:
-            subs[wspace.jet(dep, a)] = ex.ZERO
-    return ex.substitute(e, subs)
+    return ex.substitute(e, covariant.normalized_section(wspace, split))
 
 
 def type2_pipeline(entry: liealg.AlgebraCatalogEntry,
-                   cfg: nm.SamplerConfig = nm.SamplerConfig(),
-                   verify: bool = True) -> InvariantSet:
+                   cfg: nm.SamplerConfig = nm.SamplerConfig()) -> InvariantSet:
     """Invariants and template for a simply transitive action (dim >= 2)."""
     n = entry.dim
     if n < 2:
@@ -388,25 +381,14 @@ def type2_pipeline(entry: liealg.AlgebraCatalogEntry,
         invariants.append((label, eliminate_w(lifted, wspace, split, dep,
                                               cfg, params, label)))
 
-    verified = False
-    if verify:
-        _verify_annihilation(real.generators, invariants, cfg, params)
-        _check_rank(invariants, split, n, cfg, params)
-        verified = True
+    _verify_annihilation(real.generators, invariants, cfg, params)
+    _check_rank(invariants, split, n, cfg, params)
 
     n_first = len(I_first)
     template = _template(split, invariants[:n_first], invariants[n_first:])
     return InvariantSet(entry.name, entry.params, "transitive", split,
-                        tuple(invariants), template, verified, cfg.seed,
+                        tuple(invariants), template, True, cfg.seed,
                         real.generators)
-
-
-def emit_equation(inv: InvariantSet) -> PDETemplate:
-    """The invariant quasi-linear equation template of a verified set."""
-    if not inv.verified:
-        raise VerificationFailed(
-            f"refusing to emit an equation for unverified set {inv.algebra}")
-    return inv.template
 
 
 def instantiate_template(template: PDETemplate,

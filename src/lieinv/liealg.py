@@ -38,7 +38,7 @@ class StructureConstants:
     """Structure constants of an n-dimensional Lie algebra, exact rationals.
 
     C maps (i, j, k) -> Fraction for 1 <= i < j <= n; antisymmetry is
-    implicit, missing keys are zero.
+    implicit, missing keys are zero.  from_dict checks the Jacobi identity.
     """
 
     dim: int
@@ -54,7 +54,9 @@ class StructureConstants:
             v = Fraction(v)
             if v != 0:
                 items.append(((i, j, k), v))
-        return StructureConstants(dim, tuple(sorted(items)))
+        sc = StructureConstants(dim, tuple(sorted(items)))
+        validate(sc)
+        return sc
 
     def coeff(self, i: int, j: int, k: int) -> Fraction:
         if i == j:
@@ -90,6 +92,17 @@ def validate(sc: StructureConstants) -> None:
                         raise JacobiViolation((i, j, k, target))
 
 
+def parse_rational(value) -> Fraction:
+    """A rational or decimal, as text or a number, as a Fraction.
+
+    Raises ValueError on malformed text and on a zero denominator.
+    """
+    try:
+        return Fraction(str(value))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
+
+
 def load_algebra(data) -> Tuple[StructureConstants, Dict[str, Fraction]]:
     """Parse the JSON algebra format into structure constants and parameters.
 
@@ -99,6 +112,8 @@ def load_algebra(data) -> Tuple[StructureConstants, Dict[str, Fraction]]:
     """
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
+    if not isinstance(data, dict):
+        raise ValueError("an algebra must be a JSON object")
     dim = int(data["dim"])
     if dim < 1:
         raise ValueError("dim must be positive")
@@ -109,12 +124,11 @@ def load_algebra(data) -> Tuple[StructureConstants, Dict[str, Fraction]]:
             raise ValueError(f"bracket indices must satisfy 1 <= i < j <= dim, got {i},{j}")
         for term in entry.get("terms", []):
             k = int(term["k"])
-            coeff = Fraction(str(term["c"]))
+            coeff = parse_rational(term["c"])
             c[(i, j, k)] = c.get((i, j, k), Fraction(0)) + coeff
-    params = {name: Fraction(str(v)) for name, v in data.get("params", {}).items()}
-    sc = StructureConstants.from_dict(dim, c)
-    validate(sc)
-    return sc, params
+    params = {name: parse_rational(v)
+              for name, v in data.get("params", {}).items()}
+    return StructureConstants.from_dict(dim, c), params
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +193,6 @@ def build_invariant_fields(sc: StructureConstants, space: JetSpace
         raise ValueError("coordinate count does not match algebra dimension")
     if n > 4:
         raise ValueError("construction limited to dim <= 4")
-    validate(sc)
     z = [ex.Sym(space.base(c)) for c in space.coords]
     ads = [sc.ad(k + 1) for k in range(n)]
 
@@ -387,7 +400,7 @@ def catalog_lookup(name: str, params: Optional[Mapping] = None
     for pname, v in (params or {}).items():
         if pname not in defaults:
             raise CatalogError(f"{key} takes no parameter {pname!r}")
-        bound[pname] = Fraction(str(v)) if not isinstance(v, Fraction) else v
+        bound[pname] = parse_rational(v)
     check_params(key, bound)
     c = {}
     for idx, coeff in brackets.items():
@@ -395,7 +408,5 @@ def catalog_lookup(name: str, params: Optional[Mapping] = None
             c[idx] = bound[coeff]
         else:
             c[idx] = Fraction(coeff)
-    sc = StructureConstants.from_dict(dim, c)
-    validate(sc)
-    return AlgebraCatalogEntry(key, dim, sc, tuple(sorted(bound.items())),
-                               split, dep)
+    return AlgebraCatalogEntry(key, dim, StructureConstants.from_dict(dim, c),
+                               tuple(sorted(bound.items())), split, dep)

@@ -54,6 +54,16 @@ class TestValidate:
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent.json"]) == 2
 
+    @pytest.mark.parametrize("payload", [
+        {"dim": 2, "brackets": [{"i": 1, "j": 2,
+                                 "terms": [{"k": 1, "c": "1/0"}]}]},
+        [SO3],
+    ], ids=["zero-denominator", "json-array"])
+    def test_malformed_algebra_is_one_error_line(self, algebra_file, capsys,
+                                                 payload):
+        assert main(["validate", algebra_file(payload)]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
 
 class TestInvariants:
     def test_transitive_text(self, capsys):
@@ -85,6 +95,11 @@ class TestInvariants:
 
     def test_unknown_algebra(self, capsys):
         assert main(["invariants", "g99", "--pipeline", "transitive"]) == 1
+
+    def test_zero_denominator_param_is_one_error_line(self, capsys):
+        assert main(["invariants", "g3_4", "--pipeline", "free",
+                     "--params", "h=1/0"]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
 class TestCovariant:
@@ -132,6 +147,13 @@ class TestCovariant:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error [ParseError]")
 
+    def test_from_empty_coords_is_one_error_line(self, tmp_path, capsys):
+        f = tmp_path / "cov.txt"
+        f.write_text("coords: ; dep: u; lhs: u\n")
+        assert main(["covariant", "--from", str(f)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error [ParseError]")
+
     def test_to_unsampleable_is_one_error_line(self, tmp_path, capsys):
         # sin(exp(800 + x + u)) is sin(inf) at every point
         f = tmp_path / "pde.txt"
@@ -149,8 +171,12 @@ class TestReproduce:
         assert out.count("[PASS]") == 2
 
     def test_param_override(self, capsys):
-        assert main(["reproduce", "--table", "2d-transitive",
+        assert main(["reproduce", "2d-transitive",
                      "--params", "g3_4:h=1/3"]) == 0
+
+    def test_zero_denominator_param_is_one_error_line(self, capsys):
+        assert main(["reproduce", "--params", "g3_4:h=1/0"]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
     def test_json_determinism(self, capsys):
         assert main(["reproduce", "1d", "--seed", "7",

@@ -85,6 +85,34 @@ class TestToCovariant:
                           extra_denoms=ex.denominator_symbols(diff))
 
 
+class TestCovariantPDE:
+    """A covariant form checks its own contract when it is made."""
+
+    Z = cov.wspace_for(cov.parse_pde("coords: x, y; dep: u\nlhs: u_x").space)
+
+    def test_non_invariant_form_cannot_be_made(self):
+        with pytest.raises(NotRescaleInvariant):
+            cov.CovariantPDE(self.Z, self.Z.parse("w_xx*w_u"), "u", CFG)
+
+    def test_degree_is_derived(self):
+        lhs = self.Z.parse("2*w_x*w_y + 3*w_x*w_u + w_u^2")
+        assert cov.CovariantPDE(self.Z, lhs, "u", CFG).degree == 2
+
+    def test_round_trip_checks_once(self, monkeypatch):
+        calls = {"homogeneity_degree": 0, "rescale_invariance_check": 0}
+        for name in calls:
+            fn = getattr(cov, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(cov, name, counted)
+        c = cov.to_covariant(parse("coords: x; dep: u\nlhs: u_xx + u_x^2"), CFG)
+        cov.from_covariant(c, CFG)
+        assert calls == {"homogeneity_degree": 1, "rescale_invariance_check": 1}
+
+
 class TestRescaleOperators:
     def test_homogeneity_degree_monomial(self):
         z = cov.wspace_for(parse("coords: x; dep: u\nlhs: u_x").space)
@@ -101,9 +129,8 @@ class TestRescaleOperators:
         space = parse("coords: x, y; dep: u\nlhs: u_x").space
         z = cov.wspace_for(space)
         lhs = z.parse("2*w_x*w_y + 3*w_x*w_u + w_u^2")
-        deg = cov.homogeneity_degree(lhs, z, CFG)
-        assert deg == 2
-        c = cov.CovariantPDE(z, lhs, "u", deg)
+        c = cov.CovariantPDE(z, lhs, "u", CFG)
+        assert c.degree == 2
         back = cov.from_covariant(c, CFG)
         assert nm.exprs_equal(back.lhs,
                               back.space.parse("2*u_x*u_y - 3*u_x + 1"), CFG)

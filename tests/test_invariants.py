@@ -8,11 +8,10 @@ import pytest
 from lieinv import expr as ex
 from lieinv import liealg
 from lieinv import numeric as nm
-from lieinv.errors import ResidualDependence, VerificationFailed
+from lieinv.errors import ResidualDependence
 from lieinv.invariants import (
     InvariantSet,
     eliminate_w,
-    emit_equation,
     instantiate_template,
     realize_free,
     realize_transitive,
@@ -106,16 +105,6 @@ class TestSerialization:
     def test_json_deterministic(self):
         inv = type2_pipeline(liealg.catalog_lookup("g2", {}), CFG)
         assert inv.to_json() == inv.to_json()
-
-    def test_emit_equation_requires_verification(self):
-        inv = type2_pipeline(liealg.catalog_lookup("g2", {}), CFG,
-                             verify=False)
-        with pytest.raises(VerificationFailed):
-            emit_equation(inv)
-
-    def test_emit_equation_passes_through(self):
-        inv = type2_pipeline(liealg.catalog_lookup("g2", {}), CFG)
-        assert emit_equation(inv) is inv.template
 
 
 class TestEliminateW:

@@ -2,7 +2,8 @@
 
 The oracle's point policy lives in one loop, `numeric.at_regular_points`,
 and what counts as a singular point is decided only by the evaluator that
-`expr.compile_numeric` generates.  These tests keep it that way.
+`expr.compile_numeric` generates.  The covariant-form contract is checked
+only where a `CovariantPDE` is made.  These tests keep it that way.
 """
 
 import ast
@@ -48,6 +49,13 @@ def test_only_the_sampling_loop_draws_points():
     callers = {(module, scope) for module, scope, call in _nodes(ast.Call)
                if "sample_points" in _names(call.func)}
     assert callers == {("numeric", "at_regular_points")}
+
+
+def test_only_a_covariant_form_checks_its_contract():
+    checks = {"homogeneity_degree", "rescale_invariance_check"}
+    callers = {(module, scope) for module, scope, call in _nodes(ast.Call)
+               if checks & _names(call.func)}
+    assert callers == {("covariant", "__post_init__")}
 
 
 def test_no_broad_handler():
