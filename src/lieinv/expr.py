@@ -87,7 +87,7 @@ class Expr:
         self._key = None
         self._hash = None
         self._free = None
-        self._fns = None  # compiled [value, magnitude] evaluators
+        self._fns = None  # compiled [value, magnitude, gradient] evaluators
 
     # -- operator sugar -----------------------------------------------------
     def __add__(self, other):
@@ -758,7 +758,13 @@ def _num_exp(x: float) -> float:
     return math.exp(x)
 
 
-def _codegen(e: Expr, magnitude: bool) -> str:
+def _literal(v: int | Fraction) -> str:
+    if v.denominator == 1:
+        return f"({v.numerator})"
+    return f"({v.numerator}/{v.denominator})"
+
+
+def _codegen(e: Expr, magnitude: bool, wrt: Optional[tuple] = None) -> str:
     """Source of a flat function `f(a)` evaluating e, one local per subtree.
 
     Structurally equal subtrees share one local, assigned in first-occurrence
@@ -766,17 +772,16 @@ def _codegen(e: Expr, magnitude: bool) -> str:
     in; constants stay inline literals.  This is the one place that decides
     what a singular point is: the body runs inside one `try`, and an
     OverflowError or ValueError (math.sin(inf)), like a result that is not
-    finite, raises SingularEvaluation (bound as `S`).
+    finite, raises SingularEvaluation (bound as `S`).  Given a tuple of
+    symbols wrt, a reverse sweep (_adjoints) follows in the same `try`, and
+    f returns [e, de/ds for s in wrt], each held to the same rule.
     """
     refs = {}  # subtree -> local name
     lines = ["def f(a):", " try:"]
 
     def gen(x):
         if isinstance(x, Const):
-            v = abs(x.value) if magnitude else x.value
-            if v.denominator == 1:
-                return f"({v.numerator})"
-            return f"({v.numerator}/{v.denominator})"
+            return _literal(abs(x.value) if magnitude else x.value)
         ref = refs.get(x)
         if ref is not None:
             return ref
@@ -809,14 +814,75 @@ def _codegen(e: Expr, magnitude: bool) -> str:
         lines.append(f"  r={gen(e)}+0.0")
     finally:
         del gen  # gen reaches itself through its closure; free refs now
+    out = ["r"]
+    if wrt:  # a tuple of e's symbols, so e is not a Const
+        adjoint = _adjoints(refs, frozenset(wrt), lines)
+        out += [adjoint[s] for s in wrt]
     lines += [
         " except (OverflowError, ValueError) as x:",
         "  raise S(str(x)) from None",
-        " if r-r:",  # inf - inf and nan - nan are nan, which is truthy
+        # inf - inf and nan - nan are nan, which is truthy
+        " if " + " or ".join([f"{v}-{v}" for v in out]) + ":",
         "  raise S('non-finite value')",
-        " return r",
+        " return r" if wrt is None else f" return [{','.join(out)}]",
     ]
     return "\n".join(lines)
+
+
+def _adjoints(refs: dict, wrt: frozenset, lines: list) -> dict:
+    """Append the reverse sweep over the forward locals; {symbol: its partial}.
+
+    The subtree in local t<i> gets the adjoint d<i> = d(root)/d(subtree),
+    1.0 at the root (the last local).  Locals are visited in reverse, so
+    every parent has added its term before a child's sum is emitted; only
+    subtrees that depend on a symbol of wrt get one.
+    """
+    def src(x):
+        return _literal(x.value) if isinstance(x, Const) else refs[x]
+
+    nodes = list(refs)
+    terms = {nodes[-1]: ["1.0"]}
+    out = {}
+    for x in reversed(nodes):
+        parts = terms.pop(x, None)
+        if parts is None:
+            continue
+        d = "d" + refs[x][1:]
+        lines.append(f"  {d}={'+'.join(parts)}")
+        if isinstance(x, Sym):
+            out[x.symbol] = d
+            continue
+        if isinstance(x, Add):
+            kids = [(t, d) for t in x.terms]
+        elif isinstance(x, Mul):
+            fs = x.factors
+            kids = [(f, "*".join([d] + [src(g) for g in fs[:i] + fs[i + 1:]]))
+                    for i, f in enumerate(fs)]
+        elif isinstance(x, Pow):
+            n, m = x.exp.numerator - x.exp.denominator, x.exp.denominator
+            pw = src(x.base) if (n, m) == (1, 1) else f"P({src(x.base)},{n},{m})"
+            kids = [(x.base, f"{d}*{_literal(x.exp)}*{pw}")]
+        else:
+            arg = src(x.arg)
+            kids = [(x.arg, {"exp": f"{d}*{refs[x]}", "log": f"{d}/{arg}",
+                             "sin": f"{d}*F['cos']({arg})",
+                             "cos": f"-{d}*F['sin']({arg})"}[x.head])]
+        for kid, term in kids:
+            if not wrt.isdisjoint(kid.free_symbols()):
+                terms.setdefault(kid, []).append(term)
+    return out
+
+
+def _compile(src: str):
+    env = {
+        "P": _num_pow,
+        "F": {"exp": _num_exp, "log": _num_log, "sin": math.sin, "cos": math.cos},
+        "abs": abs,
+        "S": SingularEvaluation,
+    }
+    exec(src, env)  # noqa: S102 - generated from our own AST
+    # popped, so the evaluator does not hold itself through its globals
+    return env.pop("f")
 
 
 def compile_numeric(e: Expr, magnitude: bool = False):
@@ -835,20 +901,28 @@ def compile_numeric(e: Expr, magnitude: bool = False):
     does.
     """
     if e._fns is None:
-        e._fns = [None, None]
+        e._fns = [None, None, None]
     fn = e._fns[magnitude]
-    if fn is not None:
-        return fn
-    env = {
-        "P": _num_pow,
-        "F": {"exp": _num_exp, "log": _num_log, "sin": math.sin, "cos": math.cos},
-        "abs": abs,
-        "S": SingularEvaluation,
-    }
-    exec(_codegen(e, magnitude), env)  # noqa: S102 - generated from our own AST
-    # popped, so the evaluator does not hold itself through its globals
-    fn = e._fns[magnitude] = env.pop("f")
+    if fn is None:
+        fn = e._fns[magnitude] = _compile(_codegen(e, magnitude))
     return fn
+
+
+def compile_gradient(e: Expr):
+    """(symbols, g): e's non-parameter symbols by name, and its gradient.
+
+    g(a) returns [e(a)] + [de/ds(a) for s in symbols] from one call: the
+    forward sweep of compile_numeric(e), so g(a)[0] is bit-identical to
+    compile_numeric(e)(a), then a reverse sweep under the same
+    singular-point rule.  Kept on the node like compile_numeric's.
+    """
+    if e._fns is None:
+        e._fns = [None, None, None]
+    if e._fns[2] is None:
+        wrt = tuple(sorted((s for s in e.free_symbols() if s.kind != PARAM),
+                           key=lambda s: (s.name, s.kind)))
+        e._fns[2] = (wrt, _compile(_codegen(e, False, wrt)))
+    return e._fns[2]
 
 
 def eval_numeric(e: Expr, assignment: Mapping) -> float:

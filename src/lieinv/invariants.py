@@ -110,13 +110,10 @@ def _verify_annihilation(fields: Sequence[ProlongedField],
                          params: Optional[Mapping]) -> None:
     """Every invariant must be annihilated by every prolonged generator."""
     for label, inv in invariants:
-        denoms = ex.denominator_symbols(inv)
-        partials = {}
-        for idx, pf in enumerate(fields, start=1):
-            residual = pf.apply(inv, partials)
-            if not nm.is_zero(residual, cfg, params, extra_denoms=denoms):
-                raise VerificationFailed(
-                    f"invariant {label} is not annihilated by generator X{idx}")
+        k = nm.first_non_annihilating(fields, inv, cfg, params)
+        if k is not None:
+            raise VerificationFailed(
+                f"invariant {label} is not annihilated by generator X{k + 1}")
 
 
 def _check_rank(invariants: Sequence[Tuple[str, ex.Expr]],

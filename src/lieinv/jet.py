@@ -182,30 +182,38 @@ def symmetrized_frame_second(fi: VectorField, fj: VectorField) -> ex.Expr:
 
 
 class ProlongedField:
-    """Second prolongation of a point symmetry X = xi^a d_a + theta d_u."""
+    """Second prolongation of a point symmetry X = xi^a d_a + theta d_u.
+
+    `coefficients` maps each symbol s of the order-2 jet space to the
+    coefficient of d/ds: theta for u, xi^a for x^a, phi_a for u_a and
+    phi_ab for u_ab, so X e = sum_s coefficients[s] * de/ds.
+    """
 
     def __init__(self, space: JetSpace, xi: Mapping[str, ex.Expr],
                  theta: ex.Expr = ex.ZERO):
         self.space = space
-        self.xi = {c: ex.as_expr(xi.get(c, ex.ZERO)) for c in space.coords}
-        self.theta = ex.as_expr(theta)
-        self.phi1 = {}
-        self.phi2 = {}
+        xi = {c: ex.as_expr(xi.get(c, ex.ZERO)) for c in space.coords}
+        theta = ex.as_expr(theta)
+        coeffs = {space.jet(): theta}
+        phi1 = {}
         # phi_a = D_a theta - u_b D_a xi^b
         for a in space.coords:
-            terms = [total_derivative(self.theta, a, space)]
+            terms = [total_derivative(theta, a, space)]
             for b in space.coords:
                 terms.append(ex.mul(ex.Const(-1), ex.Sym(space.jet(b)),
-                                    total_derivative(self.xi[b], a, space)))
-            self.phi1[a] = ex.add(*terms)
+                                    total_derivative(xi[b], a, space)))
+            phi1[a] = ex.add(*terms)
+            coeffs[space.base(a)] = xi[a]
+            coeffs[space.jet(a)] = phi1[a]
         # phi_ab = D_b phi_a - u_ac D_b xi^c
         for i, a in enumerate(space.coords):
             for b in space.coords[i:]:
-                terms = [total_derivative(self.phi1[a], b, space)]
+                terms = [total_derivative(phi1[a], b, space)]
                 for c in space.coords:
                     terms.append(ex.mul(ex.Const(-1), ex.Sym(space.jet(a, c)),
-                                        total_derivative(self.xi[c], b, space)))
-                self.phi2[(a, b)] = ex.add(*terms)
+                                        total_derivative(xi[c], b, space)))
+                coeffs[space.jet(a, b)] = ex.add(*terms)
+        self.coefficients = coeffs
 
     def apply(self, e: ex.Expr,
               partials: Optional[Dict[ex.Symbol, ex.Expr]] = None) -> ex.Expr:
@@ -217,20 +225,12 @@ class ProlongedField:
         """
         if partials is None:
             partials = {}
-
-        def d(s):
+        parts = []
+        for s, coeff in self.coefficients.items():
             p = partials.get(s)
             if p is None:
                 p = partials[s] = ex.diff(e, s)
-            return p
-
-        space = self.space
-        parts = [ex.mul(self.theta, d(space.jet()))]
-        for a in space.coords:
-            parts.append(ex.mul(self.xi[a], d(space.base(a))))
-            parts.append(ex.mul(self.phi1[a], d(space.jet(a))))
-        for (a, b), phi in self.phi2.items():
-            parts.append(ex.mul(phi, d(space.jet(a, b))))
+            parts.append(ex.mul(coeff, p))
         return ex.add(*parts)
 
 

@@ -103,31 +103,52 @@ def parse_rational(value) -> Fraction:
         raise ValueError(f"zero denominator in {value!r}") from None
 
 
+_JSON_TYPES = {int: "an integer", list: "an array", dict: "an object"}
+
+
+def _field(obj, key: str, kind: type, default=None):
+    """obj[key], which must be of the JSON type kind (a bool is no integer).
+
+    A missing field takes the default; without one it is an error.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {obj!r}")
+    if key not in obj:
+        if default is None:
+            raise ValueError(f"missing field {key!r}")
+        return default
+    value = obj[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"field {key!r} must be {_JSON_TYPES[kind]}, "
+                         f"got {value!r}")
+    return value
+
+
 def load_algebra(data) -> Tuple[StructureConstants, Dict[str, Fraction]]:
     """Parse the JSON algebra format into structure constants and parameters.
 
     Format: {"dim": n, "brackets": [{"i": 1, "j": 2, "terms": [{"k": 1,
-    "c": "1"}]}], "params": {"h": "1/2"}} with 1-based indices, i < j, and
-    rational/decimal coefficient strings.
+    "c": "1"}]}], "params": {"h": "1/2"}} with 1-based integer indices,
+    i < j, and rational/decimal coefficients.  A field of the wrong type
+    raises ValueError.
     """
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
-    if not isinstance(data, dict):
-        raise ValueError("an algebra must be a JSON object")
-    dim = int(data["dim"])
+    dim = _field(data, "dim", int)
     if dim < 1:
         raise ValueError("dim must be positive")
     c: Dict[Tuple[int, int, int], Fraction] = {}
-    for entry in data.get("brackets", []):
-        i, j = int(entry["i"]), int(entry["j"])
+    for entry in _field(data, "brackets", list, []):
+        i, j = _field(entry, "i", int), _field(entry, "j", int)
         if not (1 <= i < j <= dim):
             raise ValueError(f"bracket indices must satisfy 1 <= i < j <= dim, got {i},{j}")
-        for term in entry.get("terms", []):
-            k = int(term["k"])
-            coeff = parse_rational(term["c"])
+        for term in _field(entry, "terms", list, []):
+            k = _field(term, "k", int)
+            # any type: parse_rational refuses what is not a rational
+            coeff = parse_rational(_field(term, "c", object))
             c[(i, j, k)] = c.get((i, j, k), Fraction(0)) + coeff
     params = {name: parse_rational(v)
-              for name, v in data.get("params", {}).items()}
+              for name, v in _field(data, "params", dict, {}).items()}
     return StructureConstants.from_dict(dim, c), params
 
 

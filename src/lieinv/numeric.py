@@ -1,9 +1,14 @@
-"""Randomized numerical oracles: zero testing, Jacobians, functional rank.
+"""Randomized numerical oracles: zero testing, annihilation, functional rank.
 
 All checks evaluate candidate expressions at reproducibly sampled random
 points.  Points are drawn from narrow ranges near the identity so that the
 exponential-coordinate constructions stay well conditioned; symbols that
 appear in any denominator are sampled bounded away from zero.
+
+Annihilation residuals and Jacobian rows come from one compiled
+value-and-gradient evaluator per expression (expr.compile_gradient): the
+derivatives are exact, and no residual expression is built unless a float
+residual exceeds the tolerance.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ DEFAULT_POINTS = 32
 DEFAULT_TOL = 1e-7
 MAX_TOL = 1e-3
 RANK_PIVOT_TOL = 1e-9
-FD_STEP = 1e-6
 MAX_SAMPLE_ATTEMPTS = 64
 # base coordinates in [-BASE_RANGE, BASE_RANGE], jet variables in
 # [-JET_RANGE, JET_RANGE], denominator symbols DENOM_LOW <= |v| <= DENOM_HIGH
@@ -115,27 +119,34 @@ def at_regular_points(syms: frozenset, cfg: SamplerConfig,
         f"{MAX_SAMPLE_ATTEMPTS} attempts")
 
 
+def _exceeds(e: ex.Expr, value: Callable, pt: dict, tol: float) -> bool:
+    """The zero test at one point: |e(p)| > tol * max(1, magnitude(e, p)).
+
+    The magnitude is the cancellation-free estimate of e itself, so genuine
+    identities with large intermediate terms still pass, while expressions
+    that are merely small never do.  Since max(1, magnitude) >= 1, the
+    magnitude is evaluated only where |e(p)| > tol.  `value` is e's compiled
+    evaluator.
+    """
+    val = abs(value(pt))
+    return val > tol and \
+        val > tol * max(1.0, ex.compile_numeric(e, magnitude=True)(pt))
+
+
 def is_zero(e: ex.Expr, cfg: SamplerConfig = SamplerConfig(),
             params: Optional[Mapping] = None,
             extra_denoms: frozenset = frozenset()) -> bool:
     """Randomized zero test: |e(p)| <= tol * max(1, magnitude(e, p)) at all points.
 
-    The magnitude is the cancellation-free estimate of e itself, so genuine
-    identities with large intermediate terms still pass, while expressions
-    that are merely small never do.  Since max(1, magnitude) >= 1, the
-    magnitude is evaluated only at points where |e(p)| > tol.  A point where
-    the value or the magnitude is singular is redrawn (at_regular_points).
+    A point where the value or the magnitude is singular is redrawn
+    (at_regular_points).
     """
     if isinstance(e, ex.Const):
         return e.value == 0
     value = ex.compile_numeric(e)
 
     def visit(pt):
-        val = abs(value(pt))
-        if val <= cfg.tol:
-            return None
-        bound = cfg.tol * max(1.0, ex.compile_numeric(e, magnitude=True)(pt))
-        return False if val > bound else None
+        return False if _exceeds(e, value, pt, cfg.tol) else None
 
     denoms = ex.denominator_symbols(e) | extra_denoms
     return at_regular_points(e.free_symbols(), cfg, denoms, params, visit) is None
@@ -148,18 +159,55 @@ def exprs_equal(a: ex.Expr, b: ex.Expr, cfg: SamplerConfig = SamplerConfig(),
     return is_zero(a - b, cfg, params, extra_denoms=denoms)
 
 
-def fd_gradient(e: ex.Expr, point: Mapping, order: Sequence[str]) -> list:
-    """Central-difference gradient of e with respect to the named symbols."""
-    fn = ex.compile_numeric(e)
-    base = dict(point)
-    out = []
-    for name in order:
-        hi = dict(base)
-        lo = dict(base)
-        hi[name] = base[name] + FD_STEP
-        lo[name] = base[name] - FD_STEP
-        out.append((fn(hi) - fn(lo)) / (2.0 * FD_STEP))
-    return out
+def first_non_annihilating(fields: Sequence, e: ex.Expr,
+                           cfg: SamplerConfig = SamplerConfig(),
+                           params: Optional[Mapping] = None) -> Optional[int]:
+    """Index of the first prolonged field X with X e != 0, or None (randomized).
+
+    X e = sum_s c_s de/ds, with c_s from the field's `coefficients`.  At each
+    sampled point, one call of e's compiled gradient and the compiled
+    coefficients give the residual r_k of every field k.  A point where
+    |r_k| <= tol passes for k.  Elsewhere the point is decided by the zero
+    test on the symbolic residual fields[k].apply(e) (exactly for a
+    constant one), so no rejection rests on these floats.  Points cover
+    e's symbols and those of the coefficients it uses.
+    """
+    wrt, grad = ex.compile_gradient(e)
+    column = {s: i for i, s in enumerate(wrt, start=1)}
+    syms, denoms = set(e.free_symbols()), set(ex.denominator_symbols(e))
+    rows = []  # per field: [(compiled coefficient, column of de/ds)]
+    for f in fields:
+        row = []
+        for s, c in f.coefficients.items():
+            if s in column and c != ex.ZERO:
+                row.append((ex.compile_numeric(c), column[s]))
+                syms |= c.free_symbols()
+                denoms |= ex.denominator_symbols(c)
+        rows.append(row)
+    if not any(rows):
+        return None
+    partials, residuals = {}, {}
+
+    def rejects(k, pt):
+        x = residuals.get(k)
+        if x is None:
+            x = residuals[k] = fields[k].apply(e, partials)
+        if isinstance(x, ex.Const):
+            return x.value != 0
+        return _exceeds(x, ex.compile_numeric(x), pt, cfg.tol)
+
+    def visit(pt):
+        g = grad(pt)
+        for k, row in enumerate(rows):
+            r = 0.0
+            for c, i in row:
+                r += c(pt) * g[i]
+            if abs(r) > cfg.tol and rejects(k, pt):
+                return k
+        return None
+
+    return at_regular_points(frozenset(syms), cfg, frozenset(denoms), params,
+                             visit)
 
 
 def _row_echelon_rank(matrix: list) -> int:
@@ -206,10 +254,12 @@ def functional_rank(exprs: Sequence[ex.Expr], cfg: SamplerConfig = SamplerConfig
                     variables: Optional[Sequence[ex.Symbol]] = None) -> int:
     """Generic rank of the Jacobian of the given functions.
 
-    Differentiation is by central differences with respect to the union of
-    free symbols (parameters excluded); the result is the maximum rank over
-    the sampled regular points, which equals the generic rank with
-    probability one.  Sampling stops early once the rank is full.
+    The Jacobian is exact: its rows come from each function's compiled
+    gradient (expr.compile_gradient), with respect to the union of free
+    symbols (parameters excluded) or the given variables.  The result is
+    the maximum rank over the sampled regular points, which equals the
+    generic rank with probability one.  Sampling stops early once the rank
+    is full.
     """
     exprs = list(exprs)
     if not exprs:
@@ -221,12 +271,17 @@ def functional_rank(exprs: Sequence[ex.Expr], cfg: SamplerConfig = SamplerConfig
         syms |= set(variables)
     else:
         var_order = sorted(s.name for s in syms if s.kind != ex.PARAM)
+    grads = [([s.name for s in wrt], grad)
+             for wrt, grad in map(ex.compile_gradient, exprs)]
     full = min(len(exprs), len(var_order))
     best = 0
 
     def visit(pt):
         nonlocal best
-        jac = [fd_gradient(e, pt, var_order) for e in exprs]
+        jac = []
+        for names, grad in grads:
+            partial = dict(zip(names, grad(pt)[1:]))
+            jac.append([partial.get(name, 0.0) for name in var_order])
         best = max(best, _row_echelon_rank(jac))
         return best if best == full else None
 

@@ -46,12 +46,7 @@ def annihilation_check(fields: Sequence[ProlongedField], e: ex.Expr,
                        cfg: nm.SamplerConfig = nm.SamplerConfig(),
                        params: Optional[Mapping] = None) -> bool:
     """True iff every prolonged generator annihilates e (randomized)."""
-    denoms = ex.denominator_symbols(e)
-    partials = {}
-    for f in fields:
-        if not nm.is_zero(f.apply(e, partials), cfg, params, extra_denoms=denoms):
-            return False
-    return True
+    return nm.first_non_annihilating(fields, e, cfg, params) is None
 
 
 def perturbed_variants(e: ex.Expr, space: JetSpace, count: int = 3) -> List[ex.Expr]:

@@ -6,6 +6,7 @@ tolerance, 1e-9 for the exact worked-example identities, 1e-5 relative for
 finite-difference agreement).
 """
 
+import functools
 import hashlib
 import json
 import random
@@ -46,6 +47,7 @@ from lieinv.verify import (
     run_fixture_suite,
 )
 from test_covariant import PDE_BATTERY
+from test_numeric import central_difference
 
 CFG = nm.SamplerConfig(points=32, tol=1e-7)
 # sha256 of the stdout of `reproduce all --seed 7 --format json`
@@ -253,7 +255,13 @@ def _random_expr(rng, space, depth=3):
                    _random_expr(rng, space, depth - 1))
 
 
-def test_criterion_9_kernel_property_suite():
+@functools.lru_cache(maxsize=1)
+def _kernel_property_cases():
+    """Criterion 9's draws: 200 checked pairs, then 50 (e, d, point, fd, sv).
+
+    d = de/du_x, fd its central difference at the point and sv its value
+    there.
+    """
     space = JetSpace(("x", "y"), "u")
     rng = random.Random(CFG.seed)
     sym = space.jet("x")
@@ -284,9 +292,8 @@ def test_criterion_9_kernel_property_suite():
         except (ZeroDivisionError, nm.Unsampleable):
             continue
         checked_pairs += 1
-    # finite-difference agreement on 50 expressions
-    checked = 0
-    while checked < 50:
+    cases = []
+    while len(cases) < 50:
         try:
             e = _random_expr(rng, space)
             d = ex.diff(e, sym)
@@ -295,13 +302,32 @@ def test_criterion_9_kernel_property_suite():
                 nm.SamplerConfig(seed=rng.randint(0, 10**6), points=1),
                 ex.denominator_symbols(e) | ex.denominator_symbols(d), {})
             pt = pts[0]
-            [fd] = nm.fd_gradient(e, pt, [sym.name])
+            fd = central_difference(e, pt, sym.name)
             sv = ex.eval_numeric(d, pt)
         except (ZeroDivisionError, OverflowError, nm.Unsampleable,
                 SingularEvaluation):
             continue
         if max(abs(fd), abs(sv)) > 1e6:  # ill-conditioned draw, redraw
             continue
+        cases.append((e, d, pt, fd, sv))
+    return tuple(cases)
+
+
+def test_criterion_9_kernel_property_suite():
+    # finite-difference agreement on 50 expressions
+    for e, _, _, fd, sv in _kernel_property_cases():
         assert fd == pytest.approx(sv, rel=1e-5, abs=1e-5), ex.render(e)
-        checked += 1
     report(9, "kernel property suite, 200 pairs + 50 FD checks")
+
+
+def test_compiled_gradient_on_the_criterion_9_expressions():
+    # the gradient evaluator's value is compile_numeric's float, and every
+    # partial is the symbolic derivative's value
+    for e, _, pt, _, _ in _kernel_property_cases():
+        wrt, grad = ex.compile_gradient(e)
+        out = grad(pt)
+        assert out[0] == ex.compile_numeric(e)(pt), ex.render(e)
+        assert len(out) == 1 + len(wrt)
+        for s, g in zip(wrt, out[1:]):
+            want = ex.eval_numeric(ex.diff(e, s), pt)
+            assert g == pytest.approx(want, rel=1e-9), (ex.render(e), s.name)

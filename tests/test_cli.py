@@ -58,7 +58,15 @@ class TestValidate:
         {"dim": 2, "brackets": [{"i": 1, "j": 2,
                                  "terms": [{"k": 1, "c": "1/0"}]}]},
         [SO3],
-    ], ids=["zero-denominator", "json-array"])
+        {"dim": [1]},
+        {"dim": 2, "brackets": [3]},
+        {"dim": 2, "params": [1]},
+        {"dim": True},
+        {"dim": 2.5},
+        {"dim": 2, "brackets": [{"i": 1, "j": 2,
+                                 "terms": [{"k": 1.9, "c": "1"}]}]},
+    ], ids=["zero-denominator", "json-array", "list-dim", "int-bracket",
+            "list-params", "bool-dim", "float-dim", "float-k"])
     def test_malformed_algebra_is_one_error_line(self, algebra_file, capsys,
                                                  payload):
         assert main(["validate", algebra_file(payload)]) == 2

@@ -2,7 +2,8 @@
 
 The oracle's point policy lives in one loop, `numeric.at_regular_points`,
 and what counts as a singular point is decided only by the evaluator that
-`expr.compile_numeric` generates.  The covariant-form contract is checked
+`expr.compile_numeric` generates.  Outside `jet`, only the annihilation
+routine applies a prolonged field.  The covariant-form contract is checked
 only where a `CovariantPDE` is made.  These tests keep it that way.
 """
 
@@ -78,3 +79,14 @@ def test_no_finiteness_check_outside_the_evaluator():
              for module, scope, n in _nodes(ast.Attribute)
              if n.attr == "isfinite"]
     assert found == []
+
+
+def test_only_the_annihilation_routine_applies_a_prolonged_field():
+    # the oracle takes residuals from compiled gradients and builds one
+    # symbolically only to decide a point; no finite-difference gradient
+    callers = {(module, scope) for module, scope, call in _nodes(ast.Call)
+               if isinstance(call.func, ast.Attribute)
+               and call.func.attr == "apply" and module != "jet"}
+    assert callers == {("numeric", "first_non_annihilating")}
+    assert [path.stem for path in SOURCES
+            if "fd_gradient" in path.read_text(encoding="utf-8")] == []

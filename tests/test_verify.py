@@ -10,6 +10,7 @@ from lieinv import fixtures as fx
 from lieinv import liealg
 from lieinv import numeric as nm
 from lieinv.invariants import realize_free, realize_transitive
+from lieinv.jet import ProlongedField
 from lieinv.verify import (
     TABLE_ROWS,
     annihilation_check,
@@ -37,23 +38,61 @@ class TestFixtureSelfTest:
 
 
 class TestSharedPartials:
-    def test_each_partial_built_once_per_expression(self, monkeypatch):
+    @staticmethod
+    def _g3_7_v13():
         entry = liealg.catalog_lookup("g3_7", {})
         gens = realize_transitive(entry).generators
         assert len(gens) == 3
         e = dict(fx.transitive_fixture("g3_7").parsed())["v_13"]
-        calls = []
-        diff = ex.diff
+        return entry, gens, e
 
-        def counting(x, s):
-            calls.append(s)
+    @staticmethod
+    def _record(monkeypatch, gens):
+        """Count diff calls; log (generator, current point) for every apply."""
+        diffs, applied, points = [], [], []
+        diff, gradient, apply = ex.diff, ex.compile_gradient, ProlongedField.apply
+
+        def counting_diff(x, s):
+            diffs.append(s)
             return diff(x, s)
 
-        monkeypatch.setattr(ex, "diff", counting)
+        def recording_gradient(x):
+            wrt, grad = gradient(x)
+
+            def at(pt):
+                points.append(pt)
+                return grad(pt)
+            return wrt, at
+
+        def logging_apply(field, x, partials=None):
+            applied.append((gens.index(field), points[-1]))
+            return apply(field, x, partials)
+
+        monkeypatch.setattr(ex, "diff", counting_diff)
+        monkeypatch.setattr(ex, "compile_gradient", recording_gradient)
+        monkeypatch.setattr(ProlongedField, "apply", logging_apply)
+        return diffs, applied
+
+    def test_accepting_check_builds_no_residual(self, monkeypatch):
+        entry, gens, e = self._g3_7_v13()
+        diffs, applied = self._record(monkeypatch, gens)
         assert annihilation_check(gens, e, CFG, entry.param_map)
-        space = gens[0].space
-        symbols = [space.base(c) for c in space.coords] + space.jet_symbols(2)
-        assert sorted(calls, key=str) == sorted(symbols, key=str)
+        assert diffs == [] and applied == []
+
+    def test_rejecting_check_applies_only_generators_over_tol(self, monkeypatch):
+        entry, gens, e = self._g3_7_v13()
+        variant = perturbed_variants(e, gens[0].space)[0]
+        _, applied = self._record(monkeypatch, gens)
+        assert not annihilation_check(gens, variant, CFG, entry.param_map)
+        monkeypatch.undo()
+        assert applied
+        assert len({k for k, _ in applied}) == len(applied)  # built once each
+        for k, pt in applied:
+            # the float residual at that point, from the symbolic partials
+            residual = sum(
+                ex.eval_numeric(c, pt) * ex.eval_numeric(ex.diff(variant, s), pt)
+                for s, c in gens[k].coefficients.items())
+            assert abs(residual) > CFG.tol
 
     def test_shared_partials_give_the_same_result(self):
         entry = liealg.catalog_lookup("g3_7", {})
