@@ -8,12 +8,15 @@ E~(z, w_i, w_ij) = 0, w = 0) by the implicit-differentiation substitutions
   u_ab -> -w_ab/w_n + w_na w_b/w_n^2 + w_nb w_a/w_n^2 - w_a w_b w_nn/w_n^3,
 
 followed by clearing the power of w_n from the denominators.  The contract
-of the covariant form is that E~ is homogeneous of some integer degree in
-the w-derivatives and is annihilated by the rescaling fields
-R_j = sum_i (1 + delta_ij) w_i d/dw_ij.  CovariantPDE checks both
-numerically when it is made, so every covariant form passed its check
-once; from_covariant then restores the split form on the normalized
-section w_n = 1, w_a = -u_a, w_an = 0, w_nn = 0 (so w_ab = -u_ab).
+of the covariant form is that E~ is homogeneous of some integer degree k in
+the w-derivatives, D E~ = k E~ for the Euler operator D, and is annihilated
+by the rescaling fields R_j = sum_i (1 + delta_ij) w_i d/dw_ij.  D - k and
+the R_j are first-order operators (euler_operator, rescale_operators), so
+CovariantPDE checks both with numeric.first_non_annihilating when it is
+made, on one compiled gradient of E~ that also serves the fit of k.  Every
+covariant form passed its check once; from_covariant then restores the
+split form on the normalized section w_n = 1, w_a = -u_a, w_an = 0,
+w_nn = 0 (so w_ab = -u_ab).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .errors import (
     ParseError,
     SingularEvaluation,
 )
-from .jet import JetSpace
+from .jet import FirstOrderOperator, JetSpace
 
 DEGREE_FIT_POINTS = 8
 
@@ -176,49 +179,45 @@ def to_covariant(pde: ScalarPDE, cfg: nm.SamplerConfig = nm.SamplerConfig(),
     return CovariantPDE(wspace, cleared, dep, cfg, params)
 
 
-def euler_operator(e: ex.Expr, wspace: JetSpace) -> ex.Expr:
-    """D = sum_i w_i d/dw_i + sum_{i<=j} w_ij d/dw_ij applied to e."""
-    parts = []
-    for s in wspace.jet_symbols(2):
-        if s.order == 0:
-            continue
-        parts.append(ex.mul(ex.Sym(s), ex.diff(e, s)))
-    return ex.add(*parts)
+def euler_operator(wspace: JetSpace, k: int = 0) -> FirstOrderOperator:
+    """D - k, with D = sum_i w_i d/dw_i + sum_{i<=j} w_ij d/dw_ij."""
+    coeffs = {s: ex.Sym(s) for s in wspace.jet_symbols(2) if s.order >= 1}
+    coeffs[None] = ex.Const(-k)
+    return FirstOrderOperator(coeffs)
 
 
-def rescale_fields(e: ex.Expr, wspace: JetSpace) -> List[ex.Expr]:
-    """R_j e for all j, with R_j = sum_i (1 + delta_ij) w_i d/dw_ij."""
-    out = []
+def rescale_operators(wspace: JetSpace) -> List[FirstOrderOperator]:
+    """[R_j for j in wspace.coords], R_j = sum_i (1 + delta_ij) w_i d/dw_ij."""
     coords = wspace.coords
-    for j in coords:
-        parts = []
-        for i in coords:
-            factor = 2 if i == j else 1
-            parts.append(ex.mul(ex.Const(factor), ex.Sym(wspace.jet(i)),
-                                ex.diff(e, wspace.jet(i, j))))
-        out.append(ex.add(*parts))
-    return out
+    return [FirstOrderOperator({
+        wspace.jet(i, j): ex.mul(ex.Const(2 if i == j else 1),
+                                 ex.Sym(wspace.jet(i)))
+        for i in coords}) for j in coords]
 
 
 def homogeneity_degree(e: ex.Expr, wspace: JetSpace,
                        cfg: nm.SamplerConfig = nm.SamplerConfig(),
                        params: Optional[dict] = None) -> int:
-    """Degree k with D e = k e, fitted numerically and confirmed by is_zero.
+    """Degree k with D e = k e, fitted numerically and then confirmed.
 
-    The ratio D e / e is fitted at DEGREE_FIT_POINTS regular points; a point
-    where e vanishes is singular for the ratio and is redrawn.
+    The ratio D e / e is fitted from e's compiled gradient at
+    DEGREE_FIT_POINTS regular points; a point where e vanishes is singular
+    for the ratio and is redrawn.  first_non_annihilating confirms that
+    D - k annihilates e.
     """
-    de = euler_operator(e, wspace)
-    fe = ex.compile_numeric(e)
-    fde = ex.compile_numeric(de)
+    wrt, grad = ex.compile_gradient(e)
+    # D e = sum of s * de/ds over the w-derivatives s
+    derivatives = euler_operator(wspace).coefficients
+    euler = [(s.name, i) for i, s in enumerate(wrt, start=1)
+             if s in derivatives]
     fit = None
 
     def visit(pt):
         nonlocal fit
-        denom = fe(pt)
-        if abs(denom) < 1e-12:
+        g = grad(pt)
+        if abs(g[0]) < 1e-12:
             raise SingularEvaluation("the equation vanishes at this point")
-        k = fde(pt) / denom
+        k = sum([pt[name] * g[i] for name, i in euler]) / g[0]
         if fit is None:
             fit = k
         elif abs(fit - k) > 1e-9 * max(1.0, abs(fit)):
@@ -227,7 +226,7 @@ def homogeneity_degree(e: ex.Expr, wspace: JetSpace,
         return None
 
     nm.at_regular_points(
-        e.free_symbols() | de.free_symbols(),
+        e.free_symbols(),
         nm.SamplerConfig(seed=cfg.seed, points=DEGREE_FIT_POINTS),
         ex.denominator_symbols(e) | {s for s in e.free_symbols()
                                      if s.kind == ex.JET},
@@ -235,9 +234,8 @@ def homogeneity_degree(e: ex.Expr, wspace: JetSpace,
     k = Fraction(fit).limit_denominator(1000)
     if k.denominator != 1:
         raise NotHomogeneous(f"non-integer homogeneity degree {k}")
-    residual = ex.add(de, ex.mul(ex.Const(-k), e))
-    if not nm.is_zero(residual, cfg, params,
-                      extra_denoms=ex.denominator_symbols(e)):
+    if nm.first_non_annihilating([euler_operator(wspace, int(k))], e,
+                                 cfg, params) is not None:
         raise NotHomogeneous(f"D e != {k} e")
     return int(k)
 
@@ -245,10 +243,10 @@ def homogeneity_degree(e: ex.Expr, wspace: JetSpace,
 def rescale_invariance_check(e: ex.Expr, wspace: JetSpace,
                              cfg: nm.SamplerConfig = nm.SamplerConfig(),
                              params: Optional[dict] = None) -> None:
-    for j, re_ in zip(wspace.coords, rescale_fields(e, wspace)):
-        if not nm.is_zero(re_, cfg, params,
-                          extra_denoms=ex.denominator_symbols(e)):
-            raise NotRescaleInvariant(f"R_{j} does not annihilate the equation")
+    j = nm.first_non_annihilating(rescale_operators(wspace), e, cfg, params)
+    if j is not None:
+        raise NotRescaleInvariant(
+            f"R_{wspace.coords[j]} does not annihilate the equation")
 
 
 def J_invariants(wspace: JetSpace, dep_coord: str

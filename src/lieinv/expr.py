@@ -764,6 +764,23 @@ def _literal(v: int | Fraction) -> str:
     return f"({v.numerator}/{v.denominator})"
 
 
+JOIN_LIMIT = 256  # the compiler recurses once per operand of a + b + ...
+
+
+def _join(op: str, operands: list, lines: list) -> str:
+    """The operands joined by op, JOIN_LIMIT at a time.
+
+    Each full chunk goes to a partial local p<line number>, appended to
+    lines, that is the first operand of the next: the same float
+    operations, left to right.
+    """
+    while len(operands) > JOIN_LIMIT:
+        part = f"p{len(lines)}"
+        lines.append(f"  {part}={op.join(operands[:JOIN_LIMIT])}")
+        operands = [part] + operands[JOIN_LIMIT:]
+    return op.join(operands)
+
+
 def _codegen(e: Expr, magnitude: bool, wrt: Optional[tuple] = None) -> str:
     """Source of a flat function `f(a)` evaluating e, one local per subtree.
 
@@ -790,9 +807,9 @@ def _codegen(e: Expr, magnitude: bool, wrt: Optional[tuple] = None) -> str:
             if magnitude:
                 src = f"abs({src})"
         elif isinstance(x, Add):
-            src = "+".join([gen(t) for t in x.terms])
+            src = _join("+", [gen(t) for t in x.terms], lines)
         elif isinstance(x, Mul):
-            src = "*".join([gen(f) for f in x.factors])
+            src = _join("*", [gen(f) for f in x.factors], lines)
         elif isinstance(x, Pow):
             src = f"P({gen(x.base)},{x.exp.numerator},{x.exp.denominator})"
         elif isinstance(x, Func):
@@ -848,7 +865,7 @@ def _adjoints(refs: dict, wrt: frozenset, lines: list) -> dict:
         if parts is None:
             continue
         d = "d" + refs[x][1:]
-        lines.append(f"  {d}={'+'.join(parts)}")
+        lines.append(f"  {d}={_join('+', parts, lines)}")
         if isinstance(x, Sym):
             out[x.symbol] = d
             continue

@@ -17,11 +17,13 @@ derivatives, the combinations
     I_(i) = w_(i) / w_(d),
     I_(ij) = (w_(i)^2 w_(jj) - 2 w_(i) w_(j) w_(ij) + w_(j)^2 w_(ii)) / w_(d)^3
 
-(d = frame index of the dependent coordinate) become, after substituting the
-implicit-function relations for the w-derivatives, functions of the split
-jet variables alone.  The residual w-jets {w_u, w_au, w_uu} must cancel;
-this is verified numerically before they are normalized away
-(ResidualDependence otherwise).
+(d = frame index of the dependent coordinate) are functions of the split
+jet variables alone on w = 0: they do not depend on the residual w-jets
+{w_u, w_au, w_uu}, the coordinates along the gauge w -> phi*w.  That holds
+exactly when they have degree 0 under the Euler operator D and are
+annihilated by the rescalings R_j, which is verified numerically
+(ResidualDependence otherwise) before each is put on the normalized
+section w_u = 1, w_au = 0, w_uu = 0, w_a = -u_a, w_ab = -u_ab.
 
 Invariant quasi-linear templates fix the first second-order slot to 1 and
 fill the rest with opaque function heads a1, a2, ... , b applied to the
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import covariant
@@ -283,54 +284,24 @@ def type1_pipeline(entry: liealg.AlgebraCatalogEntry, m: int = 1,
 # Pipeline for simply transitive actions
 
 
-def _epod_substitutions(wspace: JetSpace, split: JetSpace,
-                        dep: str) -> Dict[ex.Symbol, ex.Expr]:
-    """Inverse implicit-function relations: w-jets in terms of split jets.
-
-    w_a = -u_a w_n and w_ab = -w_n u_ab - w_bn u_a - w_an u_b - u_a u_b w_nn;
-    the residual jets {w_n, w_an, w_nn} are kept as symbols to be eliminated.
-    """
-    wn = ex.Sym(wspace.jet(dep))
-    wnn = ex.Sym(wspace.jet(dep, dep))
-    subs: Dict[ex.Symbol, ex.Expr] = {}
-    subs[wspace.base(dep)] = ex.Sym(split.jet())
-    indep = [c for c in wspace.coords if c != dep]
-    for a in indep:
-        subs[wspace.jet(a)] = ex.mul(ex.Const(-1), ex.Sym(split.jet(a)), wn)
-    for i, a in enumerate(indep):
-        for b in indep[i:]:
-            ua, ub = ex.Sym(split.jet(a)), ex.Sym(split.jet(b))
-            subs[wspace.jet(a, b)] = ex.add(
-                ex.mul(ex.Const(-1), wn, ex.Sym(split.jet(a, b))),
-                ex.mul(ex.Const(-1), ex.Sym(wspace.jet(dep, b)), ua),
-                ex.mul(ex.Const(-1), ex.Sym(wspace.jet(dep, a)), ub),
-                ex.mul(ex.Const(-1), ua, ub, wnn),
-            )
-    return subs
-
-
 def eliminate_w(e: ex.Expr, wspace: JetSpace, split: JetSpace, dep: str,
                 cfg: nm.SamplerConfig = nm.SamplerConfig(),
                 params: Optional[Mapping] = None,
                 label: str = "") -> ex.Expr:
-    """Remove the residual w-jets from an epod-substituted invariant.
+    """A w-space invariant on the normalized section (dep is split.dep).
 
-    Verifies numerically that the expression is independent of each of
-    {w_n, w_an, w_nn} (partial derivative is_zero), then puts it on the
-    normalized section, where w_n -> 1, w_an -> 0, w_nn -> 0 are the only
-    substitutions left to make.  Raises ResidualDependence otherwise.
+    e is free of the residual w-jets {w_n, w_an, w_nn}, the coordinates
+    along the gauge w -> phi*w, exactly when D e = 0 and R_j e = 0 for
+    every j; ResidualDependence names the first operator that fails.
+    The lift to those coordinates followed by the section is the section.
     """
-    residual_syms = [wspace.jet(dep)]
-    residual_syms += [wspace.jet(dep, a) for a in wspace.coords if a != dep]
-    residual_syms.append(wspace.jet(dep, dep))
-    denoms = ex.denominator_symbols(e)
-    for s in residual_syms:
-        d = ex.diff(e, s)
-        if d == ex.ZERO:
-            continue
-        if not nm.is_zero(d, cfg, params, extra_denoms=denoms):
-            raise ResidualDependence(
-                f"{label or ex.render(e)} still depends on {s.name}")
+    ops = [covariant.euler_operator(wspace)] + \
+        covariant.rescale_operators(wspace)
+    k = nm.first_non_annihilating(ops, e, cfg, params)
+    if k is not None:
+        op = "D" if k == 0 else f"R_{wspace.coords[k - 1]}"
+        raise ResidualDependence(f"{label or ex.render(e)} depends on the "
+                                 f"residual w-jets: {op} does not annihilate it")
     return ex.substitute(e, covariant.normalized_section(wspace, split))
 
 
@@ -370,13 +341,9 @@ def type2_pipeline(entry: liealg.AlgebraCatalogEntry,
             )
             I_second.append((f"v_{i}{j}", ex.mul(num, ex.pow_(wd, -3))))
 
-    subs = _epod_substitutions(wspace, split, dep)
-
-    invariants: List[Tuple[str, ex.Expr]] = []
-    for label, e in I_first + I_second:
-        lifted = ex.substitute(e, subs)
-        invariants.append((label, eliminate_w(lifted, wspace, split, dep,
-                                              cfg, params, label)))
+    invariants = [(label, eliminate_w(e, wspace, split, dep, cfg, params,
+                                      label))
+                  for label, e in I_first + I_second]
 
     _verify_annihilation(real.generators, invariants, cfg, params)
     _check_rank(invariants, split, n, cfg, params)

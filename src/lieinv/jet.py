@@ -6,6 +6,7 @@ parser.  On top of it live:
 
   * total_derivative  -- D_a = d/dx^a + u_a d/du + u_ab d/du_b
   * VectorField       -- first-order derivation on the base coordinates
+  * FirstOrderOperator -- c + sum_s c_s d/ds on jet expressions
   * frame_derivative  -- the lifted operator  X^a D_a  of a vector field
   * symmetrized_frame_second -- (1/2)(X Y + Y X) applied through frames
   * prolong2          -- second prolongation of a point symmetry generator
@@ -181,11 +182,39 @@ def symmetrized_frame_second(fi: VectorField, fj: VectorField) -> ex.Expr:
     return ex.mul(ex.Const(Fraction(1, 2)), ex.add(a, b))
 
 
-class ProlongedField:
+class FirstOrderOperator:
+    """The operator e -> c e + sum_s coefficients[s] * de/ds on jet expressions.
+
+    `coefficients` maps each symbol s to the coefficient of d/ds, and the
+    key None to the zeroth-order coefficient c (absent means 0).
+    """
+
+    def __init__(self, coefficients: Dict[Optional[ex.Symbol], ex.Expr]):
+        self.coefficients = coefficients
+
+    def apply(self, e: ex.Expr,
+              partials: Optional[Dict[ex.Symbol, ex.Expr]] = None) -> ex.Expr:
+        """Apply the operator to a second-order jet expression.
+
+        `partials` caches de/ds by symbol s for this e; pass the same dict
+        when applying several operators to one expression so each partial
+        is built once.
+        """
+        if partials is None:
+            partials = {}
+        parts = []
+        for s, coeff in self.coefficients.items():
+            p = partials.get(s)
+            if p is None:
+                p = partials[s] = e if s is None else ex.diff(e, s)
+            parts.append(ex.mul(coeff, p))
+        return ex.add(*parts)
+
+
+class ProlongedField(FirstOrderOperator):
     """Second prolongation of a point symmetry X = xi^a d_a + theta d_u.
 
-    `coefficients` maps each symbol s of the order-2 jet space to the
-    coefficient of d/ds: theta for u, xi^a for x^a, phi_a for u_a and
+    Its coefficients are theta for u, xi^a for x^a, phi_a for u_a and
     phi_ab for u_ab, so X e = sum_s coefficients[s] * de/ds.
     """
 
@@ -213,25 +242,7 @@ class ProlongedField:
                     terms.append(ex.mul(ex.Const(-1), ex.Sym(space.jet(a, c)),
                                         total_derivative(xi[c], b, space)))
                 coeffs[space.jet(a, b)] = ex.add(*terms)
-        self.coefficients = coeffs
-
-    def apply(self, e: ex.Expr,
-              partials: Optional[Dict[ex.Symbol, ex.Expr]] = None) -> ex.Expr:
-        """Apply the prolonged derivation to a second-order jet expression.
-
-        `partials` caches de/ds by symbol s for this e; pass the same dict
-        when applying several fields to one expression so each partial is
-        built once.
-        """
-        if partials is None:
-            partials = {}
-        parts = []
-        for s, coeff in self.coefficients.items():
-            p = partials.get(s)
-            if p is None:
-                p = partials[s] = ex.diff(e, s)
-            parts.append(ex.mul(coeff, p))
-        return ex.add(*parts)
+        super().__init__(coeffs)
 
 
 def prolong2(field: VectorField, theta: ex.Expr = ex.ZERO) -> ProlongedField:

@@ -162,11 +162,12 @@ def exprs_equal(a: ex.Expr, b: ex.Expr, cfg: SamplerConfig = SamplerConfig(),
 def first_non_annihilating(fields: Sequence, e: ex.Expr,
                            cfg: SamplerConfig = SamplerConfig(),
                            params: Optional[Mapping] = None) -> Optional[int]:
-    """Index of the first prolonged field X with X e != 0, or None (randomized).
+    """Index of the first operator X with X e != 0, or None (randomized).
 
-    X e = sum_s c_s de/ds, with c_s from the field's `coefficients`.  At each
-    sampled point, one call of e's compiled gradient and the compiled
-    coefficients give the residual r_k of every field k.  A point where
+    X is a jet.FirstOrderOperator: X e = c e + sum_s c_s de/ds, with c
+    (key None) and c_s from its `coefficients`.  At each sampled point, one
+    call of e's compiled gradient (e itself in slot 0) and the compiled
+    coefficients give the residual r_k of every operator k.  A point where
     |r_k| <= tol passes for k.  Elsewhere the point is decided by the zero
     test on the symbolic residual fields[k].apply(e) (exactly for a
     constant one), so no rejection rests on these floats.  Points cover
@@ -174,6 +175,7 @@ def first_non_annihilating(fields: Sequence, e: ex.Expr,
     """
     wrt, grad = ex.compile_gradient(e)
     column = {s: i for i, s in enumerate(wrt, start=1)}
+    column[None] = 0
     syms, denoms = set(e.free_symbols()), set(ex.denominator_symbols(e))
     rows = []  # per field: [(compiled coefficient, column of de/ds)]
     for f in fields:

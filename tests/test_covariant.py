@@ -112,6 +112,23 @@ class TestCovariantPDE:
         cov.from_covariant(c, CFG)
         assert calls == {"homogeneity_degree": 1, "rescale_invariance_check": 1}
 
+    def test_one_gradient_evaluator_per_form(self, monkeypatch):
+        # the degree fit, the Euler confirmation and every R_j check share
+        # one compiled gradient of lhs
+        with_wrt = []
+        codegen = ex._codegen
+
+        def counted(e, magnitude, wrt=None):
+            if wrt is not None:
+                with_wrt.append(e)
+            return codegen(e, magnitude, wrt)
+
+        monkeypatch.setattr(ex, "_codegen", counted)
+        lhs = self.Z.parse("w_x^2*w_yy - 2*w_x*w_y*w_xy + w_y^2*w_xx + w_u^3")
+        c = cov.CovariantPDE(self.Z, lhs, "u", CFG)
+        assert c.degree == 3
+        assert with_wrt == [lhs]
+
 
 class TestRescaleOperators:
     def test_homogeneity_degree_monomial(self):
@@ -142,8 +159,8 @@ class TestRescaleOperators:
         for e in list(first.values()) + list(second.values()):
             denoms = ex.denominator_symbols(e)
             # degree 0 under the Euler operator
-            de = cov.euler_operator(e, z)
+            de = cov.euler_operator(z).apply(e)
             assert nm.is_zero(de, CFG, extra_denoms=denoms)
             # annihilated by every rescale field R_j
-            for rj in cov.rescale_fields(e, z):
-                assert nm.is_zero(rj, CFG, extra_denoms=denoms)
+            for rj in cov.rescale_operators(z):
+                assert nm.is_zero(rj.apply(e), CFG, extra_denoms=denoms)

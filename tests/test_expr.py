@@ -280,6 +280,40 @@ class TestNumeric:
         src = ex._codegen(e, False)
         assert src.count("(-3)*") == 1 and src.count("a['x']") == 1
 
+    def test_long_sum_and_product_compile(self):
+        # 3,000 operands would nest past the compiler's recursion limit in
+        # one +/* line; the chunked join keeps the left-to-right order
+        n, pt = 3000, {"x": 0.3}
+        terms = [ex.func("sin", ex.mul(ex.Const(k), X)) for k in range(1, n + 1)]
+        e = ex.add(*terms)
+        assert isinstance(e, ex.Add) and len(e.terms) == n
+        want = 0.0
+        for t in e.terms:
+            want += ex.compile_numeric(t)(pt)
+        # the reverse sweep sums x's adjoint over the terms last to first
+        dwant = 0.0
+        for t in reversed(e.terms):
+            dwant += ex.compile_numeric(ex.diff(t, SP.base("x")))(pt)
+        wrt, grad = ex.compile_gradient(e)
+        assert wrt == (SP.base("x"),)
+        assert ex.compile_numeric(e)(pt) == want
+        assert grad(pt) == [want, dwant]
+        p = ex.mul(*[ex.func("cos", ex.mul(ex.Const(Fraction(1, k)), X))
+                     for k in range(1, n + 1)])
+        assert isinstance(p, ex.Mul) and len(p.factors) == n
+        pwant = 1.0
+        for f in p.factors:
+            pwant *= ex.compile_numeric(f)(pt)
+        assert ex.compile_numeric(p)(pt) == pwant
+
+    def test_short_join_is_one_line(self):
+        e = ex.add(*[ex.func("sin", ex.mul(ex.Const(k), X))
+                     for k in range(1, ex.JOIN_LIMIT + 1)])
+        assert len(e.terms) == ex.JOIN_LIMIT
+        assert "  p" not in ex._codegen(e, False, (SP.base("x"),))
+        longer = ex.add(e, Y)
+        assert "  p" in ex._codegen(longer, False)
+
 
 class TestParseRender:
     CASES = [

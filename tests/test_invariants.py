@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from lieinv import covariant
 from lieinv import expr as ex
+from lieinv import invariants
 from lieinv import liealg
 from lieinv import numeric as nm
 from lieinv.errors import ResidualDependence
@@ -18,9 +20,40 @@ from lieinv.invariants import (
     type1_pipeline,
     type2_pipeline,
 )
+from lieinv.jet import JetSpace
+from lieinv.verify import TABLE_ROWS
 
 CFG = nm.SamplerConfig()
 F = Fraction
+TRANSITIVE_ROWS = [(name, params)
+                   for table in ("2d-transitive", "3d-transitive")
+                   for name, _, _, params in TABLE_ROWS[table]]
+
+
+def _epod_substitutions(wspace, split, dep):
+    """Inverse implicit-function relations: w-jets in terms of split jets.
+
+    w_a = -u_a w_n and w_ab = -w_n u_ab - w_bn u_a - w_an u_b - u_a u_b w_nn;
+    the residual jets {w_n, w_an, w_nn} are kept as symbols.  The reference
+    for eliminate_w, which skips this lift: lift then section must give
+    exactly the section.
+    """
+    wn = ex.Sym(wspace.jet(dep))
+    wnn = ex.Sym(wspace.jet(dep, dep))
+    subs = {wspace.base(dep): ex.Sym(split.jet())}
+    indep = [c for c in wspace.coords if c != dep]
+    for a in indep:
+        subs[wspace.jet(a)] = ex.mul(ex.Const(-1), ex.Sym(split.jet(a)), wn)
+    for i, a in enumerate(indep):
+        for b in indep[i:]:
+            ua, ub = ex.Sym(split.jet(a)), ex.Sym(split.jet(b))
+            subs[wspace.jet(a, b)] = ex.add(
+                ex.mul(ex.Const(-1), wn, ex.Sym(split.jet(a, b))),
+                ex.mul(ex.Const(-1), ex.Sym(wspace.jet(dep, b)), ua),
+                ex.mul(ex.Const(-1), ex.Sym(wspace.jet(dep, a)), ub),
+                ex.mul(ex.Const(-1), ua, ub, wnn),
+            )
+    return subs
 
 
 class TestType2:
@@ -108,11 +141,37 @@ class TestSerialization:
 
 
 class TestEliminateW:
+    @pytest.mark.parametrize("name, params", TRANSITIVE_ROWS)
+    def test_section_is_lift_then_section(self, name, params, monkeypatch):
+        # on every transitive row, the section of the w-space invariant
+        # renders exactly like the epod lift followed by the section
+        pairs = []
+
+        def recording(e, wspace, split, dep, *args):
+            got = eliminate_w(e, wspace, split, dep, *args)
+            lifted = ex.substitute(e, _epod_substitutions(wspace, split, dep))
+            want = ex.substitute(lifted,
+                                 covariant.normalized_section(wspace, split))
+            pairs.append((ex.render(got), ex.render(want)))
+            return got
+
+        monkeypatch.setattr(invariants, "eliminate_w", recording)
+        inv = type2_pipeline(liealg.catalog_lookup(name, params), CFG)
+        assert len(pairs) == len(inv.invariants)
+        for got, want in pairs:
+            assert got == want
+
+    def test_degree_zero_but_not_rescale_invariant(self):
+        split = JetSpace(("x",), "u")
+        wspace = covariant.wspace_for(split)
+        e = wspace.parse("w_xx/w_u")
+        assert covariant.homogeneity_degree(e, wspace, CFG) == 0
+        with pytest.raises(ResidualDependence, match="R_x"):
+            eliminate_w(e, wspace, split, "u", CFG)
+
     def test_raw_frame_derivative_triggers_residual_dependence(self):
         # w_(1) for an algebra whose first frame direction moves the
-        # dependent coordinate: without the implicit-function substitution
-        # it still contains w_n and must be rejected
-        from lieinv.jet import JetSpace
+        # dependent coordinate has degree 1, so it depends on w_n
 
         entry = liealg.catalog_lookup("g3_1", {})
         wspace = entry.split_space("w")

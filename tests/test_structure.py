@@ -4,7 +4,9 @@ The oracle's point policy lives in one loop, `numeric.at_regular_points`,
 and what counts as a singular point is decided only by the evaluator that
 `expr.compile_numeric` generates.  Outside `jet`, only the annihilation
 routine applies a prolonged field.  The covariant-form contract is checked
-only where a `CovariantPDE` is made.  These tests keep it that way.
+only where a `CovariantPDE` is made.  Only the kernel and the jet layer
+differentiate symbolically: every other first-order operator check goes
+through the annihilation routine.  These tests keep it that way.
 """
 
 import ast
@@ -90,3 +92,15 @@ def test_only_the_annihilation_routine_applies_a_prolonged_field():
     assert callers == {("numeric", "first_non_annihilating")}
     assert [path.stem for path in SOURCES
             if "fd_gradient" in path.read_text(encoding="utf-8")] == []
+
+
+def test_only_the_kernel_and_jet_differentiate():
+    # Euler, rescaling and residual-jet checks are first-order operators
+    # applied through numeric.first_non_annihilating, not symbolic diffs
+    callers = {(module, scope) for module, scope, call in _nodes(ast.Call)
+               if "diff" in _names(call.func) and module not in ("expr", "jet")}
+    assert callers == set()
+    zero_tests = {(module, scope) for module, scope, call in _nodes(ast.Call)
+                  if "is_zero" in _names(call.func)
+                  and module in ("covariant", "invariants")}
+    assert zero_tests == set()
