@@ -175,7 +175,10 @@ def to_covariant(pde: ScalarPDE, cfg: nm.SamplerConfig = nm.SamplerConfig(),
     expanded = ex.expand(lifted)
     wn_sym = wspace.jet(dep)
     kappa = -_min_wn_exponent(expanded, wn_sym)
-    cleared = ex.expand(ex.mul(ex.pow_(ex.Sym(wn_sym), kappa), expanded))
+    # each term of the expanded lift times w_n^kappa: no second expand
+    wn_kappa = ex.pow_(ex.Sym(wn_sym), kappa)
+    terms = expanded.terms if isinstance(expanded, ex.Add) else (expanded,)
+    cleared = ex.add(*[ex.mul(wn_kappa, t) for t in terms])
     return CovariantPDE(wspace, cleared, dep, cfg, params)
 
 

@@ -1140,17 +1140,19 @@ class _Parser:
             sign = -1
         elif self.tok.peek() == "+":
             self.tok.take("+")
-        e = mul(Const(sign), self.term()) if sign < 0 else self.term()
+        # one add (and one mul per term) over all operands: linear in their
+        # number, and no merge depends on which partial sum it meets
+        terms = [mul(Const(sign), self.term()) if sign < 0 else self.term()]
         while self.tok.peek() in ("+", "-"):
             op = self.tok.peek()
             self.tok.take(op)
             t = self.term()
-            e = add(e, t if op == "+" else mul(Const(-1), t))
+            terms.append(t if op == "+" else mul(Const(-1), t))
         self.depth -= 1
-        return e
+        return terms[0] if len(terms) == 1 else add(*terms)
 
     def term(self) -> Expr:
-        e = self.factor()
+        factors = [self.factor()]
         while self.tok.peek() in ("*", "/"):
             op = self.tok.peek()
             self.tok.take(op)
@@ -1159,8 +1161,8 @@ class _Parser:
             if op == "/":
                 _check_power(f, Fraction(-1), pos)
                 f = pow_(f, -1)
-            e = mul(e, f)
-        return e
+            factors.append(f)
+        return factors[0] if len(factors) == 1 else mul(*factors)
 
     def factor(self) -> Expr:
         base = self.base()

@@ -165,29 +165,21 @@ class Realization:
     generators: tuple
 
 
-def _gated_fields(entry: liealg.AlgebraCatalogEntry, zspace: JetSpace,
-                  cfg: nm.SamplerConfig):
-    """The frames on zspace, once, after they pass the realization gate."""
-    xi, eta = liealg.build_invariant_fields(entry.sc, zspace)
-    report = liealg.verify_realization(xi, eta, entry.sc, cfg)
-    if not report.passed:
-        raise VerificationFailed(
-            f"realization gate failed for {entry.name}: {report.failures()}")
-    return xi, eta
-
-
 def realize_free(entry: liealg.AlgebraCatalogEntry, m: int = 1,
                  cfg: nm.SamplerConfig = nm.SamplerConfig()) -> Realization:
     """Realization for a free action with m invariant variables.
 
     The frames live on the orbit coordinates x1..xn and are re-rooted on
-    the full space x1..xn, y1..y{m-1} with zero components along y.
+    the full space x1..xn, y1..y{m-1} with zero components along y.  They
+    pass the realization gate first (VerificationFailed otherwise).
     """
     xs = tuple(f"x{i}" for i in range(1, entry.dim + 1))
     ys = tuple(f"y{mu}" for mu in range(1, m))
     params = [p for p, _ in entry.params]
     space = JetSpace(xs + ys, "u", params=params)
-    xi, eta = _gated_fields(entry, JetSpace(xs, "u", params=params), cfg)
+    xi, eta = liealg.build_invariant_fields(
+        entry.sc, JetSpace(xs, "u", params=params))
+    liealg.verify_realization(xi, eta, entry.sc, cfg)
     eta = tuple(VectorField.from_dict(space, dict(f.components)) for f in eta)
     gens = tuple(prolong2(VectorField.from_dict(space, dict(f.components)))
                  for f in xi)
@@ -201,11 +193,13 @@ def realize_transitive(entry: liealg.AlgebraCatalogEntry,
 
     The frames live on the z-space with covariant scalar w; the generators
     act on the split space, where the dependent coordinate becomes the
-    graph u of the dependent variable.  eta stays on the z-space.
+    graph u of the dependent variable.  eta stays on the z-space.  The
+    frames pass the realization gate first (VerificationFailed otherwise).
     """
     wspace = entry.split_space("w")
     dep = entry.dep
-    xi, eta = _gated_fields(entry, wspace, cfg)
+    xi, eta = liealg.build_invariant_fields(entry.sc, wspace)
+    liealg.verify_realization(xi, eta, entry.sc, cfg)
     indep = tuple(c for c in wspace.coords if c != dep)
     split = JetSpace(indep, dep, params=wspace.params)
     graph = {wspace.base(dep): ex.Sym(split.jet())}

@@ -9,9 +9,10 @@ coordinates of the second kind, g_z = e^{z^n e_n} ... e^{z^1 e_1}:
   * the columns of Omega_R are  R_k = Ad(A_n) ... Ad(A_{k+1}) e_k,
 
 with A_j = exp(z^j e_j) and Ad(A_j) = exp(z^j ad_{e_j}) computed in closed
-form (module putzer).  Then xi_i = (Omega_L^{-1})_{ki} d/dz^k and
+form (module putzer), once per generator; Ad(A_j)^{-1} = exp(-z^j ad_{e_j})
+is Ad(A_j) at z^j -> -z^j.  Then xi_i = (Omega_L^{-1})_{ki} d/dz^k and
 eta_i = (Omega_R^{-1})_{ki} d/dz^k.  The construction is always gated by
-verify_realization, which checks numerically that
+verify_realization, which raises VerificationFailed unless, numerically,
 
   [xi_i, xi_j] = C^k_ij xi_k,   [eta_i, eta_j] = -C^k_ij eta_k,
   [xi_i, eta_j] = 0,            det || xi_i^j || != 0.
@@ -20,14 +21,15 @@ verify_realization, which checks numerically that
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import expr as ex
 from . import numeric as nm
 from . import putzer
-from .errors import CatalogError, JacobiViolation, SingularEvaluation
+from .errors import (CatalogError, JacobiViolation, SingularEvaluation,
+                     VerificationFailed)
 from .jet import JetSpace, VectorField
 
 DET_POINTS = 16
@@ -206,8 +208,8 @@ def build_invariant_fields(sc: StructureConstants, space: JetSpace
     """Left- (xi) and right- (eta) invariant fields on the given z-space.
 
     space.coords supplies the names of z^1..z^n in order; the fields are
-    built from structure constants only and must subsequently pass
-    verify_realization (callers gate on it; see catalog_lookup).
+    built from structure constants only and must then pass
+    verify_realization, as realize_free and realize_transitive do.
     """
     n = sc.dim
     if len(space.coords) != n:
@@ -215,12 +217,10 @@ def build_invariant_fields(sc: StructureConstants, space: JetSpace
     if n > 4:
         raise ValueError("construction limited to dim <= 4")
     z = [ex.Sym(space.base(c)) for c in space.coords]
-    ads = [sc.ad(k + 1) for k in range(n)]
-
-    def exp_ad(k: int, sign: int) -> List[List[ex.Expr]]:
-        M = [[sign * v for v in row] for row in ads[k]]
-        return putzer.exp_matrix_expr(M, z[k])
-
+    # Ad(A_k), and its inverse exp(-z^k ad_{e_k}) as Ad(A_k) at z^k -> -z^k
+    ad = [putzer.exp_matrix_expr(sc.ad(k + 1), z[k]) for k in range(n)]
+    ad_inv = [[[ex.substitute(v, {z[k].symbol: ex.mul(ex.Const(-1), z[k])})
+                for v in row] for row in ad[k]] for k in range(n - 1)]
     basis = [[ex.ONE if i == k else ex.ZERO for i in range(n)] for k in range(n)]
 
     # Omega_L column k: Ad(A_1)^{-1} ... Ad(A_{k-1})^{-1} e_k
@@ -228,7 +228,7 @@ def build_invariant_fields(sc: StructureConstants, space: JetSpace
     for k in range(n):
         col = basis[k]
         for j in range(k - 1, -1, -1):
-            col = _mat_vec_sym(exp_ad(j, -1), col)
+            col = _mat_vec_sym(ad_inv[j], col)
         for row in range(n):
             omega_l[row][k] = col[row]
 
@@ -237,7 +237,7 @@ def build_invariant_fields(sc: StructureConstants, space: JetSpace
     for k in range(n):
         col = basis[k]
         for j in range(k + 1, n):
-            col = _mat_vec_sym(exp_ad(j, +1), col)
+            col = _mat_vec_sym(ad[j], col)
         for row in range(n):
             omega_r[row][k] = col[row]
 
@@ -256,24 +256,6 @@ def build_invariant_fields(sc: StructureConstants, space: JetSpace
 # Realization gate
 
 
-@dataclass
-class RealizationReport:
-    """Per-pair commutation results and the transitivity determinant check."""
-
-    pairs: list = field(default_factory=list)  # (label, passed)
-    det_nonzero: bool = True
-
-    @property
-    def passed(self) -> bool:
-        return self.det_nonzero and all(ok for _, ok in self.pairs)
-
-    def failures(self) -> list:
-        out = [label for label, ok in self.pairs if not ok]
-        if not self.det_nonzero:
-            out.append("det")
-        return out
-
-
 def _field_combination(fields: List[VectorField], coeffs: List[Fraction],
                        space: JetSpace) -> Dict[str, ex.Expr]:
     out = {c: ex.ZERO for c in space.coords}
@@ -288,20 +270,22 @@ def _field_combination(fields: List[VectorField], coeffs: List[Fraction],
 def verify_realization(xi: List[VectorField], eta: List[VectorField],
                        sc: StructureConstants,
                        cfg: nm.SamplerConfig = nm.SamplerConfig(),
-                       params: Optional[Mapping] = None) -> RealizationReport:
-    """Numeric gate: commutation relations of both frames plus det || xi || != 0."""
+                       params: Optional[Mapping] = None) -> None:
+    """Numeric gate: commutation relations of both frames plus det || xi || != 0.
+
+    Every relation is checked; VerificationFailed lists each one that fails,
+    and "det" if the determinant vanishes at a sampled point.
+    """
     n = sc.dim
     space = xi[0].space
-    report = RealizationReport()
+    failures = []
 
     def check(label: str, got: VectorField, want: Dict[str, ex.Expr]):
-        ok = True
         for c, comp in got.components:
             if not nm.is_zero(ex.add(comp, ex.mul(ex.Const(-1), want[c])),
                               cfg, params):
-                ok = False
-                break
-        report.pairs.append((label, ok))
+                failures.append(label)
+                return
 
     for i in range(n):
         for j in range(i + 1, n):
@@ -329,8 +313,9 @@ def verify_realization(xi: List[VectorField], eta: List[VectorField],
     if nm.at_regular_points(det.free_symbols(),
                             nm.SamplerConfig(seed=cfg.seed, points=DET_POINTS),
                             ex.denominator_symbols(det), params, det_vanishes):
-        report.det_nonzero = False
-    return report
+        failures.append("det")
+    if failures:
+        raise VerificationFailed(f"realization gate failed: {failures}")
 
 
 # ---------------------------------------------------------------------------

@@ -175,15 +175,13 @@ def test_criterion_6_realization_gate():
         for params in _admissible_draws(name, rng):
             entry = liealg.catalog_lookup(name, params)
             xi, eta = entry.fields()
-            rep = liealg.verify_realization(xi, eta, entry.sc, CFG,
-                                            entry.param_map)
-            assert rep.passed, (name, params, rep.failures())
+            # the gate raises VerificationFailed naming each failed relation
+            liealg.verify_realization(xi, eta, entry.sc, CFG, entry.param_map)
             # rebuild from raw structure constants and re-run the same gate
             xi2, eta2 = liealg.build_invariant_fields(
                 entry.sc, entry.split_space())
-            rep2 = liealg.verify_realization(xi2, eta2, entry.sc, CFG,
-                                             entry.param_map)
-            assert rep2.passed, (name, params, rep2.failures())
+            liealg.verify_realization(xi2, eta2, entry.sc, CFG,
+                                      entry.param_map)
     report(6, "realization gate, 16-point determinant")
 
 

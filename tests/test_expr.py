@@ -369,6 +369,36 @@ class TestParseRender:
         with pytest.raises(ParseError):
             SP.parse("")
 
+    def test_flat_sum_canonicalized_once(self, monkeypatch):
+        # the terms are collected first, so one long sum costs one add
+        calls = []
+        add = ex.add
+
+        def counted(*args):
+            calls.append(len(args))
+            return add(*args)
+
+        monkeypatch.setattr(ex, "add", counted)
+        counts = []
+        for n in (200, 400):
+            calls.clear()
+            e = SP.parse("u_xx + " + " + ".join(f"sin({k}*x)"
+                                                for k in range(1, n)))
+            assert len(e.terms) == n
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 2
+
+    def test_operand_order_does_not_change_the_form(self):
+        # one add/mul over all operands: no partial sum or product is
+        # canonicalized on its own, so no merge depends on where it happens
+        sums = ["sin(x)^2 + cos(x)^2 + sin(x)^2",
+                "sin(x)^2 + sin(x)^2 + cos(x)^2"]
+        assert SP.parse(sums[0]) == SP.parse(sums[1])
+        products = ["(x*y)^(1/2)*(x*y)^(1/2)/(x*y)^(1/2)",
+                    "(x*y)^(1/2)/(x*y)^(1/2)*(x*y)^(1/2)"]
+        assert SP.parse(products[0]) == SP.parse(products[1]) == \
+            SP.parse("(x*y)^(1/2)")
+
     def test_unary_minus(self):
         assert SP.parse("-u_x") == ex.mul(ex.Const(-1), UX)
 

@@ -8,7 +8,8 @@ import pytest
 from lieinv import expr as ex
 from lieinv import liealg
 from lieinv import numeric as nm
-from lieinv.errors import CatalogError, JacobiViolation
+from lieinv import putzer
+from lieinv.errors import CatalogError, JacobiViolation, VerificationFailed
 from lieinv.jet import JetSpace, VectorField
 
 CFG = nm.SamplerConfig()
@@ -102,9 +103,7 @@ class TestInvariantFields:
     def test_realization_gate(self, name):
         entry = liealg.catalog_lookup(name, {})
         xi, eta = entry.fields()
-        rep = liealg.verify_realization(xi, eta, entry.sc, CFG,
-                                        entry.param_map)
-        assert rep.passed, rep.failures()
+        liealg.verify_realization(xi, eta, entry.sc, CFG, entry.param_map)
 
     @pytest.mark.parametrize("name,params", [
         ("g3_4", {"h": F(-1, 3)}),
@@ -115,9 +114,7 @@ class TestInvariantFields:
     def test_realization_gate_parametrized(self, name, params):
         entry = liealg.catalog_lookup(name, params)
         xi, eta = entry.fields()
-        rep = liealg.verify_realization(xi, eta, entry.sc, CFG,
-                                        entry.param_map)
-        assert rep.passed, rep.failures()
+        liealg.verify_realization(xi, eta, entry.sc, CFG, entry.param_map)
 
     def test_fields_reduce_to_coordinate_frame_at_origin(self):
         entry = liealg.catalog_lookup("g3_7", {})
@@ -133,8 +130,7 @@ class TestInvariantFields:
         sc, _ = liealg.load_algebra(SO3_JSON)
         space = liealg.catalog_lookup("g3_7", {}).split_space()
         xi, eta = liealg.build_invariant_fields(sc, space)
-        rep = liealg.verify_realization(xi, eta, sc, CFG, {})
-        assert rep.passed, rep.failures()
+        liealg.verify_realization(xi, eta, sc, CFG, {})
 
     def test_broken_constants_fail_gate(self):
         # valid algebra, but frames deliberately mismatched: check the gate
@@ -143,8 +139,8 @@ class TestInvariantFields:
         other = liealg.catalog_lookup("2g1", {})
         xi, _ = entry.fields()
         _, eta = other.fields()
-        rep = liealg.verify_realization(xi, eta, entry.sc, CFG, {})
-        assert not rep.passed
+        with pytest.raises(VerificationFailed, match="realization gate"):
+            liealg.verify_realization(xi, eta, entry.sc, CFG, {})
 
     def test_non_finite_det_fails_gate(self):
         # the frames commute, but det = exp(710 + x + y) overflows to inf
@@ -152,6 +148,40 @@ class TestInvariantFields:
         xi = [VectorField.from_dict(space, {"x": "exp(355+x)"}),
               VectorField.from_dict(space, {"y": "exp(355+y)"})]
         sc = liealg.StructureConstants.from_dict(2, {})
-        rep = liealg.verify_realization(xi, xi, sc, CFG, {})
-        assert all(ok for _, ok in rep.pairs)
-        assert rep.det_nonzero is False
+        with pytest.raises(VerificationFailed) as exc:
+            liealg.verify_realization(xi, xi, sc, CFG, {})
+        # only the determinant fails: no bracket is listed
+        assert str(exc.value).endswith("['det']")
+        assert "[xi" not in str(exc.value) and "[eta" not in str(exc.value)
+
+    def test_one_exponential_per_generator(self, monkeypatch):
+        calls = []
+        exp = putzer.exp_matrix_expr
+
+        def counted(*args):
+            calls.append(args)
+            return exp(*args)
+
+        monkeypatch.setattr(putzer, "exp_matrix_expr", counted)
+        entry = liealg.catalog_lookup("g3_6", {})
+        entry.fields()
+        assert 0 < len(calls) <= 3
+
+    @pytest.mark.parametrize("name,params", [
+        (name, params) for name in liealg.CATALOG_NAMES
+        for params in ([{"h": F(1, 2)}, {"h": F(-1)}, {"h": F(-1, 3)}]
+                       if name == "g3_4" else
+                       [{"p": F(0)}, {"p": F(1)}, {"p": F(5, 2)}, {"p": F(3)}]
+                       if name == "g3_5" else [{}])
+    ])
+    def test_inverse_exponential_is_negated_coordinate(self, name, params):
+        # exp(-z ad_k) by Putzer equals exp(z ad_k) at z -> -z, structurally
+        entry = liealg.catalog_lookup(name, params)
+        z = ex.Sym(entry.split_space().base(entry.split_coords[0]))
+        for k in range(1, entry.dim + 1):
+            ad = entry.sc.ad(k)
+            flipped = [[ex.substitute(v, {z.symbol: ex.mul(ex.Const(-1), z)})
+                        for v in row] for row in putzer.exp_matrix_expr(ad, z)]
+            direct = putzer.exp_matrix_expr([[-v for v in row] for row in ad],
+                                            z)
+            assert flipped == direct, (name, params, k)
