@@ -675,9 +675,19 @@ def _walk(e: Expr):
             stack.extend(x.args)
 
 
+def applications(e: Expr) -> list:
+    """The distinct arbitrary-function applications in e, in sort order.
+
+    Of structurally equal applications the first one met is kept, so its
+    argument nodes (and the evaluators compiled on them) are e's own.
+    """
+    found = {x for x in _walk(e) if isinstance(x, Applied)}
+    return sorted(found, key=Expr.sort_key)
+
+
 def applied_heads(e: Expr) -> set:
     """Names of all arbitrary-function heads occurring in e."""
-    return {x.head for x in _walk(e) if isinstance(x, Applied)}
+    return {x.head for x in applications(e)}
 
 
 def expand(e: Expr) -> Expr:

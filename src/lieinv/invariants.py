@@ -263,10 +263,12 @@ def type1_pipeline(entry: liealg.AlgebraCatalogEntry, m: int = 1,
     _verify_annihilation(real.generators, invariants, cfg, params)
     _check_rank(invariants, space, n, cfg, params)
 
+    # the slots take the invariants' own nodes, whose evaluators the checks
+    # above compiled
+    node = dict(invariants)
     template = _template(
         space,
-        [("u", ex.Sym(space.jet()))] + first
-        + [(mu, ex.Sym(space.base(mu))) for mu in ys],
+        [("u", node["u"])] + first + [(mu, node[mu]) for mu in ys],
         second,
     )
     return InvariantSet(entry.name, entry.params, "free", space,

@@ -1,6 +1,9 @@
 """Verification suite: fixture self-tests, reports, negative controls."""
 
+import dataclasses
+import functools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,13 +12,21 @@ from lieinv import expr as ex
 from lieinv import fixtures as fx
 from lieinv import liealg
 from lieinv import numeric as nm
-from lieinv.invariants import realize_free, realize_transitive
+from lieinv import verify
+from lieinv.invariants import (
+    instantiate_template,
+    realize_free,
+    realize_transitive,
+    type1_pipeline,
+    type2_pipeline,
+)
 from lieinv.jet import ProlongedField
 from lieinv.verify import (
     TABLE_ROWS,
     annihilation_check,
     perturbed_variants,
     run_fixture_suite,
+    template_spot_check,
 )
 
 CFG = nm.SamplerConfig()
@@ -125,6 +136,189 @@ class TestNegativeControls:
         _, e = fixture.parsed()[0]  # u_x, a single term
         for variant in perturbed_variants(e, fixture.space()):
             assert not annihilation_check(gens, variant, CFG)
+
+
+ROWS = [(table,) + row for table, rows in TABLE_ROWS.items() for row in rows]
+ROW_IDS = [f"{i}-{t}-{a}-{p}" + ("" if m is None else f"-m{m}")
+           + "".join(f"-{k}={v}" for k, v in params.items())
+           for i, (t, a, p, m, params) in enumerate(ROWS)]
+
+
+@functools.lru_cache(maxsize=None)
+def _derived(index):
+    """(param map, InvariantSet, fixture expressions) of table row `index`."""
+    _, algebra, pipeline, m, params = ROWS[index]
+    entry = liealg.catalog_lookup(algebra, params)
+    if pipeline == "free":
+        return (entry.param_map, type1_pipeline(entry, m, CFG),
+                fx.free_fixture(algebra, m).exprs())
+    return (entry.param_map, type2_pipeline(entry, CFG),
+            fx.transitive_fixture(algebra).exprs())
+
+
+def _moved_coordinate(inv):
+    """The first base coordinate that some generator moves."""
+    space = inv.space
+    for c in space.coords:
+        if any(f.coefficients.get(space.base(c), ex.ZERO) != ex.ZERO
+               for f in inv.generators):
+            return ex.Sym(space.base(c))
+    raise AssertionError("no generator moves a base coordinate")
+
+
+class TestRowControls:
+    """Mutants that are non-invariant by construction, on every table row."""
+
+    @pytest.mark.parametrize("index", range(len(ROWS)), ids=ROW_IDS)
+    def test_template_mutants_rejected(self, index):
+        pmap, inv, _ = _derived(index)
+        t = inv.template
+        x = ex.Sym(t.space.base(t.space.coords[0]))
+        slot = next(a for a in ex.applications(t.lhs) if a.head == t.heads[0])
+        shift = ex.mul(ex.Const(Fraction(1, 10)), x)
+        for extra in (shift, ex.mul(shift, slot)):
+            mutant = dataclasses.replace(t, lhs=ex.add(t.lhs, extra))
+            assert not template_spot_check(mutant, inv.generators, CFG, pmap), \
+                ex.render(extra)
+
+    @pytest.mark.parametrize("index", range(len(ROWS)), ids=ROW_IDS)
+    def test_equivalence_mutants_rejected(self, index):
+        pmap, inv, fixture = _derived(index)
+        generated = inv.exprs()
+        drop = index % len(generated)
+        dropped = generated[:drop] + generated[drop + 1:]
+        assert not nm.equivalence_check(dropped, fixture, CFG, pmap)
+        grown = generated + [_moved_coordinate(inv)]
+        assert not nm.equivalence_check(grown, fixture, CFG, pmap)
+
+
+class TestTemplateFastPath:
+    @pytest.mark.parametrize("index", [
+        ROWS.index(("2d-free", "g2", "free", 2, {})),
+        ROWS.index(("3d-transitive", "g3_7", "transitive", None, {}))])
+    def test_sound_template_compiles_once(self, monkeypatch, index):
+        # one gradient for the lhs with its slots as leaves; the arguments'
+        # and the coefficients' evaluators are the pipeline's own
+        pmap, inv, _ = _derived(index)
+        instantiated, with_wrt = [], []
+        codegen = ex._codegen
+
+        def counted(e, magnitude, wrt=None):
+            if wrt is not None:
+                with_wrt.append(e)
+            return codegen(e, magnitude, wrt)
+
+        monkeypatch.setattr(ex, "_codegen", counted)
+        monkeypatch.setattr(verify, "instantiate_template",
+                            lambda *a: instantiated.append(a))
+        t = inv.template
+        assert template_spot_check(t, inv.generators, CFG, pmap)
+        assert instantiated == []
+        assert len(with_wrt) == 1
+        assert ex.applied_heads(with_wrt[0]) == set()
+        assert len(with_wrt[0].free_symbols() - t.lhs.free_symbols()) == \
+            len(t.heads)
+
+    def test_mutant_rejected_through_the_fallback(self, monkeypatch):
+        pmap, inv, _ = _derived(
+            ROWS.index(("3d-transitive", "g3_7", "transitive", None, {})))
+        t = inv.template
+        x = ex.Sym(t.space.base(t.space.coords[0]))
+        slot = ex.applications(t.lhs)[0]
+        mutant = dataclasses.replace(t, lhs=ex.add(
+            t.lhs, ex.mul(ex.Const(Fraction(1, 10)), x, slot)))
+        screen_points, bindings, verdicts = [], [], []
+        sample = nm.sample_points
+
+        def recording_sample(*args):
+            pts = sample(*args)
+            if not bindings:  # drawn by the float screen
+                screen_points.extend(pts)
+            return pts
+
+        def recording_instantiate(template, binding):
+            bindings.append(binding)
+            return instantiate_template(template, binding)
+
+        def recording_check(*args):
+            verdicts.append(annihilation_check(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(nm, "sample_points", recording_sample)
+        monkeypatch.setattr(verify, "instantiate_template",
+                            recording_instantiate)
+        monkeypatch.setattr(verify, "annihilation_check", recording_check)
+        assert not template_spot_check(mutant, inv.generators, CFG, pmap)
+        monkeypatch.undo()
+        assert bindings and verdicts[-1] is False
+        assert len(verdicts) == len(bindings)
+        for binding in bindings:
+            # today's float residual of the instantiated template
+            e = instantiate_template(mutant, binding)
+            wrt, grad = ex.compile_gradient(e)
+            worst = 0.0
+            for pt in screen_points:
+                g = grad(pt)
+                for f in inv.generators:
+                    worst = max(worst, abs(sum(
+                        ex.compile_numeric(f.coefficients[s])(pt) * g[i]
+                        for i, s in enumerate(wrt, start=1))))
+            assert worst > CFG.tol
+
+
+    def test_slot_of_a_moved_coordinate_rejected(self):
+        # b(x) is not invariant through its argument alone: only the chain
+        # term sees it
+        pmap, inv, _ = _derived(
+            ROWS.index(("3d-transitive", "g3_7", "transitive", None, {})))
+        space = inv.space
+        x = ex.Sym(space.base(space.coords[0]))
+        t = verify.PDETemplate(space, ex.add(inv.exprs()[-1],
+                                             ex.applied("b", [x])),
+                               ("b",), ("x",))
+        assert not template_spot_check(t, inv.generators, CFG, pmap)
+
+
+class TestSlotBindings:
+    I = [ex.Symbol(f"I{j}") for j in range(1, 6)]
+
+    @staticmethod
+    def _draws(count=20, heads=("a1", "a2", "b")):
+        rng = random.Random(verify.TEMPLATE_SEED)
+        return [verify._draw_bindings(heads, rng) for _ in range(count)]
+
+    def test_drawn_from_the_template_stream(self):
+        rng = random.Random(verify.TEMPLATE_SEED)
+        for draw in self._draws():
+            for head in ("a1", "a2", "b"):
+                consts = tuple(rng.randint(-3, 3) for _ in range(4))
+                assert draw[head] == verify.SlotBinding(
+                    consts, rng.randrange(4) == 0)
+
+    @pytest.mark.parametrize("arity", [1, 2, 5])
+    def test_float_form_matches_the_symbolic_form(self, arity):
+        # dyadic points keep every sum exact, so the value is bit-identical
+        # whatever order the canonical form adds its terms in
+        args = [ex.Sym(s) for s in self.I[:arity]]
+        rng = random.Random(5)
+        points = [[rng.randint(-16, 16) / 8 for _ in args] for _ in range(4)]
+        points += [[rng.uniform(-1, 1) for _ in args] for _ in range(4)]
+        bindings = [b for draw in self._draws() for b in draw.values()]
+        assert {b.sq for b in bindings} == {True, False}
+        for b in bindings:
+            e = b(*args)
+            for k, values in enumerate(points):
+                pt = dict(zip((s.name for s in self.I), values))
+                value, partials = b.at(values[:verify.SLOT_ARGS_READ])
+                expected = ex.eval_numeric(e, pt)
+                if k < 4:
+                    assert value == expected, (b, values)
+                else:
+                    assert abs(value - expected) <= 1e-12
+                assert len(partials) == min(arity, verify.SLOT_ARGS_READ)
+                partials += [0] * (arity - len(partials))
+                for s, p in zip(self.I, partials):
+                    assert abs(p - ex.eval_numeric(ex.diff(e, s), pt)) <= 1e-12
 
 
 class TestReport:
