@@ -42,9 +42,6 @@ class JetSpace:
     def base(self, name: str) -> ex.Symbol:
         return self._base[name]
 
-    def param(self, name: str) -> ex.Symbol:
-        return self._params[name]
-
     def jet(self, *index: str) -> ex.Symbol:
         for c in index:
             if c not in self._base:

@@ -49,9 +49,6 @@ class SamplerConfig:
         if not 0 < self.tol <= MAX_TOL:
             raise ValueError(f"tol must lie in (0, {MAX_TOL}], got {self.tol}")
 
-    def with_seed(self, seed: Optional[int]) -> "SamplerConfig":
-        return self if seed is None else replace(self, seed=seed)
-
 
 def _draw(rng: random.Random, sym: ex.Symbol, denom: bool,
           params: Mapping) -> float:

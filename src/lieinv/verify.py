@@ -9,12 +9,10 @@ constants alone and holds the result against the transcribed fixtures:
     the pipeline itself;
   * equivalence - functional_rank(generated) = rank(fixture) =
     rank(generated + fixture);
-  * template soundness - random polynomial instantiations of the
-    arbitrary-function slots are annihilated.  The slots become leaves of
-    one compiled gradient per template, and the chain rule through the
-    invariants' own gradients gives every binding's float residual; a
-    binding over tol at some point is decided by annihilation_check on the
-    symbolically instantiated template.
+  * template soundness - the template is annihilated for every choice of
+    its arbitrary-function slots: the lhs with each slot application
+    replaced by a free leaf, and every argument of a slot it depends on,
+    each pass annihilation_check (template_spot_check gives the proof).
 
 Reports serialize deterministically (sorted keys) to JSON, CSV, and a plain
 text table; overall exit status is 0 iff every row passes.
@@ -23,7 +21,6 @@ text table; overall exit status is 0 iff every row passes.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence
@@ -35,17 +32,10 @@ from . import numeric as nm
 from .errors import LieInvError
 from .invariants import (
     PDETemplate,
-    instantiate_template,
     type1_pipeline,
     type2_pipeline,
 )
 from .jet import JetSpace, ProlongedField
-
-# random instantiations of the arbitrary-function slots per template check
-TEMPLATE_DRAWS = 5
-TEMPLATE_SEED = 1
-# a drawn slot binding reads only its slot's first SLOT_ARGS_READ arguments
-SLOT_ARGS_READ = 3
 
 
 def annihilation_check(fields: Sequence[ProlongedField], e: ex.Expr,
@@ -81,156 +71,32 @@ def perturbed_variants(e: ex.Expr, space: JetSpace, count: int = 3) -> List[ex.E
     return out
 
 
-@dataclass(frozen=True)
-class SlotBinding:
-    """A random choice a(I) = c0 + c1 I_1 + c2 I_2 + c3 I_3 (+ I_1^2) for a slot.
+def template_spot_check(template: PDETemplate,
+                        fields: Sequence[ProlongedField],
+                        cfg: nm.SamplerConfig,
+                        params: Optional[Mapping]) -> bool:
+    """True iff the fields annihilate the template for every choice of slots.
 
-    Only the first SLOT_ARGS_READ arguments get a coefficient, and sq adds
-    the square of the first.  Called on expressions it builds the symbolic
-    a(args); at(values) gives the float a(I) and its partials from the same
-    record.
-    """
+    Write L for the lhs with each slot application a_k(I) replaced by a
+    free leaf A_k.  A prolonged field X has no zeroth-order part, so the
+    chain rule gives
 
-    consts: tuple  # c0, then one coefficient per argument read
-    sq: bool
+        X lhs = (X L)|_{A=a(I)} + sum_k dL/dA_k * sum_j da_k/dI_j * X I_j.
 
-    def __call__(self, *args: ex.Expr) -> ex.Expr:
-        total = ex.Const(self.consts[0])
-        for coeff, a in zip(self.consts[1:], args):
-            total = ex.add(total, ex.mul(ex.Const(coeff), a))
-        if self.sq and args:
-            total = ex.add(total, ex.pow_(args[0], 2))
-        return total
-
-    def at(self, values: Sequence[float]) -> tuple:
-        """(a(I), [da/dI_j]) at I = values, the first SLOT_ARGS_READ of them."""
-        value = self.consts[0]
-        partials = list(self.consts[1:len(values) + 1])
-        for coeff, x in zip(self.consts[1:], values):
-            value += coeff * x
-        if self.sq and values:
-            value += values[0] ** 2
-            partials[0] += 2 * values[0]
-        return value, partials
-
-
-def _draw_bindings(heads: Sequence[str], rng: random.Random
-                   ) -> Dict[str, SlotBinding]:
-    """One SlotBinding per head, drawn in head order from rng."""
-    return {head: SlotBinding(tuple(rng.randint(-3, 3)
-                                    for _ in range(SLOT_ARGS_READ + 1)),
-                              rng.randrange(4) == 0)
-            for head in heads}
-
-
-def _draws_over_tol(template: PDETemplate, fields: Sequence[ProlongedField],
-                    draws: Sequence[Mapping[str, SlotBinding]],
-                    cfg: nm.SamplerConfig,
-                    params: Optional[Mapping]) -> List[int]:
-    """Indices of the draws whose float residual X lhs exceeds tol somewhere.
-
-    Each slot application a(I) in the lhs becomes a leaf A, giving L, whose
-    gradient is compiled once.  With the slots bound, the chain rule gives
-
-        X lhs = X L + sum_A dL/dA * sum_j da/dI_j * X' I_j,
-
-    where X L holds every A fixed and X' is X without its zeroth-order
-    part.  I_j and dI_j/ds come from each argument's own compiled gradient
-    and the coefficients from compile_numeric, evaluated once per point for
-    all draws.  Points cover the symbols of L (not its leaves), of the
-    arguments read and of the coefficients used.
+    This vanishes for every choice of the slots iff X L = 0 with the leaves
+    free (take each a_k constant) and X I_j = 0 for every argument I_j of
+    every slot that L depends on (then take a_k = I_j).  Each of these is
+    one annihilation_check; the arguments are the lhs's own nodes.
     """
     apps = ex.applications(template.lhs)
     leaf = {x: ex.Symbol(f"{x.head}#{i}") for i, x in enumerate(apps)}
     lhs = ex.substitute_heads(template.lhs, {
         x.head: (lambda *args, _h=x.head: ex.Sym(leaf[ex.applied(_h, args)]))
         for x in apps})
-    read = {}  # argument node -> its index among the arguments read
-    slots = []  # (head, leaf name, its column in L's gradient, argument indices)
-    grads = [ex.compile_gradient(lhs)]
-    cols = [{s: i for i, s in enumerate(grads[0][0], start=1)}]
-    for x in apps:
-        if leaf[x] in cols[0]:
-            slots.append((x.head, leaf[x].name, cols[0][leaf[x]],
-                          [read.setdefault(a, len(read))
-                           for a in x.args[:SLOT_ARGS_READ]]))
-    grads += [ex.compile_gradient(a) for a in read]
-    cols += [{s: i for i, s in enumerate(wrt, start=1)} for wrt, _ in grads[1:]]
-    cols[0][None] = 0  # the zeroth-order part acts on lhs only
-    syms = set(lhs.free_symbols()) - set(leaf.values())
-    denoms = set(ex.denominator_symbols(lhs))
-    for a in read:
-        syms |= a.free_symbols()
-        denoms |= ex.denominator_symbols(a)
-    ops = []  # per field: (coefficients, per gradient [(coefficient, column)])
-    for f in fields:
-        coeffs, rows = [], [[] for _ in grads]
-        for s, c in f.coefficients.items():
-            uses = [(row, col[s]) for row, col in zip(rows, cols) if s in col]
-            if uses and c != ex.ZERO:
-                for row, i in uses:
-                    row.append((len(coeffs), i))
-                coeffs.append(ex.compile_numeric(c))
-                syms |= c.free_symbols()
-                denoms |= ex.denominator_symbols(c)
-        ops.append((coeffs, rows))
-    over = set()
-
-    def dot(cv, row, g):
-        r = 0.0
-        for i, col in row:
-            r += cv[i] * g[col]
-        return r
-
-    def visit(pt):
-        values = [g(pt) for _, g in grads[1:]]
-        sweeps = []  # per field: (coefficient values, L's row, [X' I_j])
-        for coeffs, rows in ops:
-            cv = [c(pt) for c in coeffs]
-            sweeps.append((cv, rows[0], [dot(cv, row, v)
-                                         for row, v in zip(rows[1:], values)]))
-        for d, draw in enumerate(draws):
-            if d in over:
-                continue
-            chain = []  # (column of dL/dA, [da/dI_j], [j])
-            for head, name, col, js in slots:
-                pt[name], partials = draw[head].at([values[j][0] for j in js])
-                chain.append((col, partials, js))
-            g = grads[0][1](pt)
-            for cv, row, xi in sweeps:
-                r = dot(cv, row, g)
-                for col, partials, js in chain:
-                    for p, j in zip(partials, js):
-                        r += g[col] * p * xi[j]
-                if abs(r) > cfg.tol:
-                    over.add(d)
-                    break
-        return True if len(over) == len(draws) else None
-
-    nm.at_regular_points(frozenset(syms), cfg, frozenset(denoms), params,
-                         visit)
-    return sorted(over)
-
-
-def template_spot_check(template: PDETemplate,
-                        fields: Sequence[ProlongedField],
-                        cfg: nm.SamplerConfig,
-                        params: Optional[Mapping]) -> bool:
-    """True iff TEMPLATE_DRAWS random polynomial slot bindings are annihilated.
-
-    The bindings are drawn as data from random.Random(TEMPLATE_SEED), and
-    screened by their float residuals (_draws_over_tol) without building
-    anything per binding.  A binding whose residual exceeds tol at some
-    point is decided by annihilation_check on the symbolically instantiated
-    template, so every rejection is that check's.
-    """
-    rng = random.Random(TEMPLATE_SEED)
-    draws = [_draw_bindings(template.heads, rng)
-             for _ in range(TEMPLATE_DRAWS)]
-    return all(
-        annihilation_check(fields, instantiate_template(template, draws[d]),
-                           cfg, params)
-        for d in _draws_over_tol(template, fields, draws, cfg, params))
+    used = lhs.free_symbols()
+    args = {a: None for x in apps if leaf[x] in used for a in x.args}
+    return all(annihilation_check(fields, e, cfg, params)
+               for e in [lhs, *args])
 
 
 # ---------------------------------------------------------------------------

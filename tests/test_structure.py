@@ -6,7 +6,9 @@ and what counts as a singular point is decided only by the evaluator that
 routine applies a prolonged field.  The covariant-form contract is checked
 only where a `CovariantPDE` is made.  Only the kernel and the jet layer
 differentiate symbolically: every other first-order operator check goes
-through the annihilation routine.  These tests keep it that way.
+through the annihilation routine.  Only the numeric checks, the covariant
+degree fit and the realization gate loop over points, so the verification
+suite has no oracle loop of its own.  These tests keep it that way.
 """
 
 import ast
@@ -52,6 +54,23 @@ def test_only_the_sampling_loop_draws_points():
     callers = {(module, scope) for module, scope, call in _nodes(ast.Call)
                if "sample_points" in _names(call.func)}
     assert callers == {("numeric", "at_regular_points")}
+
+
+def test_only_the_oracle_checks_loop_over_points():
+    callers = {(module, scope) for module, scope, call in _nodes(ast.Call)
+               if "at_regular_points" in _names(call.func)}
+    assert callers == {("numeric", "is_zero"),
+                       ("numeric", "first_non_annihilating"),
+                       ("numeric", "functional_rank"),
+                       ("covariant", "homogeneity_degree"),
+                       ("liealg", "verify_realization")}
+    # called, or handed to map(): every use of the compiled gradient
+    users = {(module, scope)
+             for module, scope, n in _nodes((ast.Name, ast.Attribute))
+             if module != "expr" and "compile_gradient" in _names(n)}
+    assert users == {("numeric", "first_non_annihilating"),
+                     ("numeric", "functional_rank"),
+                     ("covariant", "homogeneity_degree")}
 
 
 def test_only_a_covariant_form_checks_its_contract():

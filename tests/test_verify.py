@@ -3,7 +3,6 @@
 import dataclasses
 import functools
 import json
-import random
 from fractions import Fraction
 
 import pytest
@@ -12,9 +11,9 @@ from lieinv import expr as ex
 from lieinv import fixtures as fx
 from lieinv import liealg
 from lieinv import numeric as nm
+from lieinv import invariants
 from lieinv import verify
 from lieinv.invariants import (
-    instantiate_template,
     realize_free,
     realize_transitive,
     type1_pipeline,
@@ -209,7 +208,7 @@ class TestTemplateFastPath:
             return codegen(e, magnitude, wrt)
 
         monkeypatch.setattr(ex, "_codegen", counted)
-        monkeypatch.setattr(verify, "instantiate_template",
+        monkeypatch.setattr(invariants, "instantiate_template",
                             lambda *a: instantiated.append(a))
         t = inv.template
         assert template_spot_check(t, inv.generators, CFG, pmap)
@@ -219,7 +218,7 @@ class TestTemplateFastPath:
         assert len(with_wrt[0].free_symbols() - t.lhs.free_symbols()) == \
             len(t.heads)
 
-    def test_mutant_rejected_through_the_fallback(self, monkeypatch):
+    def test_mutant_rejected_on_the_leaf_form(self, monkeypatch):
         pmap, inv, _ = _derived(
             ROWS.index(("3d-transitive", "g3_7", "transitive", None, {})))
         t = inv.template
@@ -227,48 +226,23 @@ class TestTemplateFastPath:
         slot = ex.applications(t.lhs)[0]
         mutant = dataclasses.replace(t, lhs=ex.add(
             t.lhs, ex.mul(ex.Const(Fraction(1, 10)), x, slot)))
-        screen_points, bindings, verdicts = [], [], []
-        sample = nm.sample_points
+        checked = []
 
-        def recording_sample(*args):
-            pts = sample(*args)
-            if not bindings:  # drawn by the float screen
-                screen_points.extend(pts)
-            return pts
+        def recording_check(fields, e, *args):
+            checked.append((e, annihilation_check(fields, e, *args)))
+            return checked[-1][1]
 
-        def recording_instantiate(template, binding):
-            bindings.append(binding)
-            return instantiate_template(template, binding)
-
-        def recording_check(*args):
-            verdicts.append(annihilation_check(*args))
-            return verdicts[-1]
-
-        monkeypatch.setattr(nm, "sample_points", recording_sample)
-        monkeypatch.setattr(verify, "instantiate_template",
-                            recording_instantiate)
         monkeypatch.setattr(verify, "annihilation_check", recording_check)
         assert not template_spot_check(mutant, inv.generators, CFG, pmap)
-        monkeypatch.undo()
-        assert bindings and verdicts[-1] is False
-        assert len(verdicts) == len(bindings)
-        for binding in bindings:
-            # today's float residual of the instantiated template
-            e = instantiate_template(mutant, binding)
-            wrt, grad = ex.compile_gradient(e)
-            worst = 0.0
-            for pt in screen_points:
-                g = grad(pt)
-                for f in inv.generators:
-                    worst = max(worst, abs(sum(
-                        ex.compile_numeric(f.coefficients[s])(pt) * g[i]
-                        for i, s in enumerate(wrt, start=1))))
-            assert worst > CFG.tol
-
+        leaf_form, verdict = checked[0]
+        assert ex.applications(leaf_form) == []
+        assert len(leaf_form.free_symbols() - mutant.lhs.free_symbols()) == \
+            len(t.heads)
+        assert verdict is False
 
     def test_slot_of_a_moved_coordinate_rejected(self):
-        # b(x) is not invariant through its argument alone: only the chain
-        # term sees it
+        # b(x) is not invariant through its argument alone: only the check
+        # of the slot's arguments sees it
         pmap, inv, _ = _derived(
             ROWS.index(("3d-transitive", "g3_7", "transitive", None, {})))
         space = inv.space
@@ -278,47 +252,22 @@ class TestTemplateFastPath:
                                ("b",), ("x",))
         assert not template_spot_check(t, inv.generators, CFG, pmap)
 
-
-class TestSlotBindings:
-    I = [ex.Symbol(f"I{j}") for j in range(1, 6)]
-
-    @staticmethod
-    def _draws(count=20, heads=("a1", "a2", "b")):
-        rng = random.Random(verify.TEMPLATE_SEED)
-        return [verify._draw_bindings(heads, rng) for _ in range(count)]
-
-    def test_drawn_from_the_template_stream(self):
-        rng = random.Random(verify.TEMPLATE_SEED)
-        for draw in self._draws():
-            for head in ("a1", "a2", "b"):
-                consts = tuple(rng.randint(-3, 3) for _ in range(4))
-                assert draw[head] == verify.SlotBinding(
-                    consts, rng.randrange(4) == 0)
-
-    @pytest.mark.parametrize("arity", [1, 2, 5])
-    def test_float_form_matches_the_symbolic_form(self, arity):
-        # dyadic points keep every sum exact, so the value is bit-identical
-        # whatever order the canonical form adds its terms in
-        args = [ex.Sym(s) for s in self.I[:arity]]
-        rng = random.Random(5)
-        points = [[rng.randint(-16, 16) / 8 for _ in args] for _ in range(4)]
-        points += [[rng.uniform(-1, 1) for _ in args] for _ in range(4)]
-        bindings = [b for draw in self._draws() for b in draw.values()]
-        assert {b.sq for b in bindings} == {True, False}
-        for b in bindings:
-            e = b(*args)
-            for k, values in enumerate(points):
-                pt = dict(zip((s.name for s in self.I), values))
-                value, partials = b.at(values[:verify.SLOT_ARGS_READ])
-                expected = ex.eval_numeric(e, pt)
-                if k < 4:
-                    assert value == expected, (b, values)
-                else:
-                    assert abs(value - expected) <= 1e-12
-                assert len(partials) == min(arity, verify.SLOT_ARGS_READ)
-                partials += [0] * (arity - len(partials))
-                for s, p in zip(self.I, partials):
-                    assert abs(p - ex.eval_numeric(ex.diff(e, s), pt)) <= 1e-12
+    def test_every_slot_argument_checked(self):
+        # a moved coordinate in any argument position of b(...), past the
+        # third included, makes the template unsound
+        pmap, inv, _ = _derived(
+            ROWS.index(("3d-free", "g3_7", "free", 2, {})))
+        t = inv.template
+        x = ex.Sym(t.space.base(t.space.coords[0]))
+        b = next(a for a in ex.applications(t.lhs) if a.head == "b")
+        assert len(b.args) > 3
+        for p in range(len(b.args)):
+            args = b.args[:p] + (x,) + b.args[p + 1:]
+            lhs = ex.substitute_heads(t.lhs, {
+                "b": lambda *_, _a=args: ex.applied("b", _a)})
+            mutant = dataclasses.replace(t, lhs=lhs)
+            assert not template_spot_check(mutant, inv.generators, CFG,
+                                           pmap), p
 
 
 class TestReport:
