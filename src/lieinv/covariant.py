@@ -11,9 +11,12 @@ followed by clearing the power of w_n from the denominators.  The contract
 of the covariant form is that E~ is homogeneous of some integer degree k in
 the w-derivatives, D E~ = k E~ for the Euler operator D, and is annihilated
 by the rescaling fields R_j = sum_i (1 + delta_ij) w_i d/dw_ij.  D - k and
-the R_j are first-order operators (euler_operator, rescale_operators), so
-CovariantPDE checks both with numeric.first_non_annihilating when it is
-made, on one compiled gradient of E~ that also serves the fit of k.  Every
+the R_j are first-order operators (euler_operator, rescale_operators).
+CovariantPDE fits k when it is made, then checks the contract in one pass
+over D - k and every R_j (one numeric.first_non_annihilating call) on one
+compiled gradient of E~ that also serves the fit.  The same pass at k = 0
+decides, for the transitive pipeline, that the rescale invariants J~ taken
+on the frame derivatives are free of the residual w-jets.  Every
 covariant form passed its check once; from_covariant then restores the
 split form on the normalized section w_n = 1, w_a = -u_a, w_an = 0,
 w_nn = 0 (so w_ab = -u_ab).
@@ -55,9 +58,9 @@ class CovariantPDE:
 
     dep_coord names the z-coordinate that was the dependent variable of the
     split form.  Construction fits degree, the homogeneity degree of lhs in
-    the w-derivatives, and then checks that every R_j annihilates lhs, both
-    with the oracle under cfg and params; it raises NotHomogeneous or
-    NotRescaleInvariant otherwise.
+    the w-derivatives, and then checks in one pass that D - degree and
+    every R_j annihilate lhs, both with the oracle under cfg and params; it
+    raises NotHomogeneous or NotRescaleInvariant otherwise.
     """
 
     space: JetSpace
@@ -70,7 +73,8 @@ class CovariantPDE:
     def __post_init__(self, cfg, params):
         object.__setattr__(self, "degree", homogeneity_degree(
             self.lhs, self.space, cfg, params))
-        rescale_invariance_check(self.lhs, self.space, cfg, params)
+        rescale_invariance_check(self.lhs, self.space, cfg, params,
+                                 degree=self.degree)
 
     def __str__(self):
         return f"{ex.render(self.lhs)} = 0,  {self.space.dep} = 0"
@@ -201,12 +205,12 @@ def rescale_operators(wspace: JetSpace) -> List[FirstOrderOperator]:
 def homogeneity_degree(e: ex.Expr, wspace: JetSpace,
                        cfg: nm.SamplerConfig = nm.SamplerConfig(),
                        params: Optional[dict] = None) -> int:
-    """Degree k with D e = k e, fitted numerically and then confirmed.
+    """Degree k with D e = k e, fitted numerically.
 
     The ratio D e / e is fitted from e's compiled gradient at
     DEGREE_FIT_POINTS regular points; a point where e vanishes is singular
-    for the ratio and is redrawn.  first_non_annihilating confirms that
-    D - k annihilates e.
+    for the ratio and is redrawn; ratios that disagree, or a non-integer
+    one, raise NotHomogeneous.  rescale_invariance_check confirms D e = k e.
     """
     wrt, grad = ex.compile_gradient(e)
     # D e = sum of s * de/ds over the w-derivatives s
@@ -237,19 +241,26 @@ def homogeneity_degree(e: ex.Expr, wspace: JetSpace,
     k = Fraction(fit).limit_denominator(1000)
     if k.denominator != 1:
         raise NotHomogeneous(f"non-integer homogeneity degree {k}")
-    if nm.first_non_annihilating([euler_operator(wspace, int(k))], e,
-                                 cfg, params) is not None:
-        raise NotHomogeneous(f"D e != {k} e")
     return int(k)
 
 
 def rescale_invariance_check(e: ex.Expr, wspace: JetSpace,
                              cfg: nm.SamplerConfig = nm.SamplerConfig(),
-                             params: Optional[dict] = None) -> None:
-    j = nm.first_non_annihilating(rescale_operators(wspace), e, cfg, params)
-    if j is not None:
+                             params: Optional[dict] = None, *,
+                             degree: int) -> None:
+    """The covariant-form contract: D - degree and every R_j annihilate e.
+
+    One first_non_annihilating pass; the operator that fails at the
+    earliest point raises NotHomogeneous (D) or NotRescaleInvariant (R_j).
+    """
+    ops = [euler_operator(wspace, degree)] + rescale_operators(wspace)
+    k = nm.first_non_annihilating(ops, e, cfg, params)
+    if k == 0:
+        raise NotHomogeneous(
+            f"D - {degree} does not annihilate the equation")
+    if k is not None:
         raise NotRescaleInvariant(
-            f"R_{wspace.coords[j]} does not annihilate the equation")
+            f"R_{wspace.coords[k - 1]} does not annihilate the equation")
 
 
 def J_invariants(wspace: JetSpace, dep_coord: str

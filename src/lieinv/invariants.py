@@ -11,19 +11,15 @@ their symmetrizations.
 
 Simply transitive actions (pipeline "transitive"): all n = dim coordinates
 z = (x, u) are moved; the construction passes through the covariant scalar
-w(z).  With w_(i) = eta_i(w) and w_(ij) the symmetrized second frame
-derivatives, the combinations
-
-    I_(i) = w_(i) / w_(d),
-    I_(ij) = (w_(i)^2 w_(jj) - 2 w_(i) w_(j) w_(ij) + w_(j)^2 w_(ii)) / w_(d)^3
-
-(d = frame index of the dependent coordinate) are functions of the split
+w(z).  The invariants are the rescale invariants J~ of covariant.J_invariants
+taken on the frame derivatives: w_i -> w_(i) = eta_i(w) and w_ij -> w_(ij),
+the symmetrized second frame derivatives.  These are functions of the split
 jet variables alone on w = 0: they do not depend on the residual w-jets
 {w_u, w_au, w_uu}, the coordinates along the gauge w -> phi*w.  That holds
-exactly when they have degree 0 under the Euler operator D and are
-annihilated by the rescalings R_j, which is verified numerically
-(ResidualDependence otherwise) before each is put on the normalized
-section w_u = 1, w_au = 0, w_uu = 0, w_a = -u_a, w_ab = -u_ab.
+exactly when they pass the covariant-form contract at degree 0, one pass
+over D and every R_j (ResidualDependence otherwise), before each is put on
+the normalized section w_u = 1, w_au = 0, w_uu = 0, w_a = -u_a,
+w_ab = -u_ab.
 
 Invariant quasi-linear templates fix the first second-order slot to 1 and
 fill the rest with opaque function heads a1, a2, ... , b applied to the
@@ -40,7 +36,12 @@ from . import covariant
 from . import expr as ex
 from . import liealg
 from . import numeric as nm
-from .errors import ResidualDependence, VerificationFailed
+from .errors import (
+    NotHomogeneous,
+    NotRescaleInvariant,
+    ResidualDependence,
+    VerificationFailed,
+)
 from .jet import (
     JetSpace,
     ProlongedField,
@@ -127,9 +128,7 @@ def _check_rank(invariants: Sequence[Tuple[str, ex.Expr]],
         raise VerificationFailed(
             f"expected {expected} invariants (jet dim {jet_dim} minus orbit "
             f"dim {orbit_dim}), produced {len(exprs)}")
-    variables = [space.base(c) for c in space.coords] + \
-                [s for s in space.jet_symbols(2)]
-    rank = nm.functional_rank(exprs, cfg, params, variables=variables)
+    rank = nm.functional_rank(exprs, cfg, params)
     if rank != expected:
         raise VerificationFailed(
             f"invariant family has rank {rank}, expected {expected}")
@@ -288,16 +287,15 @@ def eliminate_w(e: ex.Expr, wspace: JetSpace, split: JetSpace, dep: str,
 
     e is free of the residual w-jets {w_n, w_an, w_nn}, the coordinates
     along the gauge w -> phi*w, exactly when D e = 0 and R_j e = 0 for
-    every j; ResidualDependence names the first operator that fails.
-    The lift to those coordinates followed by the section is the section.
+    every j: the covariant-form contract at degree 0.  A refusal is raised
+    as ResidualDependence naming the operator that fails.  The lift to
+    those coordinates followed by the section is the section.
     """
-    ops = [covariant.euler_operator(wspace)] + \
-        covariant.rescale_operators(wspace)
-    k = nm.first_non_annihilating(ops, e, cfg, params)
-    if k is not None:
-        op = "D" if k == 0 else f"R_{wspace.coords[k - 1]}"
+    try:
+        covariant.rescale_invariance_check(e, wspace, cfg, params, degree=0)
+    except (NotHomogeneous, NotRescaleInvariant) as err:
         raise ResidualDependence(f"{label or ex.render(e)} depends on the "
-                                 f"residual w-jets: {op} does not annihilate it")
+                                 f"residual w-jets: {err}") from err
     return ex.substitute(e, covariant.normalized_section(wspace, split))
 
 
@@ -311,31 +309,20 @@ def type2_pipeline(entry: liealg.AlgebraCatalogEntry,
     split, eta = real.space, real.eta
     wspace = eta[0].space
     dep = entry.dep
-    d = entry.dep_position()  # 1-based frame index of the dependent coordinate
     params = entry.param_map
 
-    w1 = [frame_first(f) for f in eta]
-    w2 = {}
-    for i in range(n):
-        for j in range(i, n):
-            w2[(i + 1, j + 1)] = symmetrized_frame_second(eta[i], eta[j])
-
-    wd = w1[d - 1]
-    I_first: List[Tuple[str, ex.Expr]] = []
-    for i in range(1, n + 1):
-        if i == d:
-            continue
-        I_first.append((f"v_{i}", ex.mul(w1[i - 1], ex.pow_(wd, -1))))
-    I_second: List[Tuple[str, ex.Expr]] = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            wi, wj = w1[i - 1], w1[j - 1]
-            num = ex.add(
-                ex.mul(ex.pow_(wi, 2), w2[(j, j)]),
-                ex.mul(ex.pow_(wj, 2), w2[(i, i)]),
-                ex.mul(ex.Const(-2), wi, wj, w2[(i, j)]),
-            )
-            I_second.append((f"v_{i}{j}", ex.mul(num, ex.pow_(wd, -3))))
+    # J~ on the frame derivatives, frame i paired with wspace.coords[i - 1]
+    coords = wspace.coords
+    frame = {wspace.jet(c): frame_first(f) for c, f in zip(coords, eta)}
+    frame.update({wspace.jet(coords[i], coords[j]):
+                  symmetrized_frame_second(eta[i], eta[j])
+                  for i in range(n) for j in range(i, n)})
+    index = {c: i for i, c in enumerate(coords, start=1)}
+    J1, J2 = covariant.J_invariants(wspace, dep)
+    I_first = [(f"v_{index[c]}", ex.substitute(J, frame))
+               for c, J in J1.items() if c != dep]
+    I_second = [(f"v_{index[a]}{index[b]}", ex.substitute(J, frame))
+                for (a, b), J in J2.items()]
 
     invariants = [(label, eliminate_w(e, wspace, split, dep, cfg, params,
                                       label))

@@ -327,8 +327,8 @@ class AlgebraCatalogEntry:
     """A named algebra with its standard splitting for the transitive pipeline.
 
     split_coords lists the names given to z^1..z^n ('x', 'y', 'u', ...);
-    dep is the dependent one among them (position = the frame index whose
-    derivative serves as the pipeline divisor).
+    dep is the dependent one among them, whose frame derivative serves as
+    the pipeline divisor.
     """
 
     name: str
@@ -345,9 +345,6 @@ class AlgebraCatalogEntry:
     def split_space(self, dep_name: str = "w") -> JetSpace:
         return JetSpace(self.split_coords, dep_name,
                         params=[p for p, _ in self.params])
-
-    def dep_position(self) -> int:
-        return self.split_coords.index(self.dep) + 1
 
     def fields(self, space: Optional[JetSpace] = None
                ) -> Tuple[List[VectorField], List[VectorField]]:

@@ -249,27 +249,21 @@ def _row_echelon_rank(matrix: list) -> int:
 
 
 def functional_rank(exprs: Sequence[ex.Expr], cfg: SamplerConfig = SamplerConfig(),
-                    params: Optional[Mapping] = None,
-                    variables: Optional[Sequence[ex.Symbol]] = None) -> int:
+                    params: Optional[Mapping] = None) -> int:
     """Generic rank of the Jacobian of the given functions.
 
     The Jacobian is exact: its rows come from each function's compiled
     gradient (expr.compile_gradient), with respect to the union of free
-    symbols (parameters excluded) or the given variables.  The result is
-    the maximum rank over the sampled regular points, which equals the
-    generic rank with probability one.  Sampling stops early once the rank
-    is full.
+    symbols, parameters excluded.  The result is the maximum rank over the
+    sampled regular points, which equals the generic rank with probability
+    one.  Sampling stops early once the rank is full.
     """
     exprs = list(exprs)
     if not exprs:
         return 0
     syms = frozenset().union(*[e.free_symbols() for e in exprs])
     denoms = frozenset().union(*[ex.denominator_symbols(e) for e in exprs])
-    if variables is not None:
-        var_order = [s.name for s in variables]
-        syms |= set(variables)
-    else:
-        var_order = sorted(s.name for s in syms if s.kind != ex.PARAM)
+    var_order = sorted(s.name for s in syms if s.kind != ex.PARAM)
     grads = [([s.name for s in wrt], grad)
              for wrt, grad in map(ex.compile_gradient, exprs)]
     full = min(len(exprs), len(var_order))

@@ -5,7 +5,7 @@ import pytest
 from lieinv import covariant as cov
 from lieinv import expr as ex
 from lieinv import numeric as nm
-from lieinv.errors import NotRescaleInvariant, ParseError
+from lieinv.errors import NotHomogeneous, NotRescaleInvariant, ParseError
 
 CFG = nm.SamplerConfig()
 
@@ -73,7 +73,7 @@ class TestToCovariant:
     def test_battery_rescale_invariant(self, text):
         pde = parse(text)
         c = cov.to_covariant(pde, CFG)  # raises if not homogeneous/invariant
-        cov.rescale_invariance_check(c.lhs, c.space, CFG)
+        cov.rescale_invariance_check(c.lhs, c.space, CFG, degree=c.degree)
 
     @pytest.mark.parametrize("text", PDE_BATTERY)
     def test_battery_round_trip(self, text):
@@ -112,6 +112,20 @@ class TestCovariantPDE:
         cov.from_covariant(c, CFG)
         assert calls == {"homogeneity_degree": 1, "rescale_invariance_check": 1}
 
+    def test_contract_checked_in_one_pass(self, monkeypatch):
+        # D - k and every R_j go through one annihilation call
+        calls = []
+        first_non_annihilating = nm.first_non_annihilating
+
+        def counted(fields, *args):
+            calls.append(len(fields))
+            return first_non_annihilating(fields, *args)
+
+        monkeypatch.setattr(nm, "first_non_annihilating", counted)
+        lhs = self.Z.parse("w_x^2*w_yy - 2*w_x*w_y*w_xy + w_y^2*w_xx + w_u^3")
+        cov.CovariantPDE(self.Z, lhs, "u", CFG)
+        assert calls == [1 + len(self.Z.coords)]
+
     def test_one_gradient_evaluator_per_form(self, monkeypatch):
         # the degree fit, the Euler confirmation and every R_j check share
         # one compiled gradient of lhs
@@ -138,7 +152,13 @@ class TestRescaleOperators:
     def test_w11_not_invariant(self):
         z = cov.wspace_for(parse("coords: x; dep: u\nlhs: u_x").space)
         with pytest.raises(NotRescaleInvariant):
-            cov.rescale_invariance_check(z.parse("w_xx"), z, CFG)
+            cov.rescale_invariance_check(z.parse("w_xx"), z, CFG, degree=1)
+
+    def test_wrong_degree_not_homogeneous(self):
+        z = cov.wspace_for(parse("coords: x; dep: u\nlhs: u_x").space)
+        with pytest.raises(NotHomogeneous):
+            cov.rescale_invariance_check(z.parse("w_x^2*w_u"), z, CFG,
+                                         degree=2)
 
     def test_quadratic_form_back_conversion(self):
         # degree-2 form in first derivatives maps back to

@@ -4,7 +4,8 @@ The oracle's point policy lives in one loop, `numeric.at_regular_points`,
 and what counts as a singular point is decided only by the evaluator that
 `expr.compile_numeric` generates.  Outside `jet`, only the annihilation
 routine applies a prolonged field.  The covariant-form contract is checked
-only where a `CovariantPDE` is made.  Only the kernel and the jet layer
+only where a `CovariantPDE` is made and, at degree 0, by `eliminate_w`;
+only `covariant` builds its operators.  Only the kernel and the jet layer
 differentiate symbolically: every other first-order operator check goes
 through the annihilation routine.  Only the numeric checks, the covariant
 degree fit and the realization gate loop over points, so the verification
@@ -75,9 +76,24 @@ def test_only_the_oracle_checks_loop_over_points():
 
 def test_only_a_covariant_form_checks_its_contract():
     checks = {"homogeneity_degree", "rescale_invariance_check"}
-    callers = {(module, scope) for module, scope, call in _nodes(ast.Call)
-               if checks & _names(call.func)}
-    assert callers == {("covariant", "__post_init__")}
+    calls = [(module, scope, call) for module, scope, call in _nodes(ast.Call)
+             if checks & _names(call.func)]
+    assert {(module, scope) for module, scope, _ in calls} == \
+        {("covariant", "__post_init__"), ("invariants", "eliminate_w")}
+    # eliminate_w fits no degree: it checks the contract at degree 0
+    assert [(_names(call.func) & checks,
+             [(k.arg, ast.literal_eval(k.value)) for k in call.keywords])
+            for module, _, call in calls if module == "invariants"] == \
+        [({"rescale_invariance_check"}, [("degree", 0)])]
+
+
+def test_only_covariant_builds_the_contract_operators():
+    # D - k and the R_j are built where the contract is checked, so no
+    # other module keeps its own list of them
+    ops = {"euler_operator", "rescale_operators"}
+    callers = {module for module, _, call in _nodes(ast.Call)
+               if ops & _names(call.func)}
+    assert callers == {"covariant"}
 
 
 def test_no_broad_handler():

@@ -190,6 +190,17 @@ class TestRowControls:
         grown = generated + [_moved_coordinate(inv)]
         assert not nm.equivalence_check(grown, fixture, CFG, pmap)
 
+    @pytest.mark.parametrize("index", range(len(ROWS)), ids=ROW_IDS)
+    def test_invariant_mutants_rejected(self, index):
+        # I + x/10 and I*(1 + x/10) with x moved by some generator: X I = 0
+        # and X x != 0 make both non-invariant
+        pmap, inv, _ = _derived(index)
+        shift = ex.mul(ex.Const(Fraction(1, 10)), _moved_coordinate(inv))
+        for label, e in inv.invariants:
+            for mutant in (ex.add(e, shift), ex.mul(e, ex.add(ex.ONE, shift))):
+                assert not annihilation_check(inv.generators, mutant, CFG,
+                                              pmap), (label, ex.render(mutant))
+
 
 class TestTemplateFastPath:
     @pytest.mark.parametrize("index", [
