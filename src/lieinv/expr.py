@@ -18,6 +18,11 @@ Canonical form conventions:
     node survives canonicalization.
   * repeated exponentials collect as powers: exp(u)*exp(u) -> exp(u)^2.
   * sums merge Pythagorean pairs: c*f*sin(a)^2 + c*f*cos(a)^2 -> c*f.
+
+Trees are walked by one memoized fold, `_fold`: each structurally distinct
+subtree is visited once, children first.  Differentiation, expansion,
+substitution and code generation are its visitors, so each handles a
+repeated subtree once per call.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -539,32 +545,62 @@ def applied(head: str, args: Iterable) -> Expr:
 # Core operations
 
 
-def _rebuild(e: Expr, sym: Optional[Callable] = None,
-             app: Optional[Callable] = None) -> Expr:
-    """Rebuild `e` bottom-up through the canonicalizing constructors.
+# The operands of each node type, and the canonical constructor that
+# rebuilds a node of that type from new operands.
+_OPERANDS = {
+    Const: lambda x: (),
+    Sym: lambda x: (),
+    Add: lambda x: x.terms,
+    Mul: lambda x: x.factors,
+    Pow: lambda x: (x.base,),
+    Func: lambda x: (x.arg,),
+    Applied: lambda x: x.args,
+}
+_CONSTRUCTORS = {
+    Add: lambda x, kids: add(*kids),
+    Mul: lambda x, kids: mul(*kids),
+    Pow: lambda x, kids: pow_(kids[0], x.exp),
+    Func: lambda x, kids: func(x.head, kids[0]),
+    Applied: lambda x, kids: applied(x.head, kids),
+}
 
-    sym maps a Sym leaf to its replacement; app maps an Applied node's head
-    and rebuilt arguments to a replacement, or None to keep the node.
+
+def _children(x: Expr) -> tuple:
+    """The operands of x, in order (none for a leaf)."""
+    return _OPERANDS[type(x)](x)
+
+
+def _construct(x: Expr, kids) -> Expr:
+    """The non-leaf x rebuilt from the operands kids, canonicalized."""
+    return _CONSTRUCTORS[type(x)](x, kids)
+
+
+def _leaf(x: Expr) -> Optional[Expr]:
+    """A leaf folds to itself; for use as the stop of a _fold."""
+    return x if type(x) is Const or type(x) is Sym else None
+
+
+def _fold(e: Expr, visit: Callable, stop: Callable,
+          memo: Optional[dict] = None):
+    """Fold e bottom-up: the value of x is visit(x, values of its operands).
+
+    Each structurally distinct subtree is visited once, children before
+    parents, in first-occurrence order, and memo (a new dict unless given)
+    maps it to its value in that order.  stop(x) is asked first: anything
+    but None is x's value, taken without descending into x or memoizing it.
+    This is the kernel's one recursive walk.
     """
+    if memo is None:
+        memo = {}
 
     def rec(x):
-        if isinstance(x, Const):
-            return x
-        if isinstance(x, Sym):
-            return x if sym is None else sym(x)
-        if isinstance(x, Add):
-            return add(*[rec(t) for t in x.terms])
-        if isinstance(x, Mul):
-            return mul(*[rec(f) for f in x.factors])
-        if isinstance(x, Pow):
-            return pow_(rec(x.base), x.exp)
-        if isinstance(x, Func):
-            return func(x.head, rec(x.arg))
-        if isinstance(x, Applied):
-            args = [rec(a) for a in x.args]
-            out = None if app is None else app(x.head, args)
-            return applied(x.head, args) if out is None else out
-        raise TypeError(type(x))
+        out = stop(x)
+        if out is None:
+            out = memo.get(x)
+            if out is None:
+                kids = _OPERANDS[type(x)](x)  # _children, one call fewer
+                out = memo[x] = visit(x, [rec(k) for k in kids])
+        return out
 
     try:
         return rec(e)
@@ -574,7 +610,7 @@ def _rebuild(e: Expr, sym: Optional[Callable] = None,
 
 def simplify_basic(e: Expr) -> Expr:
     """Rebuild `e` through the canonicalizing constructors (idempotent)."""
-    return _rebuild(e)
+    return _fold(e, _construct, _leaf)
 
 
 def diff(e: Expr, s: Symbol) -> Expr:
@@ -583,54 +619,40 @@ def diff(e: Expr, s: Symbol) -> Expr:
     All other symbols (including jet variables) are treated as independent.
     Structurally equal subtrees are differentiated once per call.
     """
-    memo = {}
+    if s not in e.free_symbols():
+        return ZERO
 
-    def rec(x):
+    def stop(x):
         if s not in x.free_symbols():
             return ZERO
-        d = memo.get(x)
-        if d is not None:
-            return d
-        if isinstance(x, Sym):
-            d = ONE
-        elif isinstance(x, Add):
-            d = add(*[rec(t) for t in x.terms])
-        elif isinstance(x, Mul):
-            parts = []
-            for i, f in enumerate(x.factors):
-                df = rec(f)
-                if df is ZERO or (isinstance(df, Const) and df.value == 0):
-                    continue
-                rest = x.factors[:i] + x.factors[i + 1 :]
-                parts.append(mul(df, *rest))
-            d = add(*parts)
-        elif isinstance(x, Pow):
-            d = mul(Const(x.exp), pow_(x.base, x.exp - 1), rec(x.base))
-        elif isinstance(x, Func):
-            da = rec(x.arg)
-            if x.head == "exp":
-                d = mul(x, da)
-            elif x.head == "log":
-                d = mul(pow_(x.arg, -1), da)
-            elif x.head == "sin":
-                d = mul(func("cos", x.arg), da)
-            elif x.head == "cos":
-                d = mul(Const(-1), func("sin", x.arg), da)
-            else:
-                raise TypeError(type(x))
-        elif isinstance(x, Applied):
+        if type(x) is Applied:
             raise UnsupportedOperation(
                 f"formal derivative of arbitrary-function head {x.head!r} is unsupported"
             )
-        else:
-            raise TypeError(type(x))
-        memo[x] = d
-        return d
+        return None
 
-    try:
-        return rec(e)
-    finally:
-        del rec  # rec reaches itself through its closure; free the memo now
+    def visit(x, kids):
+        t = type(x)
+        if t is Sym:
+            return ONE
+        if t is Add:
+            return add(*kids)
+        if t is Mul:
+            fs = x.factors
+            return add(*[mul(df, *fs[:i], *fs[i + 1:])
+                         for i, df in enumerate(kids)
+                         if type(df) is not Const or df.value != 0])
+        if t is Pow:
+            return mul(Const(x.exp), pow_(x.base, x.exp - 1), kids[0])
+        if x.head == "exp":
+            return mul(x, kids[0])
+        if x.head == "log":
+            return mul(pow_(x.arg, -1), kids[0])
+        if x.head == "sin":
+            return mul(func("cos", x.arg), kids[0])
+        return mul(Const(-1), func("sin", x.arg), kids[0])
+
+    return _fold(e, visit, stop)
 
 
 def substitute(e: Expr, bindings: Mapping[Symbol, Expr]) -> Expr:
@@ -640,21 +662,21 @@ def substitute(e: Expr, bindings: Mapping[Symbol, Expr]) -> Expr:
     if not (e.free_symbols() & set(bindings)):
         return e
 
-    def sym(x):
-        r = bindings.get(x.symbol)
-        return x if r is None else as_expr(r)
+    def stop(x):
+        r = bindings.get(x.symbol) if type(x) is Sym else None
+        return _leaf(x) if r is None else as_expr(r)
 
-    return _rebuild(e, sym=sym)
+    return _fold(e, _construct, stop)
 
 
 def substitute_heads(e: Expr, heads: Mapping[str, Callable]) -> Expr:
     """Replace arbitrary-function applications head(args) by heads[head](*args)."""
 
-    def app(head, args):
-        fn = heads.get(head)
-        return None if fn is None else as_expr(fn(*args))
+    def visit(x, kids):
+        fn = heads.get(x.head) if type(x) is Applied else None
+        return _construct(x, kids) if fn is None else as_expr(fn(*kids))
 
-    return _rebuild(e, app=app)
+    return _fold(e, visit, _leaf)
 
 
 def _walk(e: Expr):
@@ -663,16 +685,7 @@ def _walk(e: Expr):
     while stack:
         x = stack.pop()
         yield x
-        if isinstance(x, Add):
-            stack.extend(x.terms)
-        elif isinstance(x, Mul):
-            stack.extend(x.factors)
-        elif isinstance(x, Pow):
-            stack.append(x.base)
-        elif isinstance(x, Func):
-            stack.append(x.arg)
-        elif isinstance(x, Applied):
-            stack.extend(x.args)
+        stack.extend(_children(x))
 
 
 def applications(e: Expr) -> list:
@@ -690,34 +703,19 @@ def applied_heads(e: Expr) -> set:
     return {x.head for x in applications(e)}
 
 
+def _expanded(x: Expr, kids) -> Expr:
+    """x on its expanded operands, a product or small power of sums distributed."""
+    if type(x) is Mul:
+        return reduce(_distribute, kids, ONE)
+    if (type(x) is Pow and type(kids[0]) is Add and x.exp.denominator == 1
+            and 2 <= x.exp <= 4):
+        return reduce(_distribute, [kids[0]] * (x.exp - 1), kids[0])
+    return _construct(x, kids)
+
+
 def expand(e: Expr) -> Expr:
     """Distribute products over sums (and small positive integer powers of sums)."""
-    if isinstance(e, (Const, Sym)):
-        return e
-    if isinstance(e, Add):
-        return add(*[expand(t) for t in e.terms])
-    if isinstance(e, Func):
-        return func(e.head, expand(e.arg))
-    if isinstance(e, Applied):
-        return applied(e.head, [expand(a) for a in e.args])
-    if isinstance(e, Pow):
-        base = expand(e.base)
-        if (
-            isinstance(base, Add)
-            and e.exp.denominator == 1
-            and 2 <= e.exp <= 4
-        ):
-            out = base
-            for _ in range(int(e.exp) - 1):
-                out = _distribute(out, base)
-            return out
-        return pow_(base, e.exp)
-    if isinstance(e, Mul):
-        out = ONE
-        for f in e.factors:
-            out = _distribute(out, expand(f))
-        return out
-    raise TypeError(type(e))
+    return _fold(e, _expanded, _leaf)
 
 
 def _distribute(a: Expr, b: Expr) -> Expr:
@@ -803,44 +801,39 @@ def _codegen(e: Expr, magnitude: bool, wrt: Optional[tuple] = None) -> str:
     symbols wrt, a reverse sweep (_adjoints) follows in the same `try`, and
     f returns [e, de/ds for s in wrt], each held to the same rule.
     """
-    refs = {}  # subtree -> local name
+    refs = {}  # subtree -> local name, the memo of the fold
     lines = ["def f(a):", " try:"]
 
-    def gen(x):
-        if isinstance(x, Const):
+    def stop(x):
+        if type(x) is Const:
             return _literal(abs(x.value) if magnitude else x.value)
-        ref = refs.get(x)
-        if ref is not None:
-            return ref
-        if isinstance(x, Sym):
-            src = f"a[{x.symbol.name!r}]"
-            if magnitude:
-                src = f"abs({src})"
-        elif isinstance(x, Add):
-            src = _join("+", [gen(t) for t in x.terms], lines)
-        elif isinstance(x, Mul):
-            src = _join("*", [gen(f) for f in x.factors], lines)
-        elif isinstance(x, Pow):
-            src = f"P({gen(x.base)},{x.exp.numerator},{x.exp.denominator})"
-        elif isinstance(x, Func):
-            src = f"F[{x.head!r}]({gen(x.arg)})"
-            if magnitude and x.head != "exp":
-                src = f"abs({src})"
-        elif isinstance(x, Applied):
+        if type(x) is Applied:
             raise UnboundSymbol(
                 f"cannot numerically evaluate arbitrary-function head {x.head!r}"
             )
+        return None
+
+    def visit(x, kids):
+        t = type(x)
+        if t is Sym:
+            src = f"a[{x.symbol.name!r}]"
+            if magnitude:
+                src = f"abs({src})"
+        elif t is Add:
+            src = _join("+", kids, lines)
+        elif t is Mul:
+            src = _join("*", kids, lines)
+        elif t is Pow:
+            src = f"P({kids[0]},{x.exp.numerator},{x.exp.denominator})"
         else:
-            raise TypeError(type(x))
+            src = f"F[{x.head!r}]({kids[0]})"
+            if magnitude and x.head != "exp":
+                src = f"abs({src})"
         ref = f"t{len(refs)}"
         lines.append(f"  {ref}={src}")
-        refs[x] = ref
         return ref
 
-    try:
-        lines.append(f"  r={gen(e)}+0.0")
-    finally:
-        del gen  # gen reaches itself through its closure; free refs now
+    lines.append(f"  r={_fold(e, visit, stop, refs)}+0.0")
     out = ["r"]
     if wrt:  # a tuple of e's symbols, so e is not a Const
         adjoint = _adjoints(refs, frozenset(wrt), lines)

@@ -279,11 +279,11 @@ def type1_pipeline(entry: liealg.AlgebraCatalogEntry, m: int = 1,
 # Pipeline for simply transitive actions
 
 
-def eliminate_w(e: ex.Expr, wspace: JetSpace, split: JetSpace, dep: str,
+def eliminate_w(e: ex.Expr, wspace: JetSpace, split: JetSpace,
                 cfg: nm.SamplerConfig = nm.SamplerConfig(),
                 params: Optional[Mapping] = None,
                 label: str = "") -> ex.Expr:
-    """A w-space invariant on the normalized section (dep is split.dep).
+    """A w-space invariant on the normalized section of split.
 
     e is free of the residual w-jets {w_n, w_an, w_nn}, the coordinates
     along the gauge w -> phi*w, exactly when D e = 0 and R_j e = 0 for
@@ -324,8 +324,7 @@ def type2_pipeline(entry: liealg.AlgebraCatalogEntry,
     I_second = [(f"v_{index[a]}{index[b]}", ex.substitute(J, frame))
                 for (a, b), J in J2.items()]
 
-    invariants = [(label, eliminate_w(e, wspace, split, dep, cfg, params,
-                                      label))
+    invariants = [(label, eliminate_w(e, wspace, split, cfg, params, label))
                   for label, e in I_first + I_second]
 
     _verify_annihilation(real.generators, invariants, cfg, params)

@@ -189,23 +189,10 @@ class FirstOrderOperator:
     def __init__(self, coefficients: Dict[Optional[ex.Symbol], ex.Expr]):
         self.coefficients = coefficients
 
-    def apply(self, e: ex.Expr,
-              partials: Optional[Dict[ex.Symbol, ex.Expr]] = None) -> ex.Expr:
-        """Apply the operator to a second-order jet expression.
-
-        `partials` caches de/ds by symbol s for this e; pass the same dict
-        when applying several operators to one expression so each partial
-        is built once.
-        """
-        if partials is None:
-            partials = {}
-        parts = []
-        for s, coeff in self.coefficients.items():
-            p = partials.get(s)
-            if p is None:
-                p = partials[s] = e if s is None else ex.diff(e, s)
-            parts.append(ex.mul(coeff, p))
-        return ex.add(*parts)
+    def apply(self, e: ex.Expr) -> ex.Expr:
+        """Apply the operator to a second-order jet expression."""
+        return ex.add(*[ex.mul(coeff, e if s is None else ex.diff(e, s))
+                        for s, coeff in self.coefficients.items()])
 
 
 class ProlongedField(FirstOrderOperator):

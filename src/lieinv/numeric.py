@@ -185,12 +185,12 @@ def first_non_annihilating(fields: Sequence, e: ex.Expr,
         rows.append(row)
     if not any(rows):
         return None
-    partials, residuals = {}, {}
+    residuals = {}
 
     def rejects(k, pt):
         x = residuals.get(k)
         if x is None:
-            x = residuals[k] = fields[k].apply(e, partials)
+            x = residuals[k] = fields[k].apply(e)
         if isinstance(x, ex.Const):
             return x.value != 0
         return _exceeds(x, ex.compile_numeric(x), pt, cfg.tol)

@@ -213,7 +213,7 @@ def test_criterion_7_negative_controls():
     _, eta = entry.fields(wspace)
     raw = eta[0].frame_derivative(ex.Sym(wspace.jet()))
     with pytest.raises(ResidualDependence):
-        eliminate_w(raw, wspace, split, entry.dep, CFG, {}, "w_(1)")
+        eliminate_w(raw, wspace, split, CFG, {}, "w_(1)")
     report(7, "negative controls")
 
 

@@ -186,6 +186,43 @@ class TestSubstituteExpand:
         t = ex.add(ex.applied("b", [UX]), ex.applied("a1", [U]))
         assert ex.applied_heads(t) == {"b", "a1"}
 
+    @staticmethod
+    def _repeated(y):
+        """(x+y)^2*sin((x+y)^2) + (x+y)^2: x + y and its square occur 3 times."""
+        s = ex.pow_(ex.add(X, y), 2)
+        return ex.add(ex.mul(s, ex.func("sin", s)), s)
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls = []
+        fn = getattr(ex, name)
+
+        def counting(*args):
+            calls.append(args)
+            return fn(*args)
+        monkeypatch.setattr(ex, name, counting)
+        return calls
+
+    def test_expand_distributes_a_repeated_subtree_once(self, monkeypatch):
+        e = self._repeated(Y)
+        calls = self._count(monkeypatch, "_distribute")
+        out = ex.expand(e)
+        # one for the square, two for the product: (x+y)^2 is expanded once
+        assert len(calls) == 3
+        monkeypatch.undo()
+        sq = ex.add(ex.pow_(X, 2), ex.mul(ex.Const(2), X, Y), ex.pow_(Y, 2))
+        assert out == ex.add(*[ex.mul(t, ex.func("sin", sq))
+                               for t in sq.terms], sq)
+
+    def test_substitute_rebuilds_a_repeated_subtree_once(self, monkeypatch):
+        e = self._repeated(Y)
+        calls = self._count(monkeypatch, "add")
+        out = ex.substitute(e, {SP.base("y"): U})
+        # x + u once, then the whole sum
+        assert len(calls) == 2
+        monkeypatch.undo()
+        assert out == self._repeated(U)
+
 
 class TestNumeric:
     def test_eval_basic(self):
@@ -246,6 +283,7 @@ class TestNumeric:
             ex.diff(e, SP.base("x"))
             ex._codegen(e, False)
             ex.simplify_basic(e)
+            ex.expand(e)
             ex.denominator_symbols(e)
             ex.applied_heads(e)
             ex.compile_numeric(ex.add(e, X))

@@ -147,9 +147,10 @@ class TestEliminateW:
         # renders exactly like the epod lift followed by the section
         pairs = []
 
-        def recording(e, wspace, split, dep, *args):
-            got = eliminate_w(e, wspace, split, dep, *args)
-            lifted = ex.substitute(e, _epod_substitutions(wspace, split, dep))
+        def recording(e, wspace, split, *args):
+            got = eliminate_w(e, wspace, split, *args)
+            lifted = ex.substitute(e, _epod_substitutions(wspace, split,
+                                                          split.dep))
             want = ex.substitute(lifted,
                                  covariant.normalized_section(wspace, split))
             pairs.append((ex.render(got), ex.render(want)))
@@ -167,7 +168,7 @@ class TestEliminateW:
         e = wspace.parse("w_xx/w_u")
         assert covariant.homogeneity_degree(e, wspace, CFG) == 0
         with pytest.raises(ResidualDependence, match="R_x"):
-            eliminate_w(e, wspace, split, "u", CFG)
+            eliminate_w(e, wspace, split, CFG)
 
     def test_raw_frame_derivative_triggers_residual_dependence(self):
         # w_(1) for an algebra whose first frame direction moves the
@@ -180,7 +181,7 @@ class TestEliminateW:
         _, eta = entry.fields(wspace)
         raw = eta[0].frame_derivative(ex.Sym(wspace.jet()))
         with pytest.raises(ResidualDependence):
-            eliminate_w(raw, wspace, split, entry.dep, CFG, {}, "w_(1)")
+            eliminate_w(raw, wspace, split, CFG, {}, "w_(1)")
 
 
 class TestGenerators:

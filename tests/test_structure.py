@@ -9,7 +9,9 @@ only `covariant` builds its operators.  Only the kernel and the jet layer
 differentiate symbolically: every other first-order operator check goes
 through the annihilation routine.  Only the numeric checks, the covariant
 degree fit and the realization gate loop over points, so the verification
-suite has no oracle loop of its own.  These tests keep it that way.
+suite has no oracle loop of its own.  The expression kernel walks a tree
+recursively only in its one fold, and every parameter is read.  These tests
+keep it that way.
 """
 
 import ast
@@ -139,3 +141,60 @@ def test_only_the_kernel_and_jet_differentiate():
                   if "is_zero" in _names(call.func)
                   and module in ("covariant", "invariants")}
     assert zero_tests == set()
+
+
+def test_every_parameter_is_read():
+    # a parameter nothing reads misstates what a function depends on.  A
+    # method's receiver is bound by Python, so it is not counted; and
+    # from_covariant keeps cfg and params because the benchmark's covariant
+    # round trip (perfbench/workloads.py) calls from_covariant(cov, cfg)
+    exempt = {("covariant", "from_covariant", "cfg"),
+              ("covariant", "from_covariant", "params")}
+    unread = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for f in c.body if isinstance(f, ast.FunctionDef)
+                   and not any("staticmethod" in _names(d)
+                               for d in f.decorator_list)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = fn.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                      + [a.vararg, a.kwarg] if p is not None]
+            if id(fn) in methods:
+                params = params[1:]
+            read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [(path.stem, fn.name, p) for p in params
+                       if p not in read and (path.stem, fn.name, p) not in exempt]
+    assert unread == []
+
+
+def _expr_functions():
+    path = Path(lieinv.__file__).parent / "expr.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    return [f for f in tree.body if isinstance(f, ast.FunctionDef)]
+
+
+def _calls_to(node, name):
+    return [c for c in ast.walk(node) if isinstance(c, ast.Call)
+            and isinstance(c.func, ast.Name) and c.func.id == name]
+
+
+def test_only_the_fold_walks_recursively():
+    # the kernel has one recursive tree walk, _fold; the walks built on it
+    # are its visitors, and only _fold breaks a closure's reference cycle
+    functions = _expr_functions()
+    self_calling_closures = {
+        f.name for f in functions for g in ast.walk(f)
+        if isinstance(g, ast.FunctionDef) and g is not f
+        and _calls_to(g, g.name)}
+    assert self_calling_closures == {"_fold"}
+    visitors = {"expand", "diff", "simplify_basic", "substitute",
+                "substitute_heads", "_codegen"}
+    assert {f.name for f in functions if f.name in visitors
+            and not _calls_to(f, f.name)} == visitors
+    assert {f.name for f in functions
+            if any(isinstance(n, ast.Delete) for n in ast.walk(f))} == {"_fold"}
