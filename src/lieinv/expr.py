@@ -698,11 +698,6 @@ def applications(e: Expr) -> list:
     return sorted(found, key=Expr.sort_key)
 
 
-def applied_heads(e: Expr) -> set:
-    """Names of all arbitrary-function heads occurring in e."""
-    return {x.head for x in applications(e)}
-
-
 def _expanded(x: Expr, kids) -> Expr:
     """x on its expanded operands, a product or small power of sums distributed."""
     if type(x) is Mul:

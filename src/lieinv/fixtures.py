@@ -335,10 +335,6 @@ _FREE: Dict[str, tuple] = {
     )),
 }
 
-_FREE_DIMS = {"g1": 1, "2g1": 2, "g2": 2, "3g1": 3, "g1+g2": 3,
-              "g3_1": 3, "g3_2": 3, "g3_3": 3, "g3_4": 3, "g3_5": 3,
-              "g3_6": 3, "g3_7": 3}
-
 FREE_NAMES = tuple(_FREE)
 TRANSITIVE_NAMES = tuple(_TRANSITIVE)
 
@@ -357,7 +353,7 @@ def free_fixture(name: str, m: int = 1) -> Fixture:
     if m < 1:
         raise ValueError("m must be at least 1")
     params, orbit_invs, mixed = _FREE[name]
-    n = _FREE_DIMS[name]
+    n = liealg.catalog_lookup(name).dim
     ys = tuple(f"y{mu}" for mu in range(1, m))
     coords = tuple(f"x{i}" for i in range(1, n + 1)) + ys
     items: List[Tuple[str, str]] = []

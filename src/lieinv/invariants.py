@@ -1,5 +1,9 @@
 """Differential-invariant pipelines for free and simply transitive actions.
 
+Both pipelines start from realize: the invariant frames, built once in
+second-kind coordinates and gated, and the generators prolonged on the
+pipeline's jet space.
+
 Free intransitive actions (pipeline "free"): the algebra acts on orbit
 coordinates x^1..x^n; transversal coordinates y^1..y^{m-1} and the dependent
 u are invariant.  A basis of second-order differential invariants is
@@ -60,7 +64,6 @@ class PDETemplate:
     space: JetSpace
     lhs: ex.Expr
     heads: tuple  # names of the arbitrary-function slots
-    args: tuple   # labels of the invariants the slots depend on
 
     def __str__(self):
         return f"{ex.render(self.lhs)} = 0"
@@ -138,7 +141,6 @@ def _template(space: JetSpace, first: Sequence[Tuple[str, ex.Expr]],
               second: Sequence[Tuple[str, ex.Expr]]) -> PDETemplate:
     """Quasi-linear template: first second-order slot 1, the rest a_k(...), b(...)."""
     args = [e for _, e in first]
-    arg_labels = tuple(label for label, _ in first)
     terms = [second[0][1]]
     heads = []
     for k, (_, e) in enumerate(second[1:], start=1):
@@ -147,68 +149,30 @@ def _template(space: JetSpace, first: Sequence[Tuple[str, ex.Expr]],
         terms.append(ex.mul(ex.applied(head, args), e))
     heads.append("b")
     terms.append(ex.applied("b", args))
-    return PDETemplate(space, ex.add(*terms), tuple(heads), arg_labels)
+    return PDETemplate(space, ex.add(*terms), tuple(heads))
 
 
-@dataclass(frozen=True)
-class Realization:
-    """An algebra realized once for one pipeline.
+def realize(entry: liealg.AlgebraCatalogEntry, zspace: JetSpace,
+            space: JetSpace, cfg: nm.SamplerConfig) -> Tuple[tuple, tuple]:
+    """The frames eta on zspace and the generators prolonged on space.
 
-    space is the pipeline's jet space, eta the right-invariant frames the
-    invariants are built from, generators the left-invariant fields
-    prolonged to second order on space.
+    Both frames are built once on zspace and pass the realization gate
+    (VerificationFailed otherwise).  If space.dep is a coordinate of zspace,
+    as for a simply transitive action, that coordinate becomes the graph u
+    of the dependent variable and each xi's component along it is theta;
+    otherwise u is invariant and theta is zero.
     """
-
-    space: JetSpace
-    eta: tuple
-    generators: tuple
-
-
-def realize_free(entry: liealg.AlgebraCatalogEntry, m: int = 1,
-                 cfg: nm.SamplerConfig = nm.SamplerConfig()) -> Realization:
-    """Realization for a free action with m invariant variables.
-
-    The frames live on the orbit coordinates x1..xn and are re-rooted on
-    the full space x1..xn, y1..y{m-1} with zero components along y.  They
-    pass the realization gate first (VerificationFailed otherwise).
-    """
-    xs = tuple(f"x{i}" for i in range(1, entry.dim + 1))
-    ys = tuple(f"y{mu}" for mu in range(1, m))
-    params = [p for p, _ in entry.params]
-    space = JetSpace(xs + ys, "u", params=params)
-    xi, eta = liealg.build_invariant_fields(
-        entry.sc, JetSpace(xs, "u", params=params))
+    xi, eta = liealg.build_invariant_fields(entry.sc, zspace)
     liealg.verify_realization(xi, eta, entry.sc, cfg)
-    eta = tuple(VectorField.from_dict(space, dict(f.components)) for f in eta)
-    gens = tuple(prolong2(VectorField.from_dict(space, dict(f.components)))
-                 for f in xi)
-    return Realization(space, eta, gens)
-
-
-def realize_transitive(entry: liealg.AlgebraCatalogEntry,
-                       cfg: nm.SamplerConfig = nm.SamplerConfig()
-                       ) -> Realization:
-    """Realization for a simply transitive action.
-
-    The frames live on the z-space with covariant scalar w; the generators
-    act on the split space, where the dependent coordinate becomes the
-    graph u of the dependent variable.  eta stays on the z-space.  The
-    frames pass the realization gate first (VerificationFailed otherwise).
-    """
-    wspace = entry.split_space("w")
-    dep = entry.dep
-    xi, eta = liealg.build_invariant_fields(entry.sc, wspace)
-    liealg.verify_realization(xi, eta, entry.sc, cfg)
-    indep = tuple(c for c in wspace.coords if c != dep)
-    split = JetSpace(indep, dep, params=wspace.params)
-    graph = {wspace.base(dep): ex.Sym(split.jet())}
+    graph = {}
+    if space.dep in zspace.coords:
+        graph[zspace.base(space.dep)] = ex.Sym(space.jet())
     gens = []
     for f in xi:
-        comps = dict(f.components)
-        theta = ex.substitute(comps.pop(dep), graph)
-        comps = {c: ex.substitute(comp, graph) for c, comp in comps.items()}
-        gens.append(prolong2(VectorField.from_dict(split, comps), theta))
-    return Realization(split, tuple(eta), tuple(gens))
+        comps = {c: ex.substitute(comp, graph) for c, comp in f.components}
+        theta = comps.pop(space.dep, ex.ZERO)
+        gens.append(prolong2(VectorField.from_dict(space, comps), theta))
+    return tuple(eta), tuple(gens)
 
 
 # ---------------------------------------------------------------------------
@@ -226,16 +190,19 @@ def type1_pipeline(entry: liealg.AlgebraCatalogEntry, m: int = 1,
     if m < 1:
         raise ValueError("m must be at least 1")
     n = entry.dim
-    real = realize_free(entry, m, cfg)
-    space, eta_full = real.space, real.eta
-    ys = space.coords[n:]
+    xs = tuple(f"x{i}" for i in range(1, n + 1))
+    ys = tuple(f"y{mu}" for mu in range(1, m))
+    names = [p for p, _ in entry.params]
+    zspace = JetSpace(xs, "u", params=names)
+    space = JetSpace(xs + ys, "u", params=names)
+    eta, generators = realize(entry, zspace, space, cfg)
     params = entry.param_map
 
     first: List[Tuple[str, ex.Expr]] = []
     for mu in ys:
         first.append((f"u_{mu}", ex.Sym(space.jet(mu))))
     u_i = []
-    for i, f in enumerate(eta_full, start=1):
+    for i, f in enumerate(eta, start=1):
         e = frame_first(f)
         u_i.append(e)
         first.append((f"u_({i})", e))
@@ -247,7 +214,7 @@ def type1_pipeline(entry: liealg.AlgebraCatalogEntry, m: int = 1,
     for i in range(n):
         for j in range(i, n):
             second.append((f"u_({i + 1}{j + 1})",
-                           symmetrized_frame_second(eta_full[i], eta_full[j])))
+                           symmetrized_frame_second(eta[i], eta[j])))
     for i, e in enumerate(u_i, start=1):
         for mu in ys:
             second.append((f"u_({i})_{mu}", total_derivative(e, mu, space)))
@@ -259,7 +226,7 @@ def type1_pipeline(entry: liealg.AlgebraCatalogEntry, m: int = 1,
     invariants.extend(first)
     invariants.extend(second)
 
-    _verify_annihilation(real.generators, invariants, cfg, params)
+    _verify_annihilation(generators, invariants, cfg, params)
     _check_rank(invariants, space, n, cfg, params)
 
     # the slots take the invariants' own nodes, whose evaluators the checks
@@ -272,7 +239,7 @@ def type1_pipeline(entry: liealg.AlgebraCatalogEntry, m: int = 1,
     )
     return InvariantSet(entry.name, entry.params, "free", space,
                         tuple(invariants), template, True, cfg.seed,
-                        real.generators)
+                        generators)
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +272,11 @@ def type2_pipeline(entry: liealg.AlgebraCatalogEntry,
     n = entry.dim
     if n < 2:
         raise ValueError("simply transitive pipeline requires dim >= 2")
-    real = realize_transitive(entry, cfg)
-    split, eta = real.space, real.eta
-    wspace = eta[0].space
+    wspace = entry.split_space("w")
     dep = entry.dep
+    split = JetSpace(tuple(c for c in wspace.coords if c != dep), dep,
+                     params=wspace.params)
+    eta, generators = realize(entry, wspace, split, cfg)
     params = entry.param_map
 
     # J~ on the frame derivatives, frame i paired with wspace.coords[i - 1]
@@ -327,14 +295,14 @@ def type2_pipeline(entry: liealg.AlgebraCatalogEntry,
     invariants = [(label, eliminate_w(e, wspace, split, cfg, params, label))
                   for label, e in I_first + I_second]
 
-    _verify_annihilation(real.generators, invariants, cfg, params)
+    _verify_annihilation(generators, invariants, cfg, params)
     _check_rank(invariants, split, n, cfg, params)
 
     n_first = len(I_first)
     template = _template(split, invariants[:n_first], invariants[n_first:])
     return InvariantSet(entry.name, entry.params, "transitive", split,
                         tuple(invariants), template, True, cfg.seed,
-                        real.generators)
+                        generators)
 
 
 def instantiate_template(template: PDETemplate,

@@ -209,7 +209,7 @@ def build_invariant_fields(sc: StructureConstants, space: JetSpace
 
     space.coords supplies the names of z^1..z^n in order; the fields are
     built from structure constants only and must then pass
-    verify_realization, as realize_free and realize_transitive do.
+    verify_realization, as invariants.realize does.
     """
     n = sc.dim
     if len(space.coords) != n:
@@ -221,34 +221,25 @@ def build_invariant_fields(sc: StructureConstants, space: JetSpace
     ad = [putzer.exp_matrix_expr(sc.ad(k + 1), z[k]) for k in range(n)]
     ad_inv = [[[ex.substitute(v, {z[k].symbol: ex.mul(ex.Const(-1), z[k])})
                 for v in row] for row in ad[k]] for k in range(n - 1)]
-    basis = [[ex.ONE if i == k else ex.ZERO for i in range(n)] for k in range(n)]
+
+    def frame(chain):
+        """Omega^{-1} as fields, with column k of Omega the matrices chain(k)
+        applied in turn to e_k."""
+        cols = []
+        for k in range(n):
+            col = [ex.ONE if i == k else ex.ZERO for i in range(n)]
+            for M in chain(k):
+                col = _mat_vec_sym(M, col)
+            cols.append(col)
+        inv = mat_inverse(list(zip(*cols)))
+        return [VectorField.from_dict(space, {c: inv[k][i] for k, c
+                                              in enumerate(space.coords)})
+                for i in range(n)]
 
     # Omega_L column k: Ad(A_1)^{-1} ... Ad(A_{k-1})^{-1} e_k
-    omega_l = [[ex.ZERO] * n for _ in range(n)]
-    for k in range(n):
-        col = basis[k]
-        for j in range(k - 1, -1, -1):
-            col = _mat_vec_sym(ad_inv[j], col)
-        for row in range(n):
-            omega_l[row][k] = col[row]
-
+    xi = frame(lambda k: ad_inv[:k][::-1])
     # Omega_R column k: Ad(A_n) ... Ad(A_{k+1}) e_k
-    omega_r = [[ex.ZERO] * n for _ in range(n)]
-    for k in range(n):
-        col = basis[k]
-        for j in range(k + 1, n):
-            col = _mat_vec_sym(ad[j], col)
-        for row in range(n):
-            omega_r[row][k] = col[row]
-
-    inv_l = mat_inverse(omega_l)
-    inv_r = mat_inverse(omega_r)
-    xi = [VectorField.from_dict(space, {space.coords[k]: inv_l[k][i]
-                                        for k in range(n)})
-          for i in range(n)]
-    eta = [VectorField.from_dict(space, {space.coords[k]: inv_r[k][i]
-                                         for k in range(n)})
-           for i in range(n)]
+    eta = frame(lambda k: ad[k + 1:])
     return xi, eta
 
 

@@ -296,11 +296,8 @@ def exp_poly_to_expr(p: ExpPoly, t: ex.Expr) -> ex.Expr:
             )
             parts.append(ex.mul(trig, *factors))
         else:
-            if c.im != 0:
-                # imaginary residue must cancel against the conjugate term
-                parts.append(ex.mul(ex.Const(c.re), *factors) if c.re != 0 else ex.ZERO)
-            else:
-                parts.append(ex.mul(ex.Const(c.re), *factors))
+            # an imaginary residue cancels against the conjugate term
+            parts.append(ex.mul(ex.Const(c.re), *factors))
     return ex.add(*parts)
 
 

@@ -10,11 +10,13 @@ differentiate symbolically: every other first-order operator check goes
 through the annihilation routine.  Only the numeric checks, the covariant
 degree fit and the realization gate loop over points, so the verification
 suite has no oracle loop of its own.  The expression kernel walks a tree
-recursively only in its one fold, and every parameter is read.  These tests
-keep it that way.
+recursively only in its one fold, and every parameter is read.  Only
+`invariants.realize` builds and gates the frames, and every span the
+benchmark's tracer names exists.  These tests keep it that way.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import lieinv
@@ -170,6 +172,50 @@ def test_every_parameter_is_read():
             unread += [(path.stem, fn.name, p) for p in params
                        if p not in read and (path.stem, fn.name, p) not in exempt]
     assert unread == []
+
+
+def test_every_traced_span_exists():
+    # the benchmark's tracer marks a traced run incorrect when a span names
+    # something lieinv no longer has; SPANS is read without importing it
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    spans = next(ast.literal_eval(n.value) for n in tree.body
+                 if isinstance(n, ast.Assign)
+                 and "SPANS" in _names(n.targets[0]))
+    missing = []
+    for span in spans:
+        module, *attrs = span.split(".")
+        obj = importlib.import_module(f"lieinv.{module}")
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        if not callable(obj):
+            missing.append(span)
+    assert spans and missing == []
+
+
+def _qualified_callers(name):
+    """(module, enclosing function or Class.method) of every call of name."""
+    found = set()
+    for path in SOURCES:
+        stack = [(ast.parse(path.read_text(encoding="utf-8"), str(path)), "")]
+        while stack:
+            node, scope = stack.pop()
+            if isinstance(node, ast.Call) and name in _names(node.func):
+                found.add((path.stem, scope))
+            if isinstance(node, ast.ClassDef) and not scope:
+                scope = node.name + "."
+            elif isinstance(node, ast.FunctionDef) and scope[-1:] in ("", "."):
+                scope += node.name
+            stack.extend((c, scope) for c in ast.iter_child_nodes(node))
+    return found
+
+
+def test_only_realize_gates_frames():
+    # the frames are built and gated in one place for both pipelines
+    assert _qualified_callers("build_invariant_fields") == {
+        ("invariants", "realize"), ("liealg", "AlgebraCatalogEntry.fields")}
+    assert _qualified_callers("verify_realization") == {
+        ("invariants", "realize")}
 
 
 def _expr_functions():
