@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -888,6 +888,15 @@ def _adjoints(refs: dict, wrt: frozenset, lines: list) -> dict:
     return out
 
 
+CODE_MEMO_SIZE = 128  # distinct generated sources whose code objects are kept
+
+
+@lru_cache(maxsize=CODE_MEMO_SIZE)
+def _code(src: str):
+    """The code object of a generated source; equal sources share one."""
+    return compile(src, "<string>", "exec")
+
+
 def _compile(src: str):
     env = {
         "P": _num_pow,
@@ -895,7 +904,7 @@ def _compile(src: str):
         "abs": abs,
         "S": SingularEvaluation,
     }
-    exec(src, env)  # noqa: S102 - generated from our own AST
+    exec(_code(src), env)  # noqa: S102 - generated from our own AST
     # popped, so the evaluator does not hold itself through its globals
     return env.pop("f")
 
@@ -913,7 +922,10 @@ def compile_numeric(e: Expr, magnitude: bool = False):
     it computes a cancellation-free magnitude estimate: |.| is applied at
     the leaves and propagated through sums and products.  Both evaluators
     are kept on the node itself, so they live exactly as long as the tree
-    does.
+    does.  Structurally equal nodes generate the same source, whose code
+    object comes from a bounded memo (_code, CODE_MEMO_SIZE sources); each
+    node still gets its own function, made from that code object in fresh
+    globals.
     """
     if e._fns is None:
         e._fns = [None, None, None]
@@ -938,24 +950,6 @@ def compile_gradient(e: Expr):
                            key=lambda s: (s.name, s.kind)))
         e._fns[2] = (wrt, _compile(_codegen(e, False, wrt)))
     return e._fns[2]
-
-
-def eval_numeric(e: Expr, assignment: Mapping) -> float:
-    """Deterministic IEEE-double evaluation of e at the given point.
-
-    `assignment` maps Symbol (or symbol name) to a real number.  Raises
-    UnboundSymbol / SingularEvaluation with the offending item.
-    """
-    values = {}
-    for k, v in assignment.items():
-        values[k.name if isinstance(k, Symbol) else k] = float(v)
-    missing = [s.name for s in e.free_symbols() if s.name not in values]
-    if missing:
-        raise UnboundSymbol(f"unbound symbols: {sorted(missing)}")
-    try:
-        return compile_numeric(e)(values)
-    except SingularEvaluation as exc:
-        raise SingularEvaluation(f"{exc} while evaluating {render(e)}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -424,11 +424,3 @@ SO3_RECOMBINATION = (
     ("tv_13", "v_13 - v_23"),
     ("tv_23", "(v_12 - v_1^2*v_23 - v_2^2*v_13)/(v_1*v_2)"),
 )
-
-
-def so3_split_space() -> JetSpace:
-    return JetSpace(("x", "y"), "u")
-
-
-def so3_z_space() -> JetSpace:
-    return JetSpace(SO3_COORDS, "w")

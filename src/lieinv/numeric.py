@@ -149,13 +149,6 @@ def is_zero(e: ex.Expr, cfg: SamplerConfig = SamplerConfig(),
     return at_regular_points(e.free_symbols(), cfg, denoms, params, visit) is None
 
 
-def exprs_equal(a: ex.Expr, b: ex.Expr, cfg: SamplerConfig = SamplerConfig(),
-                params: Optional[Mapping] = None) -> bool:
-    """Numeric equality a == b via is_zero(a - b) with shared denominator info."""
-    denoms = ex.denominator_symbols(a) | ex.denominator_symbols(b)
-    return is_zero(a - b, cfg, params, extra_denoms=denoms)
-
-
 def first_non_annihilating(fields: Sequence, e: ex.Expr,
                            cfg: SamplerConfig = SamplerConfig(),
                            params: Optional[Mapping] = None) -> Optional[int]:
@@ -212,23 +205,23 @@ def first_non_annihilating(fields: Sequence, e: ex.Expr,
 def _row_echelon_rank(matrix: list) -> int:
     """Rank by Gaussian elimination with full pivoting.
 
-    The pivot threshold is relative to the largest pivot seen so far.
+    The pivot is the first entry of largest magnitude, row by row, over
+    the columns not yet pivoted on.  The pivot threshold is relative to
+    the largest pivot seen so far.
     """
     m = [row[:] for row in matrix]
     if not m or not m[0]:
         return 0
-    rows, cols = len(m), len(m[0])
-    rank = 0
+    rows = len(m)
+    free = list(range(len(m[0])))  # unpivoted columns, ascending
     first_pivot = None
     r = 0
-    used_cols = set()
     while r < rows:
         best = (0.0, -1, -1)
         for i in range(r, rows):
-            for j in range(cols):
-                if j in used_cols:
-                    continue
-                v = abs(m[i][j])
+            mi = m[i]
+            for j in free:
+                v = abs(mi[j])
                 if v > best[0]:
                     best = (v, i, j)
         pv, pi, pj = best
@@ -237,15 +230,14 @@ def _row_echelon_rank(matrix: list) -> int:
         if pv <= RANK_PIVOT_TOL * max(1.0, first_pivot if first_pivot else 1.0):
             break
         m[r], m[pi] = m[pi], m[r]
-        used_cols.add(pj)
+        free.remove(pj)
+        mr = m[r]
         for i in range(r + 1, rows):
-            f = m[i][pj] / m[r][pj]
+            f = m[i][pj] / mr[pj]
             if f != 0.0:
-                for j in range(cols):
-                    m[i][j] -= f * m[r][j]
-        rank += 1
+                m[i] = [a - f * b for a, b in zip(m[i], mr)]
         r += 1
-    return rank
+    return r
 
 
 def functional_rank(exprs: Sequence[ex.Expr], cfg: SamplerConfig = SamplerConfig(),

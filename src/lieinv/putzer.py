@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, gcd, isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -239,10 +240,23 @@ def eigenvalues(M: Sequence[Sequence[Fraction]]) -> List[CRat]:
 # Putzer recurrence
 
 
+EXP_MEMO_SIZE = 64  # distinct matrices whose exponentials are kept
+
+
 def exp_poly_matrix(M: Sequence[Sequence[Fraction]]) -> List[List[ExpPoly]]:
-    """exp(tM) as an n x n matrix of exp-polynomials in t (exact)."""
-    n = len(M)
-    A = [[Fraction(v) for v in row] for row in M]
+    """exp(tM) as an n x n matrix of exp-polynomials in t (exact).
+
+    Computed once per distinct matrix, in a bounded memo (EXP_MEMO_SIZE
+    matrices); the caller gets its own dicts, so it cannot alter the memo.
+    """
+    key = tuple(tuple(Fraction(v) for v in row) for row in M)
+    return [[dict(p) for p in row] for row in _exp_poly_matrix(key)]
+
+
+@lru_cache(maxsize=EXP_MEMO_SIZE)
+def _exp_poly_matrix(A: Tuple[Tuple[Fraction, ...], ...]) -> tuple:
+    """Putzer's recurrence on the normalized matrix; rows of exp-polynomials."""
+    n = len(A)
     lams = eigenvalues(A)
     # r_1 = e^{lam_1 t}; r_j = e^{lam_j t} * int_0^t e^{-lam_j s} r_{j-1}(s) ds
     rs: List[ExpPoly] = [{(lams[0], 0): CONE}]
@@ -271,7 +285,7 @@ def exp_poly_matrix(M: Sequence[Sequence[Fraction]]) -> List[List[ExpPoly]]:
                     continue
                 for key, v in rs[j].items():
                     _ep_add(out[i][k], key, v * c)
-    return out
+    return tuple(map(tuple, out))
 
 
 def exp_poly_to_expr(p: ExpPoly, t: ex.Expr) -> ex.Expr:

@@ -1,0 +1,45 @@
+"""Helpers that only the tests use: point evaluation, numeric equality and
+the so3 worked example's jet spaces."""
+
+from typing import Mapping, Optional
+
+from lieinv import expr as ex
+from lieinv import numeric as nm
+from lieinv.errors import SingularEvaluation, UnboundSymbol
+from lieinv.fixtures import SO3_COORDS
+from lieinv.jet import JetSpace
+
+
+def eval_numeric(e: ex.Expr, assignment: Mapping) -> float:
+    """Deterministic IEEE-double evaluation of e at the given point.
+
+    `assignment` maps Symbol (or symbol name) to a real number.  Raises
+    UnboundSymbol / SingularEvaluation with the offending item.
+    """
+    values = {}
+    for k, v in assignment.items():
+        values[k.name if isinstance(k, ex.Symbol) else k] = float(v)
+    missing = [s.name for s in e.free_symbols() if s.name not in values]
+    if missing:
+        raise UnboundSymbol(f"unbound symbols: {sorted(missing)}")
+    try:
+        return ex.compile_numeric(e)(values)
+    except SingularEvaluation as exc:
+        raise SingularEvaluation(
+            f"{exc} while evaluating {ex.render(e)}") from None
+
+
+def exprs_equal(a: ex.Expr, b: ex.Expr,
+                cfg: nm.SamplerConfig = nm.SamplerConfig(),
+                params: Optional[Mapping] = None) -> bool:
+    """Numeric equality a == b via is_zero(a - b) with shared denominator info."""
+    denoms = ex.denominator_symbols(a) | ex.denominator_symbols(b)
+    return nm.is_zero(a - b, cfg, params, extra_denoms=denoms)
+
+
+def so3_split_space() -> JetSpace:
+    return JetSpace(("x", "y"), "u")
+
+
+def so3_z_space() -> JetSpace:
+    return JetSpace(SO3_COORDS, "w")

@@ -18,6 +18,7 @@ from lieinv import expr as ex
 from lieinv import fixtures as fx
 from lieinv import liealg
 from lieinv import numeric as nm
+from lieinv import putzer
 from lieinv.cli import main
 from lieinv.covariant import (
     J_invariants,
@@ -46,6 +47,7 @@ from lieinv.verify import (
     perturbed_variants,
     run_fixture_suite,
 )
+from helpers import eval_numeric, so3_z_space
 from test_covariant import PDE_BATTERY
 from test_numeric import central_difference
 
@@ -103,7 +105,7 @@ def test_criterion_3_type1_reproduction():
 
 def test_criterion_4_so3_worked_example():
     entry = liealg.catalog_lookup("so3", {})
-    zsp = fx.so3_z_space()
+    zsp = so3_z_space()
     xi, eta = entry.fields(zsp)
     for built, printed in zip(xi + eta, fx.SO3_XI + fx.SO3_ETA):
         for c, comp in built.components:
@@ -228,6 +230,19 @@ def test_criterion_8_determinism(capsys):
     report(8, "byte-identical reproduce all --seed 7")
 
 
+def test_report_bytes_do_not_depend_on_the_memos(capsys):
+    # the code-object and Putzer memos are pure: a run after both are
+    # emptied prints the same bytes as the run before
+    outs = []
+    for _ in range(2):
+        assert main(["reproduce", "all", "--seed", "7", "--format", "json"]) == 0
+        outs.append(capsys.readouterr().out)
+        ex._code.cache_clear()
+        putzer._exp_poly_matrix.cache_clear()
+    assert outs[0] == outs[1]
+    assert hashlib.sha256(outs[1].encode()).hexdigest() == REPRODUCE_ALL_SHA256
+
+
 # ---------------------------------------------------------------------------
 # criterion 9: generated expression properties
 
@@ -301,7 +316,7 @@ def _kernel_property_cases():
                 ex.denominator_symbols(e) | ex.denominator_symbols(d), {})
             pt = pts[0]
             fd = central_difference(e, pt, sym.name)
-            sv = ex.eval_numeric(d, pt)
+            sv = eval_numeric(d, pt)
         except (ZeroDivisionError, OverflowError, nm.Unsampleable,
                 SingularEvaluation):
             continue
@@ -327,5 +342,5 @@ def test_compiled_gradient_on_the_criterion_9_expressions():
         assert out[0] == ex.compile_numeric(e)(pt), ex.render(e)
         assert len(out) == 1 + len(wrt)
         for s, g in zip(wrt, out[1:]):
-            want = ex.eval_numeric(ex.diff(e, s), pt)
+            want = eval_numeric(ex.diff(e, s), pt)
             assert g == pytest.approx(want, rel=1e-9), (ex.render(e), s.name)

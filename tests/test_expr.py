@@ -16,6 +16,8 @@ from lieinv.errors import (
 )
 from lieinv.jet import JetSpace
 
+from helpers import eval_numeric
+
 SP = JetSpace(("x", "y"), "u", params=("h",))
 X = ex.Sym(SP.base("x"))
 Y = ex.Sym(SP.base("y"))
@@ -227,24 +229,24 @@ class TestSubstituteExpand:
 class TestNumeric:
     def test_eval_basic(self):
         e = ex.add(ex.mul(ex.Const(2), X), ex.pow_(Y, 2))
-        assert ex.eval_numeric(e, {"x": 3.0, "y": 4.0}) == pytest.approx(22.0)
+        assert ex.compile_numeric(e)({"x": 3.0, "y": 4.0}) == pytest.approx(22.0)
 
     def test_eval_transcendental(self):
         e = ex.mul(ex.func("exp", X), ex.func("cos", Y))
-        got = ex.eval_numeric(e, {"x": 0.5, "y": 0.25})
+        got = ex.compile_numeric(e)({"x": 0.5, "y": 0.25})
         assert got == pytest.approx(math.exp(0.5) * math.cos(0.25))
 
     def test_unbound_symbol(self):
         with pytest.raises(UnboundSymbol):
-            ex.eval_numeric(ex.add(X, Y), {"x": 1.0})
+            eval_numeric(ex.add(X, Y), {"x": 1.0})
 
     def test_singular_division(self):
         with pytest.raises(SingularEvaluation):
-            ex.eval_numeric(ex.pow_(X, -1), {"x": 0.0})
+            ex.compile_numeric(ex.pow_(X, -1))({"x": 0.0})
 
     def test_log_of_negative(self):
         with pytest.raises(SingularEvaluation):
-            ex.eval_numeric(ex.func("log", X), {"x": -1.0})
+            ex.compile_numeric(ex.func("log", X))({"x": -1.0})
 
     def test_evaluators_kept_per_node(self):
         e = ex.add(ex.mul(ex.Const(-2), X), Y)
@@ -259,10 +261,22 @@ class TestNumeric:
         assert ex.compile_numeric(ex.add(Y, ex.mul(ex.Const(-2), X))) \
             is not value
 
+    def test_equal_nodes_share_one_code_object(self):
+        # the source is compiled once; each node still gets its own function
+        ex._code.cache_clear()
+        a = ex.add(ex.mul(ex.Const(-7), X), Y)
+        b = ex.add(Y, ex.mul(ex.Const(-7), X))
+        assert a == b and a is not b
+        fa, fb = ex.compile_numeric(a), ex.compile_numeric(b)
+        assert ex._code.cache_info().misses == 1
+        assert fa is not fb and fa.__code__ is fb.__code__
+        assert a._fns[0] is fa and b._fns[0] is fb
+        assert fa({"x": 1.0, "y": 1.0}) == fb({"x": 1.0, "y": 1.0}) == -6.0
+
     def test_negative_power_underflow_is_singular(self):
         # 1e-10 ** 40 underflows to 0.0; the point must be redrawn, not crash
         with pytest.raises(SingularEvaluation):
-            ex.eval_numeric(ex.pow_(X, -40), {"x": 1e-10})
+            ex.compile_numeric(ex.pow_(X, -40))({"x": 1e-10})
 
     @pytest.mark.parametrize("text, x", [
         ("x^40", 1e10), ("x^(-40)", 1e10), ("x^(3/2)", 1e300),
@@ -270,7 +284,7 @@ class TestNumeric:
     def test_power_overflow_is_singular(self, text, x):
         # float ** raises OverflowError here; the point must be redrawn
         with pytest.raises(SingularEvaluation):
-            ex.eval_numeric(SP.parse(text), {"x": x})
+            ex.compile_numeric(SP.parse(text))({"x": x})
 
     def test_walks_leave_no_reference_cycles(self):
         # the walkers must free their memos when they return, and a dropped

@@ -1,6 +1,7 @@
 """Randomized numeric oracle: zero tests, functional rank, equivalence."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -8,6 +9,8 @@ from lieinv import expr as ex
 from lieinv import numeric as nm
 from lieinv.errors import Unsampleable
 from lieinv.jet import JetSpace
+
+from helpers import eval_numeric, exprs_equal
 
 SP = JetSpace(("x", "y"), "u")
 CFG = nm.SamplerConfig()
@@ -87,7 +90,7 @@ class TestIsZero:
         # identity with huge intermediate terms still passes: |value| exceeds
         # tol at some points but stays within tol * scale
         e = p("(x + 1000000)^2 - x^2 - 2000000*x - 1000000000000")
-        assert any(abs(ex.eval_numeric(e, pt)) > CFG.tol
+        assert any(abs(eval_numeric(e, pt)) > CFG.tol
                    for pt in nm.sample_points(e.free_symbols(), CFG))
         assert nm.is_zero(e, CFG)
         assert e._fns[1] is not None
@@ -126,7 +129,7 @@ class TestIsZero:
     def test_exprs_equal(self):
         a = p("exp(u)*u_x")
         b = p("-(-u_x)*exp(u)")
-        assert nm.exprs_equal(a, b, CFG)
+        assert exprs_equal(a, b, CFG)
 
 
 class TestRank:
@@ -165,5 +168,100 @@ class TestRank:
         e = p("x^2*y + sin(x)")
         pt = {"x": 0.3, "y": -0.2}
         grad = central_difference(e, pt, "x")
-        sym = ex.eval_numeric(ex.diff(e, SP.base("x")), pt)
+        sym = eval_numeric(ex.diff(e, SP.base("x")), pt)
         assert grad == pytest.approx(sym, rel=1e-5)
+
+
+def set_based_rank(matrix):
+    """The elimination before its free-column rewrite, kept to compare."""
+    m = [row[:] for row in matrix]
+    if not m or not m[0]:
+        return 0
+    rows, cols = len(m), len(m[0])
+    rank = 0
+    first_pivot = None
+    r = 0
+    used_cols = set()
+    while r < rows:
+        best = (0.0, -1, -1)
+        for i in range(r, rows):
+            for j in range(cols):
+                if j in used_cols:
+                    continue
+                v = abs(m[i][j])
+                if v > best[0]:
+                    best = (v, i, j)
+        pv, pi, pj = best
+        if first_pivot is None:
+            first_pivot = pv
+        if pv <= nm.RANK_PIVOT_TOL * max(1.0, first_pivot if first_pivot else 1.0):
+            break
+        m[r], m[pi] = m[pi], m[r]
+        used_cols.add(pj)
+        for i in range(r + 1, rows):
+            f = m[i][pj] / m[r][pj]
+            if f != 0.0:
+                for j in range(cols):
+                    m[i][j] -= f * m[r][j]
+        rank += 1
+        r += 1
+    return rank
+
+
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def _elimination_cases():
+    """Seeded matrices: generic, rank-deficient, tied maxima, tiny rows."""
+    rng = random.Random(20201)
+    cases = [[], [[]], [[], []], [[0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    for _ in range(120):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        cases.append([[rng.uniform(-2, 2) for _ in range(cols)]
+                      for _ in range(rows)])
+        # rank at most k: a product through a k-dimensional space
+        k = rng.randint(1, max(1, min(rows, cols) - 1))
+        cases.append(_product(
+            [[rng.uniform(-1, 1) for _ in range(k)] for _ in range(rows)],
+            [[rng.uniform(-1, 1) for _ in range(cols)] for _ in range(k)]))
+        # small integers: many entries tie for the largest magnitude, and
+        # a low-rank product of them cancels exactly only in some orders
+        cases.append([[float(rng.randint(-2, 2)) for _ in range(cols)]
+                      for _ in range(rows)])
+        cases.append(_product(
+            [[float(rng.randint(-3, 3)) for _ in range(k)]
+             for _ in range(rows)],
+            [[float(rng.randint(-3, 3)) for _ in range(cols)]
+             for _ in range(k)]))
+        # a row near the pivot threshold
+        tiny = [[rng.uniform(-1, 1) for _ in range(cols)] for _ in range(rows)]
+        tiny[-1] = [v * 10.0 ** rng.randint(-11, -8) for v in tiny[-1]]
+        cases.append(tiny)
+    return cases
+
+
+class TestRowEchelon:
+    def test_same_rank_as_the_set_based_elimination(self):
+        ranks = []
+        for matrix in _elimination_cases():
+            rank = nm._row_echelon_rank(matrix)
+            assert rank == set_based_rank(matrix), matrix
+            ranks.append((rank, min(len(matrix), len(matrix[0]) if matrix
+                                    else 0)))
+        # the cases are not all full rank
+        assert sum(r < full for r, full in ranks) > 100
+
+    def test_same_rounding_as_the_set_based_elimination(self, monkeypatch):
+        # with no pivot threshold, any rounding residue left by another
+        # pivot order or another update counts towards the rank
+        monkeypatch.setattr(nm, "RANK_PIVOT_TOL", 0.0)
+        for matrix in _elimination_cases():
+            assert nm._row_echelon_rank(matrix) == set_based_rank(matrix), \
+                matrix
+
+    def test_input_left_unchanged(self):
+        matrix = [[1.0, 2.0], [2.0, 4.0]]
+        assert nm._row_echelon_rank(matrix) == 1
+        assert matrix == [[1.0, 2.0], [2.0, 4.0]]

@@ -10,13 +10,15 @@ from lieinv import putzer
 from lieinv.errors import EigenvalueUnsupported
 from lieinv.jet import JetSpace
 
+from helpers import eval_numeric
+
 SP = JetSpace(("t",), "u")
 T = ex.Sym(SP.base("t"))
 
 
 def exp_at(M, tval):
     rows = putzer.exp_matrix_expr(M, T)
-    return [[ex.eval_numeric(c, {"t": tval}) for c in row] for row in rows]
+    return [[eval_numeric(c, {"t": tval}) for c in row] for row in rows]
 
 
 def num_expm(M, tval, terms=60):
@@ -114,3 +116,19 @@ class TestExpMatrix:
         M = [[F(1), F(2)], [F(0), F(3)]]
         got = exp_at(M, 0.0)
         assert got == [[1.0, 0.0], [0.0, 1.0]]
+
+    def test_memoized_result_cannot_be_mutated(self):
+        # exp(t [[1, 1], [0, 1]]) = e^t [[1, t], [0, 1]]
+        M = [[F(1), F(1)], [F(0), F(1)]]
+        e1 = putzer.CRat(F(1))
+        want = [[{(e1, 0): putzer.CONE}, {(e1, 1): putzer.CONE}],
+                [{}, {(e1, 0): putzer.CONE}]]
+        putzer._exp_poly_matrix.cache_clear()
+        got = putzer.exp_poly_matrix(M)
+        assert got == want
+        got[0][1].clear()
+        got[1][0][(e1, 0)] = putzer.CONE
+        got[1].append({})
+        again = putzer.exp_poly_matrix(M)
+        assert putzer._exp_poly_matrix.cache_info().hits == 1
+        assert again == want

@@ -12,7 +12,9 @@ degree fit and the realization gate loop over points, so the verification
 suite has no oracle loop of its own.  The expression kernel walks a tree
 recursively only in its one fold, and every parameter is read.  Only
 `invariants.realize` builds and gates the frames, and every span the
-benchmark's tracer names exists.  These tests keep it that way.
+benchmark's tracer names exists.  Only the kernel's compile helpers run
+`exec` or `compile`, and every memo is an `lru_cache` with a bound.  These
+tests keep it that way.
 """
 
 import ast
@@ -113,6 +115,47 @@ def test_overflow_handled_only_in_expr():
              for module, scope, h in _nodes(ast.ExceptHandler)
              if module != "expr" and "OverflowError" in _names(h.type)]
     assert found == []
+
+
+def test_only_the_kernel_compiles_code():
+    # generated sources are compiled in one place, behind the code memo
+    callers = {(module, scope) for module, scope, call in _nodes(ast.Call)
+               if isinstance(call.func, ast.Name)
+               and call.func.id in ("exec", "compile")}
+    assert callers == {("expr", "_code"), ("expr", "_compile")}
+
+
+def test_every_memo_is_bounded():
+    # an unbounded memo grows with the run: every lru_cache is called with
+    # a maxsize that is a positive int constant of its module, and
+    # functools.cache is not used
+    memos, unbounded = set(), []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        ints = {t.id: n.value.value for n in tree.body
+                if isinstance(n, ast.Assign)
+                and isinstance(n.value, ast.Constant)
+                for t in n.targets if isinstance(t, ast.Name)}
+        bounded = set()
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                size = {k.arg: k.value for k in call.keywords}.get("maxsize")
+                size = ints.get(size.id) if isinstance(size, ast.Name) \
+                    else getattr(size, "value", None)
+                if type(size) is int and size > 0:
+                    bounded.add(id(call.func))
+        for n in ast.walk(tree):
+            if isinstance(n, ast.FunctionDef):
+                memos |= {(path.stem, n.name) for d in n.decorator_list
+                          if "lru_cache" in _names(d)}
+            name = n.id if isinstance(n, ast.Name) else \
+                n.attr if isinstance(n, ast.Attribute) else None
+            if name == "lru_cache" and id(n) not in bounded \
+                    or name == "cache" and "functools" in _names(n.value) \
+                    or isinstance(n, ast.alias) and n.name == "cache":
+                unbounded.append((path.stem, n.lineno))
+    assert unbounded == []
+    assert memos == {("expr", "_code"), ("putzer", "_exp_poly_matrix")}
 
 
 def test_no_finiteness_check_outside_the_evaluator():

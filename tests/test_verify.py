@@ -27,6 +27,8 @@ from lieinv.verify import (
     template_spot_check,
 )
 
+from helpers import eval_numeric, so3_split_space, so3_z_space
+
 CFG = nm.SamplerConfig()
 
 
@@ -105,7 +107,7 @@ class TestSharedPartials:
         for k, pt in applied:
             # the float residual at that point, from the symbolic partials
             residual = sum(
-                ex.eval_numeric(c, pt) * ex.eval_numeric(ex.diff(variant, s), pt)
+                eval_numeric(c, pt) * eval_numeric(ex.diff(variant, s), pt)
                 for s, c in gens[k].coefficients.items())
             assert abs(residual) > CFG.tol
 
@@ -330,7 +332,7 @@ class TestReport:
 class TestSO3WorkedExample:
     def test_printed_frames_match_construction(self):
         entry = liealg.catalog_lookup("so3", {})
-        sp = fx.so3_z_space()
+        sp = so3_z_space()
         xi, eta = entry.fields(sp)
         for built, printed in zip(xi, fx.SO3_XI):
             for c, comp in built.components:
@@ -342,7 +344,7 @@ class TestSO3WorkedExample:
                     ex.simplify_basic(sp.parse(printed[c])), (c, printed)
 
     def test_recombination_identities(self):
-        sp = fx.so3_split_space()
+        sp = so3_split_space()
         v = {k: sp.parse(s) for k, s in fx.SO3_V.items()}
         tv = {k: sp.parse(s) for k, s in fx.SO3_V_TILDE.items()}
 
@@ -363,7 +365,7 @@ class TestSO3WorkedExample:
             assert nm.is_zero(d, cfg, {}, extra_denoms=denoms), name
 
     def test_raw_and_tilde_sets_equivalent(self):
-        sp = fx.so3_split_space()
+        sp = so3_split_space()
         v2 = [sp.parse(fx.SO3_V[k]) for k in ("v_12", "v_13", "v_23")]
         tv2 = [sp.parse(fx.SO3_V_TILDE[k]) for k in ("tv_12", "tv_13", "tv_23")]
         first = [sp.parse(fx.SO3_V[k]) for k in ("v_1", "v_2")]
