@@ -10,7 +10,8 @@ Run:  python3 demos/worked_example_so3.py
 from lieinv import expr as ex
 from lieinv import numeric as nm
 from lieinv.invariants import type2_pipeline
-from lieinv.liealg import catalog_lookup, verify_realization
+from lieinv.liealg import (build_invariant_fields, catalog_lookup,
+                            verify_realization)
 
 cfg = nm.SamplerConfig()
 entry = catalog_lookup("so3", {})
@@ -24,7 +25,7 @@ for i in range(1, n + 1):
         if rhs:
             print(f"  [e{i}, e{j}] = {rhs}")
 
-xi, eta = entry.fields()
+xi, eta = build_invariant_fields(entry.sc, entry.split_space())
 print("\n== invariant frames ==")
 for name, fields in (("xi", xi), ("eta", eta)):
     for idx, f in enumerate(fields, start=1):

@@ -670,13 +670,17 @@ def substitute(e: Expr, bindings: Mapping[Symbol, Expr]) -> Expr:
 
 
 def substitute_heads(e: Expr, heads: Mapping[str, Callable]) -> Expr:
-    """Replace arbitrary-function applications head(args) by heads[head](*args)."""
+    """Replace arbitrary-function applications head(args) by heads[head](*args).
 
-    def visit(x, kids):
+    A replaced application is answered from its own args, which are handed
+    to the callable as they are, not rebuilt.
+    """
+
+    def stop(x):
         fn = heads.get(x.head) if type(x) is Applied else None
-        return _construct(x, kids) if fn is None else as_expr(fn(*kids))
+        return _leaf(x) if fn is None else as_expr(fn(*x.args))
 
-    return _fold(e, visit, _leaf)
+    return _fold(e, _construct, stop)
 
 
 def _walk(e: Expr):

@@ -2,20 +2,24 @@
 
 A JetSpace fixes the independent coordinates and the name of the dependent
 variable; it owns the base and jet symbols and resolves identifiers for the
-parser.  On top of it live:
+parser.  Spaces with the same coordinates, dependent name and parameters
+are equal, so a space (and a VectorField on it) is a memo key by value.
+On top of it live:
 
   * total_derivative  -- D_a = d/dx^a + u_a d/du + u_ab d/du_b
   * VectorField       -- first-order derivation on the base coordinates
   * FirstOrderOperator -- c + sum_s c_s d/ds on jet expressions
   * frame_derivative  -- the lifted operator  X^a D_a  of a vector field
   * symmetrized_frame_second -- (1/2)(X Y + Y X) applied through frames
-  * prolong2          -- second prolongation of a point symmetry generator
+  * prolong2          -- second prolongation of a point symmetry generator,
+                         memoized by (field, theta)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 from . import expr as ex
@@ -37,6 +41,15 @@ class JetSpace:
         self.params = tuple(sorted(set(params)))
         self._base = {c: ex.Symbol(c, ex.BASE) for c in coords}
         self._params = {p: ex.Symbol(p, ex.PARAM) for p in self.params}
+
+    # equal names make equal spaces, so a space is a memo key by value
+    def __eq__(self, other):
+        return isinstance(other, JetSpace) and (
+            (self.coords, self.dep, self.params)
+            == (other.coords, other.dep, other.params))
+
+    def __hash__(self):
+        return hash((self.coords, self.dep, self.params))
 
     # -- symbols -------------------------------------------------------------
     def base(self, name: str) -> ex.Symbol:
@@ -199,35 +212,55 @@ class ProlongedField(FirstOrderOperator):
     """Second prolongation of a point symmetry X = xi^a d_a + theta d_u.
 
     Its coefficients are theta for u, xi^a for x^a, phi_a for u_a and
-    phi_ab for u_ab, so X e = sum_s coefficients[s] * de/ds.
+    phi_ab for u_ab, so X e = sum_s coefficients[s] * de/ds.  Made by
+    prolong2.
     """
 
-    def __init__(self, space: JetSpace, xi: Mapping[str, ex.Expr],
-                 theta: ex.Expr = ex.ZERO):
+    def __init__(self, space: JetSpace,
+                 coefficients: Dict[Optional[ex.Symbol], ex.Expr]):
+        super().__init__(coefficients)
         self.space = space
-        xi = {c: ex.as_expr(xi.get(c, ex.ZERO)) for c in space.coords}
-        theta = ex.as_expr(theta)
-        coeffs = {space.jet(): theta}
-        phi1 = {}
-        # phi_a = D_a theta - u_b D_a xi^b
-        for a in space.coords:
-            terms = [total_derivative(theta, a, space)]
-            for b in space.coords:
-                terms.append(ex.mul(ex.Const(-1), ex.Sym(space.jet(b)),
-                                    total_derivative(xi[b], a, space)))
-            phi1[a] = ex.add(*terms)
-            coeffs[space.base(a)] = xi[a]
-            coeffs[space.jet(a)] = phi1[a]
-        # phi_ab = D_b phi_a - u_ac D_b xi^c
-        for i, a in enumerate(space.coords):
-            for b in space.coords[i:]:
-                terms = [total_derivative(phi1[a], b, space)]
-                for c in space.coords:
-                    terms.append(ex.mul(ex.Const(-1), ex.Sym(space.jet(a, c)),
-                                        total_derivative(xi[c], b, space)))
-                coeffs[space.jet(a, b)] = ex.add(*terms)
-        super().__init__(coeffs)
+
+
+PROLONG_MEMO_SIZE = 16  # distinct (field, theta) whose prolongations are kept
+
+
+@lru_cache(maxsize=PROLONG_MEMO_SIZE)
+def _prolongation(field: VectorField, theta: ex.Expr) -> tuple:
+    """The (symbol, coefficient) pairs of the second prolongation."""
+    space = field.space
+    given = dict(field.components)
+    xi = {c: given.get(c, ex.ZERO) for c in space.coords}
+    coeffs = {space.jet(): theta}
+    phi1 = {}
+    # phi_a = D_a theta - u_b D_a xi^b
+    for a in space.coords:
+        terms = [total_derivative(theta, a, space)]
+        for b in space.coords:
+            terms.append(ex.mul(ex.Const(-1), ex.Sym(space.jet(b)),
+                                total_derivative(xi[b], a, space)))
+        phi1[a] = ex.add(*terms)
+        coeffs[space.base(a)] = xi[a]
+        coeffs[space.jet(a)] = phi1[a]
+    # phi_ab = D_b phi_a - u_ac D_b xi^c
+    for i, a in enumerate(space.coords):
+        for b in space.coords[i:]:
+            terms = [total_derivative(phi1[a], b, space)]
+            for c in space.coords:
+                terms.append(ex.mul(ex.Const(-1), ex.Sym(space.jet(a, c)),
+                                    total_derivative(xi[c], b, space)))
+            coeffs[space.jet(a, b)] = ex.add(*terms)
+    return tuple(coeffs.items())
 
 
 def prolong2(field: VectorField, theta: ex.Expr = ex.ZERO) -> ProlongedField:
-    return ProlongedField(field.space, dict(field.components), theta)
+    """Second prolongation of field + theta d_u, on field.space.
+
+    Computed once per distinct (field, theta), by value (equal spaces and
+    structurally equal components), in a bounded memo (_prolongation,
+    PROLONG_MEMO_SIZE entries, least recently used dropped first); every
+    call gets its own ProlongedField and coefficient dict, so a caller
+    cannot alter the memo.
+    """
+    return ProlongedField(field.space,
+                          dict(_prolongation(field, ex.as_expr(theta))))

@@ -11,8 +11,9 @@ coordinates of the second kind, g_z = e^{z^n e_n} ... e^{z^1 e_1}:
 with A_j = exp(z^j e_j) and Ad(A_j) = exp(z^j ad_{e_j}) computed in closed
 form (module putzer), once per generator; Ad(A_j)^{-1} = exp(-z^j ad_{e_j})
 is Ad(A_j) at z^j -> -z^j.  Then xi_i = (Omega_L^{-1})_{ki} d/dz^k and
-eta_i = (Omega_R^{-1})_{ki} d/dz^k.  The construction is always gated by
-verify_realization, which raises VerificationFailed unless, numerically,
+eta_i = (Omega_R^{-1})_{ki} d/dz^k, built once per (algebra, z-space) in a
+bounded memo.  The construction is always gated by verify_realization,
+which raises VerificationFailed unless, numerically,
 
   [xi_i, xi_j] = C^k_ij xi_k,   [eta_i, eta_j] = -C^k_ij eta_k,
   [xi_i, eta_j] = 0,            det || xi_i^j || != 0.
@@ -23,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import expr as ex
@@ -33,6 +35,7 @@ from .errors import (CatalogError, JacobiViolation, SingularEvaluation,
 from .jet import JetSpace, VectorField
 
 DET_POINTS = 16
+FRAME_MEMO_SIZE = 4  # distinct (algebra, z-space) whose frames are kept
 
 
 @dataclass(frozen=True)
@@ -203,13 +206,18 @@ def _mat_vec_sym(M: List[List[ex.Expr]], v: List[ex.Expr]) -> List[ex.Expr]:
 # Second-kind invariant fields
 
 
+@lru_cache(maxsize=FRAME_MEMO_SIZE)
 def build_invariant_fields(sc: StructureConstants, space: JetSpace
-                           ) -> Tuple[List[VectorField], List[VectorField]]:
+                           ) -> Tuple[tuple, tuple]:
     """Left- (xi) and right- (eta) invariant fields on the given z-space.
 
     space.coords supplies the names of z^1..z^n in order; the fields are
     built from structure constants only and must then pass
-    verify_realization, as invariants.realize does.
+    verify_realization, as invariants.realize does.  Built once per
+    distinct (sc, space), by value, in a bounded memo (FRAME_MEMO_SIZE
+    entries, least recently used dropped first; __wrapped__ is the uncached
+    builder).  The frames are tuples of frozen fields, so no caller can
+    alter what the next one gets.
     """
     n = sc.dim
     if len(space.coords) != n:
@@ -232,9 +240,9 @@ def build_invariant_fields(sc: StructureConstants, space: JetSpace
                 col = _mat_vec_sym(M, col)
             cols.append(col)
         inv = mat_inverse(list(zip(*cols)))
-        return [VectorField.from_dict(space, {c: inv[k][i] for k, c
-                                              in enumerate(space.coords)})
-                for i in range(n)]
+        return tuple(VectorField.from_dict(space, {c: inv[k][i] for k, c
+                                                   in enumerate(space.coords)})
+                     for i in range(n))
 
     # Omega_L column k: Ad(A_1)^{-1} ... Ad(A_{k-1})^{-1} e_k
     xi = frame(lambda k: ad_inv[:k][::-1])
@@ -336,12 +344,6 @@ class AlgebraCatalogEntry:
     def split_space(self, dep_name: str = "w") -> JetSpace:
         return JetSpace(self.split_coords, dep_name,
                         params=[p for p, _ in self.params])
-
-    def fields(self, space: Optional[JetSpace] = None
-               ) -> Tuple[List[VectorField], List[VectorField]]:
-        if space is None:
-            space = self.split_space()
-        return build_invariant_fields(self.sc, space)
 
 
 _CATALOG_SPECS = {

@@ -1,5 +1,5 @@
-"""Helpers that only the tests use: point evaluation, numeric equality and
-the so3 worked example's jet spaces."""
+"""Helpers that only the tests use: point evaluation, numeric equality, a
+catalog entry's frames and the so3 worked example's jet spaces."""
 
 from typing import Mapping, Optional
 
@@ -8,6 +8,7 @@ from lieinv import numeric as nm
 from lieinv.errors import SingularEvaluation, UnboundSymbol
 from lieinv.fixtures import SO3_COORDS
 from lieinv.jet import JetSpace
+from lieinv.liealg import AlgebraCatalogEntry, build_invariant_fields
 
 
 def eval_numeric(e: ex.Expr, assignment: Mapping) -> float:
@@ -35,6 +36,12 @@ def exprs_equal(a: ex.Expr, b: ex.Expr,
     """Numeric equality a == b via is_zero(a - b) with shared denominator info."""
     denoms = ex.denominator_symbols(a) | ex.denominator_symbols(b)
     return nm.is_zero(a - b, cfg, params, extra_denoms=denoms)
+
+
+def fields(entry: AlgebraCatalogEntry, space: Optional[JetSpace] = None):
+    """The frames (xi, eta) of a catalog entry, on its split space by default."""
+    return build_invariant_fields(
+        entry.sc, entry.split_space() if space is None else space)
 
 
 def so3_split_space() -> JetSpace:

@@ -184,6 +184,17 @@ class TestSubstituteExpand:
         out = ex.substitute_heads(t, {"b": lambda a: ex.pow_(a, 2)})
         assert out == ex.add(ex.pow_(UX, 2), U)
 
+    def test_substitute_heads_passes_the_slot_arguments(self):
+        # the slot's own argument nodes reach the callable, not rebuilt ones
+        arg = ex.mul(X, ex.func("sin", UX))
+        rest = ex.mul(ex.pow_(ex.add(X, Y), 2), ex.func("exp", U))
+        t = ex.add(ex.mul(ex.applied("a1", [arg]), UX), rest)
+        (slot,) = ex.applications(t)
+        got = []
+        out = ex.substitute_heads(t, {"a1": lambda a: got.append(a) or Y})
+        assert len(got) == 1 and got[0] is slot.args[0]
+        assert out == ex.add(ex.mul(Y, UX), rest)
+
     def test_applied_heads(self):
         t = ex.add(ex.applied("b", [UX]), ex.applied("a1", [U]))
         assert {a.head for a in ex.applications(t)} == {"b", "a1"}

@@ -10,7 +10,7 @@ from lieinv import expr as ex
 from lieinv import invariants
 from lieinv import liealg
 from lieinv import numeric as nm
-from lieinv.errors import ResidualDependence
+from lieinv.errors import ResidualDependence, VerificationFailed
 from lieinv.invariants import (
     InvariantSet,
     eliminate_w,
@@ -20,7 +20,9 @@ from lieinv.invariants import (
     type2_pipeline,
 )
 from lieinv.jet import JetSpace
-from lieinv.verify import TABLE_ROWS
+from lieinv.verify import TABLE_ROWS, run_fixture_suite
+
+from helpers import fields
 
 CFG = nm.SamplerConfig()
 F = Fraction
@@ -177,7 +179,7 @@ class TestEliminateW:
         wspace = entry.split_space("w")
         indep = tuple(c for c in wspace.coords if c != entry.dep)
         split = JetSpace(indep, entry.dep, params=wspace.params)
-        _, eta = entry.fields(wspace)
+        _, eta = fields(entry, wspace)
         raw = eta[0].frame_derivative(ex.Sym(wspace.jet()))
         with pytest.raises(ResidualDependence):
             eliminate_w(raw, wspace, split, CFG, {}, "w_(1)")
@@ -199,3 +201,67 @@ class TestGenerators:
         assert len(inv.generators) == 3
         assert inv.space.coords == ("x", "y")
         assert all(g.space is inv.space for g in inv.generators)
+
+
+class TestRealizationMemo:
+    @staticmethod
+    def _count_gates(monkeypatch):
+        invariants._gated_frames.cache_clear()
+        calls = []
+        gate = liealg.verify_realization
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return gate(*args, **kwargs)
+
+        monkeypatch.setattr(liealg, "verify_realization", counted)
+        return calls
+
+    def test_suite_gates_each_key_once(self, monkeypatch):
+        # 2g1 and g2 at m = 1 and m = 2: the free rows of one algebra share
+        # their frames on x1, x2
+        calls = self._count_gates(monkeypatch)
+        report = run_fixture_suite(["2d-free"], CFG)
+        assert report.passed and len(report.rows) == 4
+        assert len(calls) == 2
+
+    def test_equal_spaces_share_one_gate(self, monkeypatch):
+        calls = self._count_gates(monkeypatch)
+        entry = liealg.catalog_lookup("g3_7", {})
+        for _ in range(2):
+            wspace = entry.split_space("w")
+            realize(entry, wspace, JetSpace(("x", "y"), "u"), CFG)
+        assert len(calls) == 1
+        assert invariants._gated_frames.cache_info().hits == 1
+
+    def test_other_cfg_gates_again(self, monkeypatch):
+        calls = self._count_gates(monkeypatch)
+        entry = liealg.catalog_lookup("g2", {})
+        other = nm.SamplerConfig(seed=CFG.seed + 1)
+        for cfg in (CFG, other, CFG, other):
+            type1_pipeline(entry, 1, cfg)
+        assert [c[3] for c in calls] == [CFG, other]
+
+    def test_failing_gate_is_not_stored(self, monkeypatch):
+        # g3_5 at p = 13 fails the gate in double precision
+        calls = self._count_gates(monkeypatch)
+        entry = liealg.catalog_lookup("g3_5", {"p": F(13)})
+        raised = []
+        for _ in range(2):
+            with pytest.raises(VerificationFailed,
+                               match="realization gate") as err:
+                type1_pipeline(entry, 1, CFG)
+            raised.append(str(err.value))
+        assert len(calls) == 2
+        assert raised[0] == raised[1]
+        assert invariants._gated_frames.cache_info().currsize == 0
+
+    def test_generators_cannot_alter_the_memo(self):
+        entry = liealg.catalog_lookup("g3_1", {})
+        inv = type2_pipeline(entry, CFG)
+        want = [dict(g.coefficients) for g in inv.generators]
+        for g in inv.generators:
+            g.coefficients.clear()
+        eta, gens = realize(entry, entry.split_space("w"), inv.space, CFG)
+        assert [g.coefficients for g in gens] == want
+        assert isinstance(eta, tuple) and isinstance(gens, tuple)

@@ -3,6 +3,7 @@
 import pytest
 
 from lieinv import expr as ex
+from lieinv import jet
 from lieinv import numeric as nm
 from lieinv.errors import OrderOverflow
 from lieinv.jet import (
@@ -114,3 +115,49 @@ class TestProlongation:
         pf = prolong2(f, p("x"))
         assert pf.apply(p("u_x")) == ex.ONE
         assert pf.apply(p("u_xx")) == ex.ZERO
+
+
+class TestProlongationMemo:
+    def test_equal_spaces_are_equal_keys(self):
+        a = JetSpace(["x", "y"], "u", params=["p", "q"])
+        b = JetSpace(("x", "y"), "u", params=("q", "p"))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != JetSpace(("y", "x"), "u", params=["p", "q"])
+        assert a != JetSpace(("x", "y"), "w", params=["p", "q"])
+        assert a != JetSpace(("x", "y"), "u")
+        # a field on either space is the same key
+        assert VectorField.from_dict(a, {"x": "y"}) == \
+            VectorField.from_dict(b, {"x": "y"})
+
+    def test_equal_spaces_share_one_entry(self):
+        jet._prolongation.cache_clear()
+        spaces = [JetSpace(("x", "y"), "u"), JetSpace(("x", "y"), "u")]
+        pfs = [prolong2(VectorField.from_dict(sp, {"x": "y", "y": "-x"}))
+               for sp in spaces]
+        info = jet._prolongation.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert pfs[0].coefficients == pfs[1].coefficients
+        # each prolonged field lives on its caller's own space
+        assert [pf.space for pf in pfs] == spaces
+        assert pfs[1].space is spaces[1]
+
+    def test_other_theta_is_another_entry(self):
+        jet._prolongation.cache_clear()
+        f = VectorField.from_dict(SP, {"x": "1"})
+        prolong2(f)
+        prolong2(f, p("u"))
+        assert jet._prolongation.cache_info().misses == 2
+
+    def test_mutating_a_prolongation_leaves_the_memo(self):
+        jet._prolongation.cache_clear()
+        f = VectorField.from_dict(SP, {"x": "x*y", "y": "u"})
+        first = prolong2(f, p("x"))
+        want = dict(first.coefficients)
+        first.coefficients[SP.jet("x")] = ex.ONE
+        first.coefficients.clear()
+        again = prolong2(f, p("x"))
+        assert jet._prolongation.cache_info().hits == 1
+        assert again.coefficients == want
+        assert again.coefficients is not first.coefficients
+        # and the memo holds what the formula gives
+        assert want == dict(jet._prolongation.__wrapped__(f, p("x")))

@@ -1,5 +1,6 @@
 """Structure constants, Jacobi validation, catalog, invariant frame fields."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from lieinv import putzer
 from lieinv.errors import CatalogError, JacobiViolation, VerificationFailed
 from lieinv.jet import JetSpace, VectorField
 
-from helpers import eval_numeric
+from helpers import eval_numeric, fields
 
 CFG = nm.SamplerConfig()
 F = Fraction
@@ -104,7 +105,7 @@ class TestInvariantFields:
     @pytest.mark.parametrize("name", liealg.CATALOG_NAMES)
     def test_realization_gate(self, name):
         entry = liealg.catalog_lookup(name, {})
-        xi, eta = entry.fields()
+        xi, eta = fields(entry)
         liealg.verify_realization(xi, eta, entry.sc, CFG, entry.param_map)
 
     @pytest.mark.parametrize("name,params", [
@@ -115,13 +116,13 @@ class TestInvariantFields:
     ])
     def test_realization_gate_parametrized(self, name, params):
         entry = liealg.catalog_lookup(name, params)
-        xi, eta = entry.fields()
+        xi, eta = fields(entry)
         liealg.verify_realization(xi, eta, entry.sc, CFG, entry.param_map)
 
     def test_fields_reduce_to_coordinate_frame_at_origin(self):
         entry = liealg.catalog_lookup("g3_7", {})
         space = entry.split_space()
-        xi, eta = entry.fields(space)
+        xi, eta = fields(entry, space)
         origin = {c: 0.0 for c in space.coords}
         for i, f in enumerate(xi):
             for j, c in enumerate(space.coords):
@@ -139,8 +140,8 @@ class TestInvariantFields:
         # actually detects wrong commutation relations
         entry = liealg.catalog_lookup("g2", {})
         other = liealg.catalog_lookup("2g1", {})
-        xi, _ = entry.fields()
-        _, eta = other.fields()
+        xi, _ = fields(entry)
+        _, eta = fields(other)
         with pytest.raises(VerificationFailed, match="realization gate"):
             liealg.verify_realization(xi, eta, entry.sc, CFG, {})
 
@@ -166,7 +167,8 @@ class TestInvariantFields:
 
         monkeypatch.setattr(putzer, "exp_matrix_expr", counted)
         entry = liealg.catalog_lookup("g3_6", {})
-        entry.fields()
+        # the uncached builder: a memo hit would make no exponential at all
+        liealg.build_invariant_fields.__wrapped__(entry.sc, entry.split_space())
         assert 0 < len(calls) <= 3
 
     @pytest.mark.parametrize("name,params", [
@@ -187,3 +189,39 @@ class TestInvariantFields:
             direct = putzer.exp_matrix_expr([[-v for v in row] for row in ad],
                                             z)
             assert flipped == direct, (name, params, k)
+
+
+class TestFrameMemo:
+    def test_equal_spaces_share_one_entry(self):
+        liealg.build_invariant_fields.cache_clear()
+        entry = liealg.catalog_lookup("g3_4", {"h": F(-1, 3)})
+        a, b = entry.split_space(), entry.split_space()
+        assert a is not b
+        first = liealg.build_invariant_fields(entry.sc, a)
+        second = liealg.build_invariant_fields(entry.sc, b)
+        info = liealg.build_invariant_fields.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert second is first
+        # the memo holds what the builder makes
+        assert first == liealg.build_invariant_fields.__wrapped__(entry.sc, b)
+
+    def test_other_constants_are_another_entry(self):
+        liealg.build_invariant_fields.cache_clear()
+        space = liealg.catalog_lookup("g3_5", {}).split_space()
+        for p in (F(1), F(2), F(1)):
+            entry = liealg.catalog_lookup("g3_5", {"p": p})
+            liealg.build_invariant_fields(entry.sc, space)
+        info = liealg.build_invariant_fields.cache_info()
+        assert (info.misses, info.hits) == (2, 1)
+
+    def test_returned_frames_cannot_be_altered(self):
+        liealg.build_invariant_fields.cache_clear()
+        entry = liealg.catalog_lookup("g2", {})
+        xi, eta = fields(entry)
+        want = [[comp for _, comp in f.components] for f in xi + eta]
+        with pytest.raises(TypeError):
+            xi[0] = eta[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            xi[0].components = ()
+        xi2, eta2 = fields(entry)
+        assert [[comp for _, comp in f.components] for f in xi2 + eta2] == want

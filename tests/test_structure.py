@@ -11,10 +11,10 @@ through the annihilation routine.  Only the numeric checks, the covariant
 degree fit and the realization gate loop over points, so the verification
 suite has no oracle loop of its own.  The expression kernel walks a tree
 recursively only in its one fold, and every parameter is read.  Only
-`invariants.realize` builds and gates the frames, and every span the
-benchmark's tracer names exists.  Only the kernel's compile helpers run
-`exec` or `compile`, and every memo is an `lru_cache` with a bound.  These
-tests keep it that way.
+`invariants.realize` builds and gates the frames, through its gated-frame
+memo, and every span the benchmark's tracer names exists.  Only the
+kernel's compile helpers run `exec` or `compile`, and every memo is an
+`lru_cache` with a bound.  These tests keep it that way.
 """
 
 import ast
@@ -155,7 +155,9 @@ def test_every_memo_is_bounded():
                     or isinstance(n, ast.alias) and n.name == "cache":
                 unbounded.append((path.stem, n.lineno))
     assert unbounded == []
-    assert memos == {("expr", "_code"), ("putzer", "_exp_poly_matrix")}
+    assert memos == {("expr", "_code"), ("putzer", "_exp_poly_matrix"),
+                     ("liealg", "build_invariant_fields"),
+                     ("invariants", "_gated_frames"), ("jet", "_prolongation")}
 
 
 def test_no_finiteness_check_outside_the_evaluator():
@@ -254,11 +256,13 @@ def _qualified_callers(name):
 
 
 def test_only_realize_gates_frames():
-    # the frames are built and gated in one place for both pipelines
+    # the frames are built and gated in one place for both pipelines: the
+    # gated-frame memo, which only realize reads
     assert _qualified_callers("build_invariant_fields") == {
-        ("invariants", "realize"), ("liealg", "AlgebraCatalogEntry.fields")}
+        ("invariants", "_gated_frames")}
     assert _qualified_callers("verify_realization") == {
-        ("invariants", "realize")}
+        ("invariants", "_gated_frames")}
+    assert _qualified_callers("_gated_frames") == {("invariants", "realize")}
 
 
 def _expr_functions():
