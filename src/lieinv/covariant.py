@@ -107,9 +107,9 @@ def parse_pde(text: str, params: Tuple[str, ...] = ()) -> ScalarPDE:
     return ScalarPDE(space, space.parse(fields["lhs"]))
 
 
-def wspace_for(space: JetSpace, wname: str = "w") -> JetSpace:
-    """z-space of a split PDE space: all coordinates plus the old dependent."""
-    return JetSpace(space.coords + (space.dep,), wname, params=space.params)
+def wspace_for(space: JetSpace) -> JetSpace:
+    """z-space of a split PDE space: all coordinates plus the old dependent; dep w."""
+    return JetSpace(space.coords + (space.dep,), "w", params=space.params)
 
 
 def implicit_first(wspace: JetSpace, dep_coord: str) -> Dict[ex.Symbol, ex.Expr]:
@@ -188,7 +188,7 @@ def to_covariant(pde: ScalarPDE, cfg: nm.SamplerConfig = nm.SamplerConfig(),
 
 def euler_operator(wspace: JetSpace, k: int = 0) -> FirstOrderOperator:
     """D - k, with D = sum_i w_i d/dw_i + sum_{i<=j} w_ij d/dw_ij."""
-    coeffs = {s: ex.Sym(s) for s in wspace.jet_symbols(2) if s.order >= 1}
+    coeffs = {s: ex.Sym(s) for s in wspace.jet_symbols() if s.order >= 1}
     coeffs[None] = ex.Const(-k)
     return FirstOrderOperator(coeffs)
 

@@ -24,7 +24,7 @@ identities, used as structural and numerical oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from . import expr as ex
 from . import liealg

@@ -22,13 +22,13 @@ u are invariant.  A basis of second-order differential invariants is
     y^mu, u, u_{y^mu}, u_(i), u_{y^mu y^nu}, u_(ij), D_{y^mu} u_(i),
 
 with u_(i) = eta_i^j u_j the right-invariant frame derivatives and u_(ij)
-their symmetrizations.
+their symmetrizations, both read from the one table jet.frame_jets.
 
 Simply transitive actions (pipeline "transitive"): all n = dim coordinates
 z = (x, u) are moved; the construction passes through the covariant scalar
 w(z).  The invariants are the rescale invariants J~ of covariant.J_invariants
 taken on the frame derivatives: w_i -> w_(i) = eta_i(w) and w_ij -> w_(ij),
-the symmetrized second frame derivatives.  These are functions of the split
+the symmetrized second frame derivatives, from the same jet.frame_jets.  These are functions of the split
 jet variables alone on w = 0: they do not depend on the residual w-jets
 {w_u, w_au, w_uu}, the coordinates along the gauge w -> phi*w.  That holds
 exactly when they pass the covariant-form contract at degree 0, one pass
@@ -62,9 +62,8 @@ from .jet import (
     JetSpace,
     ProlongedField,
     VectorField,
-    frame_first,
+    frame_jets,
     prolong2,
-    symmetrized_frame_second,
     total_derivative,
 )
 
@@ -123,27 +122,25 @@ class InvariantSet:
 
 def _verify_annihilation(fields: Sequence[ProlongedField],
                          invariants: Sequence[Tuple[str, ex.Expr]],
-                         cfg: nm.SamplerConfig,
-                         params: Optional[Mapping]) -> None:
+                         cfg: nm.SamplerConfig) -> None:
     """Every invariant must be annihilated by every prolonged generator."""
     for label, inv in invariants:
-        k = nm.first_non_annihilating(fields, inv, cfg, params)
+        k = nm.first_non_annihilating(fields, inv, cfg)
         if k is not None:
             raise VerificationFailed(
                 f"invariant {label} is not annihilated by generator X{k + 1}")
 
 
 def _check_rank(invariants: Sequence[Tuple[str, ex.Expr]],
-                space: JetSpace, orbit_dim: int,
-                cfg: nm.SamplerConfig, params: Optional[Mapping]) -> None:
+                space: JetSpace, orbit_dim: int, cfg: nm.SamplerConfig) -> None:
     exprs = [e for _, e in invariants]
-    jet_dim = len(space.coords) + len(space.jet_symbols(2))
+    jet_dim = len(space.coords) + len(space.jet_symbols())
     expected = jet_dim - orbit_dim
     if len(exprs) != expected:
         raise VerificationFailed(
             f"expected {expected} invariants (jet dim {jet_dim} minus orbit "
             f"dim {orbit_dim}), produced {len(exprs)}")
-    rank = nm.functional_rank(exprs, cfg, params)
+    rank = nm.functional_rank(exprs, cfg)
     if rank != expected:
         raise VerificationFailed(
             f"invariant family has rank {rank}, expected {expected}")
@@ -227,25 +224,20 @@ def type1_pipeline(entry: liealg.AlgebraCatalogEntry, m: int = 1,
     zspace = JetSpace(xs, "u", params=names)
     space = JetSpace(xs + ys, "u", params=names)
     eta, generators = realize(entry, zspace, space, cfg)
-    params = entry.param_map
+    u_i, u_ij = frame_jets(eta)
 
     first: List[Tuple[str, ex.Expr]] = []
     for mu in ys:
         first.append((f"u_{mu}", ex.Sym(space.jet(mu))))
-    u_i = []
-    for i, f in enumerate(eta, start=1):
-        e = frame_first(f)
-        u_i.append(e)
+    for i, e in enumerate(u_i, start=1):
         first.append((f"u_({i})", e))
 
     second: List[Tuple[str, ex.Expr]] = []
     for a, mu in enumerate(ys):
         for nu in ys[a:]:
             second.append((f"u_{mu}{nu}", ex.Sym(space.jet(mu, nu))))
-    for i in range(n):
-        for j in range(i, n):
-            second.append((f"u_({i + 1}{j + 1})",
-                           symmetrized_frame_second(eta[i], eta[j])))
+    for (i, j), e in u_ij.items():
+        second.append((f"u_({i + 1}{j + 1})", e))
     for i, e in enumerate(u_i, start=1):
         for mu in ys:
             second.append((f"u_({i})_{mu}", total_derivative(e, mu, space)))
@@ -257,8 +249,8 @@ def type1_pipeline(entry: liealg.AlgebraCatalogEntry, m: int = 1,
     invariants.extend(first)
     invariants.extend(second)
 
-    _verify_annihilation(generators, invariants, cfg, params)
-    _check_rank(invariants, space, n, cfg, params)
+    _verify_annihilation(generators, invariants, cfg)
+    _check_rank(invariants, space, n, cfg)
 
     # the slots take the invariants' own nodes, whose evaluators the checks
     # above compiled
@@ -308,14 +300,13 @@ def type2_pipeline(entry: liealg.AlgebraCatalogEntry,
     split = JetSpace(tuple(c for c in wspace.coords if c != dep), dep,
                      params=wspace.params)
     eta, generators = realize(entry, wspace, split, cfg)
-    params = entry.param_map
 
     # J~ on the frame derivatives, frame i paired with wspace.coords[i - 1]
     coords = wspace.coords
-    frame = {wspace.jet(c): frame_first(f) for c, f in zip(coords, eta)}
-    frame.update({wspace.jet(coords[i], coords[j]):
-                  symmetrized_frame_second(eta[i], eta[j])
-                  for i in range(n) for j in range(i, n)})
+    w_i, w_ij = frame_jets(eta)
+    frame = {wspace.jet(c): e for c, e in zip(coords, w_i)}
+    frame.update({wspace.jet(coords[i], coords[j]): e
+                  for (i, j), e in w_ij.items()})
     index = {c: i for i, c in enumerate(coords, start=1)}
     J1, J2 = covariant.J_invariants(wspace, dep)
     I_first = [(f"v_{index[c]}", ex.substitute(J, frame))
@@ -323,11 +314,11 @@ def type2_pipeline(entry: liealg.AlgebraCatalogEntry,
     I_second = [(f"v_{index[a]}{index[b]}", ex.substitute(J, frame))
                 for (a, b), J in J2.items()]
 
-    invariants = [(label, eliminate_w(e, wspace, split, cfg, params, label))
+    invariants = [(label, eliminate_w(e, wspace, split, cfg, label=label))
                   for label, e in I_first + I_second]
 
-    _verify_annihilation(generators, invariants, cfg, params)
-    _check_rank(invariants, split, n, cfg, params)
+    _verify_annihilation(generators, invariants, cfg)
+    _check_rank(invariants, split, n, cfg)
 
     n_first = len(I_first)
     template = _template(split, invariants[:n_first], invariants[n_first:])

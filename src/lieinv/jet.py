@@ -10,7 +10,8 @@ On top of it live:
   * VectorField       -- first-order derivation on the base coordinates
   * FirstOrderOperator -- c + sum_s c_s d/ds on jet expressions
   * frame_derivative  -- the lifted operator  X^a D_a  of a vector field
-  * symmetrized_frame_second -- (1/2)(X Y + Y X) applied through frames
+  * frame_jets        -- X_i u and (1/2)(X_i X_j + X_j X_i) u of a frame,
+                         each total derivative taken once
   * prolong2          -- second prolongation of a point symmetry generator,
                          memoized by (field, theta)
 """
@@ -20,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from . import expr as ex
-from .errors import OrderOverflow, UnsupportedOperation
+from .errors import OrderOverflow
 
 
 class JetSpace:
@@ -61,16 +62,12 @@ class JetSpace:
                 raise KeyError(f"{c!r} is not a coordinate of this space")
         return ex.jet_symbol(self.dep, index)
 
-    def jet_symbols(self, max_order: int = 2):
-        """All jet symbols up to the given order, in a fixed order."""
-        out = [self.jet()]
-        if max_order >= 1:
-            out += [self.jet(a) for a in self.coords]
-        if max_order >= 2:
-            n = len(self.coords)
-            out += [self.jet(self.coords[i], self.coords[j])
-                    for i in range(n) for j in range(i, n)]
-        return out
+    def jet_symbols(self):
+        """All jet symbols up to order 2, in a fixed order."""
+        n = len(self.coords)
+        return [self.jet()] + [self.jet(a) for a in self.coords] + [
+            self.jet(self.coords[i], self.coords[j])
+            for i in range(n) for j in range(i, n)]
 
     # -- identifier resolution (parser context) -------------------------------
     def resolve(self, name: str) -> ex.Symbol:
@@ -178,18 +175,25 @@ class VectorField:
         return f"<VectorField {body}>"
 
 
-def frame_first(field: VectorField) -> ex.Expr:
-    """First frame derivative of the dependent variable: X^a u_a."""
-    u = ex.Sym(field.space.jet())
-    return field.frame_derivative(u)
+def frame_jets(eta: Sequence[VectorField]) -> Tuple[list, dict]:
+    """The frame jets of u: first[i] = X_i u and, for i <= j,
+    second[(i, j)] = (1/2)(X_i X_j + X_j X_i) u, in (i, j) order.
 
+    Each total derivative D_c X_j u is taken once, and X_i X_j u is
+    sum_c X_i^c D_c X_j u, as X_i.frame_derivative(X_j u) builds it.
+    """
+    space = eta[0].space
+    first = [f.frame_derivative(ex.Sym(space.jet())) for f in eta]
+    d = [{c: total_derivative(e, c, space) for c in space.coords}
+         for e in first]
 
-def symmetrized_frame_second(fi: VectorField, fj: VectorField) -> ex.Expr:
-    """Symmetrized second frame derivative (1/2)(X_i X_j + X_j X_i) u."""
-    u = ex.Sym(fi.space.jet())
-    a = fi.frame_derivative(fj.frame_derivative(u))
-    b = fj.frame_derivative(fi.frame_derivative(u))
-    return ex.mul(ex.Const(Fraction(1, 2)), ex.add(a, b))
+    def lifted(i, j):
+        return ex.add(*[ex.mul(comp, d[j][c]) for c, comp in eta[i].components])
+
+    half = ex.Const(Fraction(1, 2))
+    second = {(i, j): ex.mul(half, ex.add(lifted(i, j), lifted(j, i)))
+              for i in range(len(eta)) for j in range(i, len(eta))}
+    return first, second
 
 
 class FirstOrderOperator:

@@ -27,7 +27,6 @@ from lieinv.covariant import (
     euler_operator,
     from_covariant,
     parse_pde,
-    rescale_invariance_check,
     rescale_operators,
     to_covariant,
     wspace_for,
@@ -254,7 +253,7 @@ def test_report_bytes_do_not_depend_on_the_memos(capsys):
 
 
 def _random_expr(rng, space, depth=3):
-    syms = [ex.Sym(s) for s in space.jet_symbols(2)] + \
+    syms = [ex.Sym(s) for s in space.jet_symbols()] + \
            [ex.Sym(space.base(c)) for c in space.coords]
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.25:

@@ -12,7 +12,6 @@ from lieinv import liealg
 from lieinv import numeric as nm
 from lieinv.errors import ResidualDependence, VerificationFailed
 from lieinv.invariants import (
-    InvariantSet,
     eliminate_w,
     instantiate_template,
     realize,
@@ -148,8 +147,8 @@ class TestEliminateW:
         # renders exactly like the epod lift followed by the section
         pairs = []
 
-        def recording(e, wspace, split, *args):
-            got = eliminate_w(e, wspace, split, *args)
+        def recording(e, wspace, split, *args, **kwargs):
+            got = eliminate_w(e, wspace, split, *args, **kwargs)
             lifted = ex.substitute(e, _epod_substitutions(wspace, split,
                                                           split.dep))
             want = ex.substitute(lifted,
@@ -201,6 +200,27 @@ class TestGenerators:
         assert len(inv.generators) == 3
         assert inv.space.coords == ("x", "y")
         assert all(g.space is inv.space for g in inv.generators)
+
+
+class TestNoParameterSymbols:
+    def test_generated_expressions_have_no_parameter(self):
+        # catalog_lookup puts the parameter values into the structure
+        # constants, so the pipelines' checks need no parameter map
+        rows = [(name, pipeline, m, params)
+                for table in TABLE_ROWS.values()
+                for name, pipeline, m, params in table]
+        assert len(rows) == 38
+        for name, params in (("g3_4", {"h": F(-1, 3)}), ("g3_5", {"p": F(5, 2)})):
+            rows += [(name, "free", 1, params), (name, "free", 2, params),
+                     (name, "transitive", None, params)]
+        for name, pipeline, m, params in rows:
+            entry = liealg.catalog_lookup(name, params)
+            inv = type1_pipeline(entry, m, CFG) if pipeline == "free" \
+                else type2_pipeline(entry, CFG)
+            exprs = inv.exprs() + [inv.template.lhs] + [
+                c for g in inv.generators for c in g.coefficients.values()]
+            kinds = {s.kind for e in exprs for s in e.free_symbols()}
+            assert ex.PARAM not in kinds, (name, pipeline, m, params)
 
 
 class TestRealizationMemo:

@@ -1,9 +1,13 @@
-"""Jet spaces, total derivatives, vector fields, second prolongation."""
+"""Jet spaces, total derivatives, vector fields, frame jets, second prolongation."""
+
+import random
+from fractions import Fraction
 
 import pytest
 
 from lieinv import expr as ex
 from lieinv import jet
+from lieinv import liealg
 from lieinv import numeric as nm
 from lieinv.errors import OrderOverflow
 from lieinv.jet import (
@@ -12,6 +16,9 @@ from lieinv.jet import (
     prolong2,
     total_derivative,
 )
+from helpers import fields
+from test_acceptance import CFG as ACCEPTANCE_CFG
+from test_acceptance import _admissible_draws
 
 SP = JetSpace(("x", "y"), "u")
 CFG = nm.SamplerConfig()
@@ -23,7 +30,7 @@ def p(text):
 
 class TestJetSpace:
     def test_jet_symbols_order(self):
-        names = [s.name for s in SP.jet_symbols(2)]
+        names = [s.name for s in SP.jet_symbols()]
         assert names == ["u", "u_x", "u_y", "u_xx", "u_xy", "u_yy"]
 
     def test_resolve_sorted_index(self):
@@ -77,6 +84,67 @@ class TestVectorField:
         left = f.apply(ex.mul(a, b))
         right = ex.add(ex.mul(f.apply(a), b), ex.mul(a, f.apply(b)))
         assert nm.is_zero(ex.add(left, ex.mul(ex.Const(-1), right)), CFG)
+
+
+def _reference_first(f):
+    """Reference for frame_jets' first: X^a u_a, one frame at a time."""
+    return f.frame_derivative(ex.Sym(f.space.jet()))
+
+
+def _reference_second(fi, fj):
+    """Reference for frame_jets' second: (1/2)(X_i X_j + X_j X_i) u, pair
+    by pair."""
+    u = ex.Sym(fi.space.jet())
+    a = fi.frame_derivative(fj.frame_derivative(u))
+    b = fj.frame_derivative(fi.frame_derivative(u))
+    return ex.mul(ex.Const(Fraction(1, 2)), ex.add(a, b))
+
+
+def _frame_cases():
+    """Every catalog entry at its stock parameters, then criterion 6's draws."""
+    rng = random.Random(ACCEPTANCE_CFG.seed)
+    cases = [(name, {}) for name in liealg.CATALOG_NAMES]
+    for name in liealg.CATALOG_NAMES:
+        cases += [(name, p) for p in _admissible_draws(name, rng) if p]
+    return cases
+
+
+class TestFrameJets:
+    @pytest.mark.parametrize("name, params", _frame_cases())
+    def test_equal_to_the_reference(self, name, params):
+        entry = liealg.catalog_lookup(name, params)
+        xs = tuple(f"x{i}" for i in range(1, entry.dim + 1))
+        names = [p for p, _ in entry.params]
+        for zspace in (JetSpace(xs, "u", params=names), entry.split_space("w")):
+            _, eta = fields(entry, zspace)
+            first, second = jet.frame_jets(eta)
+            n = len(eta)
+            assert first == [_reference_first(f) for f in eta]
+            assert list(second) == [(i, j) for i in range(n)
+                                    for j in range(i, n)]
+            assert list(second.values()) == [
+                _reference_second(eta[i], eta[j]) for i, j in second]
+
+    def test_each_total_derivative_taken_once(self, monkeypatch):
+        # n frames: n^2 for the X_i u and n^2 for their D_c; the pairwise
+        # reference takes n^2 + n(n + 1)/2 * 4n = 81 for n = 3
+        _, eta = fields(liealg.catalog_lookup("g3_7", {}))
+        calls = []
+        original = jet.total_derivative
+
+        def counting(e, coord, space):
+            calls.append(coord)
+            return original(e, coord, space)
+
+        monkeypatch.setattr(jet, "total_derivative", counting)
+        jet.frame_jets(eta)
+        assert len(calls) == 18
+        calls.clear()
+        for i, f in enumerate(eta):
+            _reference_first(f)
+            for g in eta[i:]:
+                _reference_second(f, g)
+        assert len(calls) == 81
 
 
 class TestProlongation:

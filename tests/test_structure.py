@@ -14,7 +14,9 @@ recursively only in its one fold, and every parameter is read.  Only
 `invariants.realize` builds and gates the frames, through its gated-frame
 memo, and every span the benchmark's tracer names exists.  Only the
 kernel's compile helpers run `exec` or `compile`, and every memo is an
-`lru_cache` with a bound.  These tests keep it that way.
+`lru_cache` with a bound.  Only `jet.frame_jets` takes frame derivatives,
+so both pipelines share one frame-jet table, and every imported name is
+read.  These tests keep it that way.
 """
 
 import ast
@@ -291,3 +293,28 @@ def test_only_the_fold_walks_recursively():
             and not _calls_to(f, f.name)} == visitors
     assert {f.name for f in functions
             if any(isinstance(n, ast.Delete) for n in ast.walk(f))} == {"_fold"}
+
+
+def test_only_frame_jets_takes_frame_derivatives():
+    # both pipelines read X_i u and the symmetrized X_i X_j u from one
+    # table, which takes each total derivative once
+    assert _qualified_callers("frame_derivative") == {("jet", "frame_jets")}
+
+
+def test_no_unused_import():
+    # every imported name is read; the package re-exports through __all__,
+    # and a __future__ import is a compiler directive
+    unused = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        read |= {name for n in tree.body if isinstance(n, ast.Assign)
+                 and "__all__" in _names(n.targets[0])
+                 for name in ast.literal_eval(n.value)}
+        for n in ast.walk(tree):
+            if isinstance(n, (ast.Import, ast.ImportFrom)) \
+                    and getattr(n, "module", None) != "__future__":
+                unused += [(path.stem, a.asname or a.name) for a in n.names
+                           if (a.asname or a.name).split(".")[0] not in read]
+    assert unused == []
