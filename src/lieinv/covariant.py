@@ -12,9 +12,10 @@ of the covariant form is that E~ is homogeneous of some integer degree k in
 the w-derivatives, D E~ = k E~ for the Euler operator D, and is annihilated
 by the rescaling fields R_j = sum_i (1 + delta_ij) w_i d/dw_ij.  D - k and
 the R_j are first-order operators (euler_operator, rescale_operators).
-CovariantPDE fits k when it is made, then checks the contract in one pass
-over D - k and every R_j (one numeric.first_non_annihilating call) on one
-compiled gradient of E~ that also serves the fit.  The same pass at k = 0
+CovariantPDE reads k as D E~ / E~ at one regular point when it is made,
+then checks the contract in one pass over D - k and every R_j (one
+numeric.first_non_annihilating call) at every point, so a ratio that
+holds at one point only is refused there.  The same pass at k = 0
 decides, for the transitive pipeline, that the rescale invariants J~ taken
 on the frame derivatives are free of the residual w-jets.  Every
 covariant form passed its check once; from_covariant then restores the
@@ -38,8 +39,6 @@ from .errors import (
 )
 from .jet import FirstOrderOperator, JetSpace
 
-DEGREE_FIT_POINTS = 8
-
 
 @dataclass(frozen=True)
 class ScalarPDE:
@@ -57,10 +56,10 @@ class CovariantPDE:
     """The covariant pair E~(z, w_i, w_ij) = 0, w = 0, checked when made.
 
     dep_coord names the z-coordinate that was the dependent variable of the
-    split form.  Construction fits degree, the homogeneity degree of lhs in
-    the w-derivatives, and then checks in one pass that D - degree and
-    every R_j annihilate lhs, both with the oracle under cfg and params; it
-    raises NotHomogeneous or NotRescaleInvariant otherwise.
+    split form.  Construction reads degree, the homogeneity degree of lhs in
+    the w-derivatives, at one point, and then checks in one pass that
+    D - degree and every R_j annihilate lhs, both with the oracle under cfg
+    and params; it raises NotHomogeneous or NotRescaleInvariant otherwise.
     """
 
     space: JetSpace
@@ -205,39 +204,28 @@ def rescale_operators(wspace: JetSpace) -> List[FirstOrderOperator]:
 def homogeneity_degree(e: ex.Expr, wspace: JetSpace,
                        cfg: nm.SamplerConfig = nm.SamplerConfig(),
                        params: Optional[dict] = None) -> int:
-    """Degree k with D e = k e, fitted numerically.
+    """Degree k with D e = k e, read at one point.
 
-    The ratio D e / e is fitted from e's compiled gradient at
-    DEGREE_FIT_POINTS regular points; a point where e vanishes is singular
-    for the ratio and is redrawn; ratios that disagree, or a non-integer
-    one, raise NotHomogeneous.  rescale_invariance_check confirms D e = k e.
+    The ratio D e / e is taken from e's compiled gradient at the first
+    regular point, with the w-derivatives kept off zero; a point where e
+    vanishes is singular for the ratio and is redrawn.  A non-integer ratio
+    raises NotHomogeneous; rescale_invariance_check confirms D e = k e at
+    every point.
     """
     wrt, grad = ex.compile_gradient(e)
     # D e = sum of s * de/ds over the w-derivatives s
     derivatives = euler_operator(wspace).coefficients
     euler = [(s.name, i) for i, s in enumerate(wrt, start=1)
              if s in derivatives]
-    fit = None
 
-    def visit(pt):
-        nonlocal fit
+    def ratio(pt):
         g = grad(pt)
         if abs(g[0]) < 1e-12:
             raise SingularEvaluation("the equation vanishes at this point")
-        k = sum([pt[name] * g[i] for name, i in euler]) / g[0]
-        if fit is None:
-            fit = k
-        elif abs(fit - k) > 1e-9 * max(1.0, abs(fit)):
-            raise NotHomogeneous(
-                f"inconsistent homogeneity ratios {fit} vs {k}")
-        return None
+        return sum([pt[name] * g[i] for name, i in euler]) / g[0]
 
-    nm.at_regular_points(
-        e.free_symbols(),
-        nm.SamplerConfig(seed=cfg.seed, points=DEGREE_FIT_POINTS),
-        ex.denominator_symbols(e) | {s for s in e.free_symbols()
-                                     if s.kind == ex.JET},
-        params, visit)
+    jets = frozenset(s for s in e.free_symbols() if s.kind == ex.JET)
+    fit = nm.at_regular_points([e], cfg, params, ratio, jets)
     k = Fraction(fit).limit_denominator(1000)
     if k.denominator != 1:
         raise NotHomogeneous(f"non-integer homogeneity degree {k}")

@@ -34,7 +34,6 @@ from .errors import (CatalogError, JacobiViolation, SingularEvaluation,
                      VerificationFailed)
 from .jet import JetSpace, VectorField
 
-DET_POINTS = 16
 FRAME_MEMO_SIZE = 4  # distinct (algebra, z-space) whose frames are kept
 
 
@@ -273,7 +272,8 @@ def verify_realization(xi: List[VectorField], eta: List[VectorField],
     """Numeric gate: commutation relations of both frames plus det || xi || != 0.
 
     Every relation is checked; VerificationFailed lists each one that fails,
-    and "det" if the determinant vanishes at a sampled point.
+    and "det" if the determinant vanishes, or is singular, at one of the
+    cfg.points sampled points.
     """
     n = sc.dim
     space = xi[0].space
@@ -309,9 +309,7 @@ def verify_realization(xi: List[VectorField], eta: List[VectorField],
         except SingularEvaluation:
             return True
 
-    if nm.at_regular_points(det.free_symbols(),
-                            nm.SamplerConfig(seed=cfg.seed, points=DET_POINTS),
-                            ex.denominator_symbols(det), params, det_vanishes):
+    if nm.at_regular_points([det], cfg, params, det_vanishes):
         failures.append("det")
     if failures:
         raise VerificationFailed(f"realization gate failed: {failures}")

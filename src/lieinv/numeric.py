@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import (Any, Callable, Iterable, Iterator, Mapping, Optional,
+                    Sequence)
 
 from . import expr as ex
 from .errors import SingularEvaluation, Unsampleable
@@ -66,38 +67,38 @@ def _draw(rng: random.Random, sym: ex.Symbol, denom: bool,
 
 def sample_points(symbols: Iterable[ex.Symbol], cfg: SamplerConfig,
                   denom_syms: frozenset = frozenset(),
-                  params: Optional[Mapping] = None) -> list:
-    """Draw cfg.points assignments {name: float} for the given symbols.
+                  params: Optional[Mapping] = None) -> Iterator[dict]:
+    """Yield cfg.points assignments {name: float} for the given symbols.
 
     Symbols are ordered by name so the stream is independent of set/iteration
-    order; denominator symbols are bounded away from zero.
+    order; denominator symbols are bounded away from zero.  Points are drawn
+    as they are taken, so a caller that stops early draws no more.
     """
     params = params or {}
     symbols = sorted(set(symbols), key=lambda s: (s.name, s.kind))
     denom_names = {s.name for s in denom_syms}
     rng = random.Random(cfg.seed)
-    out = []
     for _ in range(cfg.points):
-        pt = {}
-        for s in symbols:
-            pt[s.name] = _draw(rng, s, s.name in denom_names, params)
-        out.append(pt)
-    return out
+        yield {s.name: _draw(rng, s, s.name in denom_names, params)
+               for s in symbols}
 
 
-def at_regular_points(syms: frozenset, cfg: SamplerConfig,
-                      denoms: frozenset, params: Optional[Mapping],
-                      visit: Callable[[dict], Any]) -> Any:
+def at_regular_points(exprs: Sequence[ex.Expr], cfg: SamplerConfig,
+                      params: Optional[Mapping], visit: Callable[[dict], Any],
+                      off_zero: frozenset = frozenset()) -> Any:
     """Call visit at cfg.points regular points; the point policy of every check.
 
-    Points come from sample_points, with the symbols in denoms kept off
+    Points assign every free symbol of exprs, drawn by sample_points with
+    the symbols of their denominators, and those in off_zero, kept off
     zero.  visit(point) returns None to go on or a verdict, which stops the
-    loop and is returned.  A point where visit raises SingularEvaluation is
-    not counted: it is redrawn in the next batch, drawn under seed + 1.
-    Returns None once cfg.points points were visited without a verdict, and
-    raises Unsampleable if MAX_SAMPLE_ATTEMPTS batches leave that quota
-    unfilled.
+    loop, and the drawing, and is returned.  A point where visit raises
+    SingularEvaluation is not counted: it is redrawn in the next batch,
+    drawn under seed + 1.  Returns None once cfg.points points were visited
+    without a verdict, and raises Unsampleable if MAX_SAMPLE_ATTEMPTS
+    batches leave that quota unfilled.
     """
+    syms = frozenset().union(*[e.free_symbols() for e in exprs])
+    denoms = off_zero.union(*[ex.denominator_symbols(e) for e in exprs])
     need = cfg.points
     for attempt in range(MAX_SAMPLE_ATTEMPTS):
         batch = replace(cfg, seed=cfg.seed + attempt, points=need)
@@ -145,8 +146,7 @@ def is_zero(e: ex.Expr, cfg: SamplerConfig = SamplerConfig(),
     def visit(pt):
         return False if _exceeds(e, value, pt, cfg.tol) else None
 
-    denoms = ex.denominator_symbols(e) | extra_denoms
-    return at_regular_points(e.free_symbols(), cfg, denoms, params, visit) is None
+    return at_regular_points([e], cfg, params, visit, extra_denoms) is None
 
 
 def first_non_annihilating(fields: Sequence, e: ex.Expr,
@@ -161,20 +161,19 @@ def first_non_annihilating(fields: Sequence, e: ex.Expr,
     |r_k| <= tol passes for k.  Elsewhere the point is decided by the zero
     test on the symbolic residual fields[k].apply(e) (exactly for a
     constant one), so no rejection rests on these floats.  Points cover
-    e's symbols and those of the coefficients it uses.
+    e and the coefficients it uses.
     """
     wrt, grad = ex.compile_gradient(e)
     column = {s: i for i, s in enumerate(wrt, start=1)}
     column[None] = 0
-    syms, denoms = set(e.free_symbols()), set(ex.denominator_symbols(e))
+    used = [e]  # what the points must cover
     rows = []  # per field: [(compiled coefficient, column of de/ds)]
     for f in fields:
         row = []
         for s, c in f.coefficients.items():
             if s in column and c != ex.ZERO:
                 row.append((ex.compile_numeric(c), column[s]))
-                syms |= c.free_symbols()
-                denoms |= ex.denominator_symbols(c)
+                used.append(c)
         rows.append(row)
     if not any(rows):
         return None
@@ -198,8 +197,7 @@ def first_non_annihilating(fields: Sequence, e: ex.Expr,
                 return k
         return None
 
-    return at_regular_points(frozenset(syms), cfg, frozenset(denoms), params,
-                             visit)
+    return at_regular_points(used, cfg, params, visit)
 
 
 def _row_echelon_rank(matrix: list) -> int:
@@ -253,9 +251,8 @@ def functional_rank(exprs: Sequence[ex.Expr], cfg: SamplerConfig = SamplerConfig
     exprs = list(exprs)
     if not exprs:
         return 0
-    syms = frozenset().union(*[e.free_symbols() for e in exprs])
-    denoms = frozenset().union(*[ex.denominator_symbols(e) for e in exprs])
-    var_order = sorted(s.name for s in syms if s.kind != ex.PARAM)
+    var_order = sorted(s.name for s in frozenset().union(
+        *[e.free_symbols() for e in exprs]) if s.kind != ex.PARAM)
     grads = [([s.name for s in wrt], grad)
              for wrt, grad in map(ex.compile_gradient, exprs)]
     full = min(len(exprs), len(var_order))
@@ -270,7 +267,7 @@ def functional_rank(exprs: Sequence[ex.Expr], cfg: SamplerConfig = SamplerConfig
         best = max(best, _row_echelon_rank(jac))
         return best if best == full else None
 
-    at_regular_points(syms, cfg, denoms, params, visit)
+    at_regular_points(exprs, cfg, params, visit)
     return best
 
 

@@ -35,7 +35,7 @@ from .invariants import (
     type1_pipeline,
     type2_pipeline,
 )
-from .jet import JetSpace, ProlongedField
+from .jet import ProlongedField
 
 
 def annihilation_check(fields: Sequence[ProlongedField], e: ex.Expr,
@@ -43,32 +43,6 @@ def annihilation_check(fields: Sequence[ProlongedField], e: ex.Expr,
                        params: Optional[Mapping] = None) -> bool:
     """True iff every prolonged generator annihilates e (randomized)."""
     return nm.first_non_annihilating(fields, e, cfg, params) is None
-
-
-def perturbed_variants(e: ex.Expr, space: JetSpace, count: int = 3) -> List[ex.Expr]:
-    """Mutations of an invariant that must fail annihilation.
-
-    When the expression is a sum, one additive term's coefficient is bumped
-    by ~10%, which breaks the cancellations the invariance relies on.  For a
-    single-term invariant a uniform rescale is still invariant, so a small
-    multiple of a base coordinate is added instead.
-    """
-    out = []
-    coeffs = [Fraction(11, 10), Fraction(9, 10), Fraction(12, 10)]
-    add_coeffs = [Fraction(1, 10), Fraction(1, 7), Fraction(1, 13)]
-    terms = list(e.terms) if isinstance(e, ex.Add) else [e]
-    coords = list(space.coords)
-    for k in range(count):
-        if len(terms) >= 2:
-            idx = k % len(terms)
-            bumped = [ex.mul(ex.Const(coeffs[k % len(coeffs)]), t)
-                      if i == idx else t for i, t in enumerate(terms)]
-            out.append(ex.add(*bumped))
-        else:
-            c = coords[k % len(coords)]
-            out.append(ex.add(e, ex.mul(ex.Const(add_coeffs[k % len(add_coeffs)]),
-                                        ex.Sym(space.base(c)))))
-    return out
 
 
 def template_spot_check(template: PDETemplate,

@@ -1,7 +1,9 @@
 """Helpers that only the tests use: point evaluation, numeric equality, a
-catalog entry's frames and the so3 worked example's jet spaces."""
+catalog entry's frames, the so3 worked example's jet spaces and the
+perturbed invariants of the negative controls."""
 
-from typing import Mapping, Optional
+from fractions import Fraction
+from typing import List, Mapping, Optional
 
 from lieinv import expr as ex
 from lieinv import numeric as nm
@@ -50,3 +52,29 @@ def so3_split_space() -> JetSpace:
 
 def so3_z_space() -> JetSpace:
     return JetSpace(SO3_COORDS, "w")
+
+
+def perturbed_variants(e: ex.Expr, space: JetSpace, count: int = 3) -> List[ex.Expr]:
+    """Mutations of an invariant that must fail annihilation.
+
+    When the expression is a sum, one additive term's coefficient is bumped
+    by ~10%, which breaks the cancellations the invariance relies on.  For a
+    single-term invariant a uniform rescale is still invariant, so a small
+    multiple of a base coordinate is added instead.
+    """
+    out = []
+    coeffs = [Fraction(11, 10), Fraction(9, 10), Fraction(12, 10)]
+    add_coeffs = [Fraction(1, 10), Fraction(1, 7), Fraction(1, 13)]
+    terms = list(e.terms) if isinstance(e, ex.Add) else [e]
+    coords = list(space.coords)
+    for k in range(count):
+        if len(terms) >= 2:
+            idx = k % len(terms)
+            bumped = [ex.mul(ex.Const(coeffs[k % len(coeffs)]), t)
+                      if i == idx else t for i, t in enumerate(terms)]
+            out.append(ex.add(*bumped))
+        else:
+            c = coords[k % len(coords)]
+            out.append(ex.add(e, ex.mul(ex.Const(add_coeffs[k % len(add_coeffs)]),
+                                        ex.Sym(space.base(c)))))
+    return out

@@ -151,6 +151,32 @@ class TestRescaleOperators:
         z = cov.wspace_for(parse("coords: x; dep: u\nlhs: u_x").space)
         assert cov.homogeneity_degree(z.parse("w_x^2*w_u"), z, CFG) == 3
 
+    def test_degree_read_at_the_first_regular_point(self, monkeypatch):
+        # D e = k e is confirmed at every point by the contract pass, so the
+        # degree takes one gradient evaluation
+        calls = []
+        compile_gradient = ex.compile_gradient
+
+        def counted(e):
+            wrt, grad = compile_gradient(e)
+
+            def counted_grad(pt):
+                calls.append(pt)
+                return grad(pt)
+
+            return wrt, counted_grad
+
+        monkeypatch.setattr(ex, "compile_gradient", counted)
+        z = cov.wspace_for(parse("coords: x; dep: u\nlhs: u_x").space)
+        assert cov.homogeneity_degree(z.parse("w_x^2*w_u"), z, CFG) == 3
+        assert len(calls) == 1
+
+    def test_non_homogeneous_form_cannot_be_made(self):
+        # the ratio read at one point is not an integer here
+        z = cov.wspace_for(parse("coords: x; dep: u\nlhs: u_x").space)
+        with pytest.raises(NotHomogeneous):
+            cov.CovariantPDE(z, z.parse("w_x^2 + w_u"), "u", CFG)
+
     def test_w11_not_invariant(self):
         z = cov.wspace_for(parse("coords: x; dep: u\nlhs: u_x").space)
         with pytest.raises(NotRescaleInvariant):

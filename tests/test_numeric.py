@@ -7,7 +7,7 @@ import pytest
 
 from lieinv import expr as ex
 from lieinv import numeric as nm
-from lieinv.errors import Unsampleable
+from lieinv.errors import SingularEvaluation, Unsampleable
 from lieinv.jet import JetSpace
 
 from helpers import eval_numeric, exprs_equal
@@ -36,15 +36,15 @@ def p(text):
 class TestSampling:
     def test_deterministic(self):
         syms = p("x + y + u_x").free_symbols()
-        a = nm.sample_points(syms, CFG, frozenset(), {})
-        b = nm.sample_points(syms, CFG, frozenset(), {})
+        a = list(nm.sample_points(syms, CFG, frozenset(), {}))
+        b = list(nm.sample_points(syms, CFG, frozenset(), {}))
         assert a == b
 
     def test_seed_changes_points(self):
         syms = p("x + y").free_symbols()
-        a = nm.sample_points(syms, CFG, frozenset(), {})
-        b = nm.sample_points(syms, dataclasses.replace(CFG, seed=CFG.seed + 1),
-                             frozenset(), {})
+        a = list(nm.sample_points(syms, CFG, frozenset(), {}))
+        other = dataclasses.replace(CFG, seed=CFG.seed + 1)
+        b = list(nm.sample_points(syms, other, frozenset(), {}))
         assert a != b
 
     def test_denominator_symbols_bounded_away_from_zero(self):
@@ -56,7 +56,7 @@ class TestSampling:
         sp = JetSpace(("x",), "u", params=("h",))
         syms = sp.parse("h*u_x").free_symbols()
         with pytest.raises(Unsampleable):
-            nm.sample_points(syms, CFG, frozenset(), {})
+            next(nm.sample_points(syms, CFG, frozenset(), {}))
 
     @pytest.mark.parametrize("kwargs", [
         {"points": 0}, {"points": -3}, {"tol": 0.0}, {"tol": -1e-7},
@@ -65,6 +65,60 @@ class TestSampling:
     def test_vacuous_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             nm.SamplerConfig(**kwargs)
+
+
+class TestAtRegularPoints:
+    E = p("x + y + u_x")  # three symbols, one draw each per point
+
+    def _draws(self, monkeypatch):
+        draws = []
+        draw = nm._draw
+
+        def counted(*args):
+            draws.append(args[1])
+            return draw(*args)
+
+        monkeypatch.setattr(nm, "_draw", counted)
+        return draws
+
+    @pytest.mark.parametrize("points", [1, 32])
+    def test_no_draw_after_a_verdict(self, monkeypatch, points):
+        # the first point is singular and redrawn (from the same batch, or
+        # under seed + 1 when the quota is one point); the second is a
+        # verdict, and nothing more is drawn
+        draws = self._draws(monkeypatch)
+        cfg = nm.SamplerConfig(points=points)
+        seen = []
+
+        def visit(pt):
+            seen.append(pt)
+            if len(seen) == 1:
+                raise SingularEvaluation("singular")
+            return "verdict"
+
+        assert nm.at_regular_points([self.E], cfg, {}, visit) == "verdict"
+        assert len(draws) == 2 * 3
+        syms = self.E.free_symbols()
+        if points > 1:  # the next point of the same batch
+            assert seen[1] == list(nm.sample_points(syms, cfg))[1]
+        else:  # the first point of the next batch, drawn under seed + 1
+            assert seen[1] == next(nm.sample_points(
+                syms, dataclasses.replace(cfg, seed=cfg.seed + 1)))
+
+    def test_every_point_drawn_without_a_verdict(self, monkeypatch):
+        draws = self._draws(monkeypatch)
+        assert nm.at_regular_points([self.E], CFG, {}, lambda pt: None) is None
+        assert len(draws) == CFG.points * 3
+
+    def test_symbols_and_denominators_from_the_expressions(self):
+        seen = []
+        e, f = p("x/u_x"), p("y")
+        nm.at_regular_points([e, f], CFG, {}, seen.append,
+                             frozenset(f.free_symbols()))
+        assert len(seen) == CFG.points
+        assert all(set(pt) == {"x", "y", "u_x"} for pt in seen)
+        assert all(0.5 <= abs(pt["u_x"]) <= 1.5 and 0.5 <= abs(pt["y"]) <= 1.5
+                   for pt in seen)
 
 
 class TestIsZero:

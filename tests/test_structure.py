@@ -1,7 +1,8 @@
 """Structural rules of the package source, checked with the stdlib `ast`.
 
 The oracle's point policy lives in one loop, `numeric.at_regular_points`,
-and what counts as a singular point is decided only by the evaluator that
+under the one sampler configuration the command line builds, and what
+counts as a singular point is decided only by the evaluator that
 `expr.compile_numeric` generates.  Outside `jet`, only the annihilation
 routine applies a prolonged field.  The covariant-form contract is checked
 only where a `CovariantPDE` is made and, at degree 0, by `eliminate_w`;
@@ -63,6 +64,15 @@ def test_only_the_sampling_loop_draws_points():
     callers = {(module, scope) for module, scope, call in _nodes(ast.Call)
                if "sample_points" in _names(call.func)}
     assert callers == {("numeric", "at_regular_points")}
+
+
+def test_only_the_cli_configures_the_sampler():
+    # every check samples under the cfg it is handed, so --points, --seed
+    # and --tol govern them all; no module keeps a point count of its own
+    callers = {(module, scope) for module, scope, call in _nodes(ast.Call)
+               if "SamplerConfig" in _names(call.func)
+               and (call.args or call.keywords)}
+    assert callers == {("cli", "_sampler")}
 
 
 def test_only_the_oracle_checks_loop_over_points():

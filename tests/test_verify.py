@@ -22,12 +22,17 @@ from lieinv.jet import ProlongedField
 from lieinv.verify import (
     TABLE_ROWS,
     annihilation_check,
-    perturbed_variants,
     run_fixture_suite,
     template_spot_check,
 )
 
-from helpers import eval_numeric, fields, so3_split_space, so3_z_space
+from helpers import (
+    eval_numeric,
+    fields,
+    perturbed_variants,
+    so3_split_space,
+    so3_z_space,
+)
 
 CFG = nm.SamplerConfig()
 
