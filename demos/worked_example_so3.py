@@ -1,8 +1,9 @@
 """Walk through the full simply-transitive pipeline for so(3).
 
 Builds the commuting left/right invariant frames from the structure
-constants, runs the realization gate, derives the first- and second-order
-differential invariants, and prints an invariant equation template.
+constants (they arrive gated: the builder runs the realization gate before
+it returns them), derives the first- and second-order differential
+invariants, and prints an invariant equation template.
 
 Run:  python3 demos/worked_example_so3.py
 """
@@ -25,15 +26,17 @@ for i in range(1, n + 1):
         if rhs:
             print(f"  [e{i}, e{j}] = {rhs}")
 
-xi, eta = build_invariant_fields(entry.sc, entry.split_space())
+# gated where they are made: raises VerificationFailed on a failing gate
+xi, eta = build_invariant_fields(entry.sc, entry.split_space(), cfg)
+print("\nrealization gate: PASS")
 print("\n== invariant frames ==")
 for name, fields in (("xi", xi), ("eta", eta)):
     for idx, f in enumerate(fields, start=1):
         comps = ", ".join(f"{c}: {ex.render(comp)}" for c, comp in f.components)
         print(f"  {name}_{idx} = [{comps}]")
 
-verify_realization(xi, eta, entry.sc, cfg, entry.param_map)  # raises on failure
-print("\nrealization gate: PASS")
+verify_realization(xi, eta, entry.sc, cfg)  # the same gate, run by hand
+print("\nrealization gate, run again on the frames shown: PASS")
 
 inv = type2_pipeline(entry, cfg)  # raises unless every check passes
 print("\n== differential invariants (verified numerically) ==")

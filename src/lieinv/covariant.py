@@ -206,12 +206,15 @@ def homogeneity_degree(e: ex.Expr, wspace: JetSpace,
                        params: Optional[dict] = None) -> int:
     """Degree k with D e = k e, read at one point.
 
-    The ratio D e / e is taken from e's compiled gradient at the first
-    regular point, with the w-derivatives kept off zero; a point where e
-    vanishes is singular for the ratio and is redrawn.  A non-integer ratio
-    raises NotHomogeneous; rescale_invariance_check confirms D e = k e at
-    every point.
+    An identically zero e has no degree and raises NotHomogeneous before
+    any point is drawn.  The ratio D e / e is taken from e's compiled
+    gradient at the first regular point, with the w-derivatives kept off
+    zero; a point where e vanishes is singular for the ratio and is
+    redrawn.  A non-integer ratio raises NotHomogeneous;
+    rescale_invariance_check confirms D e = k e at every point.
     """
+    if isinstance(e, ex.Const) and e.value == 0:
+        raise NotHomogeneous("the equation vanishes identically")
     wrt, grad = ex.compile_gradient(e)
     # D e = sum of s * de/ds over the w-derivatives s
     derivatives = euler_operator(wspace).coefficients

@@ -21,8 +21,9 @@ Canonical form conventions:
 
 Trees are walked by one memoized fold, `_fold`: each structurally distinct
 subtree is visited once, children first.  Differentiation, expansion,
-substitution and code generation are its visitors, so each handles a
-repeated subtree once per call.
+substitution, code generation and the collection of applications and
+denominator symbols are its visitors, so each handles a repeated subtree
+once per call.  A node's free symbols follow one rule over its operands.
 """
 
 from __future__ import annotations
@@ -139,8 +140,12 @@ class Expr:
         return self._hash
 
     def free_symbols(self) -> frozenset:
+        """A Sym's own symbol, one operand's set shared, else the union."""
         if self._free is None:
-            self._free = self._make_free()
+            kids = _OPERANDS[type(self)](self)
+            self._free = (frozenset((self.symbol,)) if type(self) is Sym
+                          else kids[0].free_symbols() if len(kids) == 1
+                          else _union([k.free_symbols() for k in kids]))
         return self._free
 
     def __repr__(self):
@@ -176,9 +181,6 @@ class Const(Expr):
     def _make_key(self):
         return (0, (self.value.numerator, self.value.denominator))
 
-    def _make_free(self):
-        return frozenset()
-
 
 ZERO = Const(0)
 ONE = Const(1)
@@ -199,9 +201,6 @@ class Sym(Expr):
             return (2, s.name)
         return (3, s.dep, len(s.index), s.index)
 
-    def _make_free(self):
-        return frozenset((self.symbol,))
-
 
 class Pow(Expr):
     __slots__ = ("base", "exp")
@@ -213,9 +212,6 @@ class Pow(Expr):
 
     def _make_key(self):
         return (4, self.base.sort_key(), (self.exp.numerator, self.exp.denominator))
-
-    def _make_free(self):
-        return self.base.free_symbols()
 
 
 class Func(Expr):
@@ -231,9 +227,6 @@ class Func(Expr):
     def _make_key(self):
         return (5, self.head, self.arg.sort_key())
 
-    def _make_free(self):
-        return self.arg.free_symbols()
-
 
 class Applied(Expr):
     """Opaque arbitrary-function application, used for template slots."""
@@ -248,12 +241,6 @@ class Applied(Expr):
     def _make_key(self):
         return (6, self.head, tuple(a.sort_key() for a in self.args))
 
-    def _make_free(self):
-        out = frozenset()
-        for a in self.args:
-            out |= a.free_symbols()
-        return out
-
 
 class Add(Expr):
     __slots__ = ("terms",)
@@ -265,12 +252,6 @@ class Add(Expr):
     def _make_key(self):
         return (7, tuple(t.sort_key() for t in self.terms))
 
-    def _make_free(self):
-        out = frozenset()
-        for t in self.terms:
-            out |= t.free_symbols()
-        return out
-
 
 class Mul(Expr):
     __slots__ = ("factors",)
@@ -281,12 +262,6 @@ class Mul(Expr):
 
     def _make_key(self):
         return (8, tuple(f.sort_key() for f in self.factors))
-
-    def _make_free(self):
-        out = frozenset()
-        for f in self.factors:
-            out |= f.free_symbols()
-        return out
 
 
 def as_expr(x) -> Expr:
@@ -565,14 +540,26 @@ _CONSTRUCTORS = {
 }
 
 
-def _children(x: Expr) -> tuple:
-    """The operands of x, in order (none for a leaf)."""
-    return _OPERANDS[type(x)](x)
-
-
 def _construct(x: Expr, kids) -> Expr:
     """The non-leaf x rebuilt from the operands kids, canonicalized."""
     return _CONSTRUCTORS[type(x)](x, kids)
+
+
+_EMPTY = frozenset()
+
+
+def _union(sets: Sequence[frozenset]) -> frozenset:
+    """The union of sets; one holding the union so far is shared."""
+    out = _EMPTY
+    for s in sets:
+        if not s <= out:
+            out = s if out <= s else out | s
+    return out
+
+
+def _nothing_at_leaf(x: Expr) -> Optional[frozenset]:
+    """A leaf holds no set member; the stop of a _fold that collects sets."""
+    return _EMPTY if type(x) is Const or type(x) is Sym else None
 
 
 def _leaf(x: Expr) -> Optional[Expr]:
@@ -598,7 +585,7 @@ def _fold(e: Expr, visit: Callable, stop: Callable,
         if out is None:
             out = memo.get(x)
             if out is None:
-                kids = _OPERANDS[type(x)](x)  # _children, one call fewer
+                kids = _OPERANDS[type(x)](x)
                 out = memo[x] = visit(x, [rec(k) for k in kids])
         return out
 
@@ -683,13 +670,10 @@ def substitute_heads(e: Expr, heads: Mapping[str, Callable]) -> Expr:
     return _fold(e, _construct, stop)
 
 
-def _walk(e: Expr):
-    """Every node of e, a shared subtree once per occurrence (explicit stack)."""
-    stack = [e]
-    while stack:
-        x = stack.pop()
-        yield x
-        stack.extend(_children(x))
+def _applications(x: Expr, kids) -> frozenset:
+    """The applications in x: its operands', and x if it is one."""
+    found = _union(kids)
+    return found | {x} if type(x) is Applied else found
 
 
 def applications(e: Expr) -> list:
@@ -698,8 +682,8 @@ def applications(e: Expr) -> list:
     Of structurally equal applications the first one met is kept, so its
     argument nodes (and the evaluators compiled on them) are e's own.
     """
-    found = {x for x in _walk(e) if isinstance(x, Applied)}
-    return sorted(found, key=Expr.sort_key)
+    return sorted(_fold(e, _applications, _nothing_at_leaf),
+                  key=Expr.sort_key)
 
 
 def _expanded(x: Expr, kids) -> Expr:
@@ -723,13 +707,17 @@ def _distribute(a: Expr, b: Expr) -> Expr:
     return add(*[mul(x, y) for x in aterms for y in bterms])
 
 
+def _denominators_at(x: Expr) -> Optional[frozenset]:
+    """The stop of denominator_symbols: a leaf has none, and a negative
+    power has its base's symbols, which hold every denominator inside."""
+    if type(x) is Pow and x.exp < 0:
+        return x.base.free_symbols()
+    return _nothing_at_leaf(x)
+
+
 def denominator_symbols(e: Expr) -> frozenset:
     """Symbols occurring inside the base of any negative-exponent power."""
-    out = set()
-    for x in _walk(e):
-        if isinstance(x, Pow) and x.exp < 0:
-            out |= x.base.free_symbols()
-    return frozenset(out)
+    return _fold(e, lambda x, kids: _union(kids), _denominators_at)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,9 @@ second-kind coordinates and gated, and the generators prolonged on the
 pipeline's jet space.  Each step is memoized by value in a bounded
 lru_cache, so a run realizes each algebra once per key:
 
-  * the frames, liealg.build_invariant_fields, keyed by (sc, zspace), at
-    most liealg.FRAME_MEMO_SIZE entries;
-  * the realization gate, _gated_frames, keyed by (sc, zspace, cfg), at
-    most GATE_MEMO_SIZE entries.  Only a passing gate is stored: a failing
-    one raises VerificationFailed again on every call;
+  * the gated frames, liealg.build_invariant_fields, keyed by (sc, zspace,
+    cfg), at most liealg.FRAME_MEMO_SIZE entries.  Only a passing gate is
+    stored: a failing one raises VerificationFailed again on every call;
   * the prolongation, jet.prolong2, keyed by (field, theta), at most
     jet.PROLONG_MEMO_SIZE entries.
 
@@ -45,7 +43,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import covariant
@@ -161,37 +158,20 @@ def _template(space: JetSpace, first: Sequence[Tuple[str, ex.Expr]],
     return PDETemplate(space, ex.add(*terms), tuple(heads))
 
 
-GATE_MEMO_SIZE = 4  # distinct (algebra, z-space, cfg) whose frames passed
-
-
-@lru_cache(maxsize=GATE_MEMO_SIZE)
-def _gated_frames(sc: liealg.StructureConstants, zspace: JetSpace,
-                  cfg: nm.SamplerConfig) -> Tuple[tuple, tuple]:
-    """(xi, eta) on zspace, built and passed through the realization gate.
-
-    A failing gate raises VerificationFailed, which lru_cache does not
-    store, so the same key is gated again on the next call.
-    """
-    xi, eta = liealg.build_invariant_fields(sc, zspace)
-    liealg.verify_realization(xi, eta, sc, cfg)
-    return xi, eta
-
-
 def realize(entry: liealg.AlgebraCatalogEntry, zspace: JetSpace,
             space: JetSpace, cfg: nm.SamplerConfig) -> Tuple[tuple, tuple]:
     """The frames eta on zspace and the generators prolonged on space.
 
-    Both frames are built on zspace and pass the realization gate
-    (VerificationFailed otherwise), once per distinct (entry.sc, zspace,
-    cfg): a passing gate is kept in the bounded memo _gated_frames
-    (GATE_MEMO_SIZE keys), a failing one is not.  If space.dep is a
+    Both frames come gated from liealg.build_invariant_fields
+    (VerificationFailed otherwise), built and gated once per distinct
+    (entry.sc, zspace, cfg) in its bounded memo.  If space.dep is a
     coordinate of zspace, as for a simply transitive action, that
     coordinate becomes the graph u of the dependent variable and each xi's
     component along it is theta; otherwise u is invariant and theta is
     zero.  Each generator comes from jet.prolong2, memoized by (field,
     theta).
     """
-    xi, eta = _gated_frames(entry.sc, zspace, cfg)
+    xi, eta = liealg.build_invariant_fields(entry.sc, zspace, cfg)
     graph = {}
     if space.dep in zspace.coords:
         graph[zspace.base(space.dep)] = ex.Sym(space.jet())

@@ -11,9 +11,11 @@ coordinates of the second kind, g_z = e^{z^n e_n} ... e^{z^1 e_1}:
 with A_j = exp(z^j e_j) and Ad(A_j) = exp(z^j ad_{e_j}) computed in closed
 form (module putzer), once per generator; Ad(A_j)^{-1} = exp(-z^j ad_{e_j})
 is Ad(A_j) at z^j -> -z^j.  Then xi_i = (Omega_L^{-1})_{ki} d/dz^k and
-eta_i = (Omega_R^{-1})_{ki} d/dz^k, built once per (algebra, z-space) in a
-bounded memo.  The construction is always gated by verify_realization,
-which raises VerificationFailed unless, numerically,
+eta_i = (Omega_R^{-1})_{ki} d/dz^k.  The frames are gated where they are
+made: build_invariant_fields keeps them in one bounded memo keyed by
+(algebra, z-space, sampler configuration), and returns or stores them only
+once verify_realization has passed, which raises VerificationFailed
+unless, numerically,
 
   [xi_i, xi_j] = C^k_ij xi_k,   [eta_i, eta_j] = -C^k_ij eta_k,
   [xi_i, eta_j] = 0,            det || xi_i^j || != 0.
@@ -34,7 +36,7 @@ from .errors import (CatalogError, JacobiViolation, SingularEvaluation,
                      VerificationFailed)
 from .jet import JetSpace, VectorField
 
-FRAME_MEMO_SIZE = 4  # distinct (algebra, z-space) whose frames are kept
+FRAME_MEMO_SIZE = 4  # distinct (algebra, z-space, cfg) whose frames passed
 
 
 @dataclass(frozen=True)
@@ -205,19 +207,28 @@ def _mat_vec_sym(M: List[List[ex.Expr]], v: List[ex.Expr]) -> List[ex.Expr]:
 # Second-kind invariant fields
 
 
-@lru_cache(maxsize=FRAME_MEMO_SIZE)
-def build_invariant_fields(sc: StructureConstants, space: JetSpace
+def build_invariant_fields(sc: StructureConstants, space: JetSpace,
+                           cfg: nm.SamplerConfig = nm.SamplerConfig()
                            ) -> Tuple[tuple, tuple]:
     """Left- (xi) and right- (eta) invariant fields on the given z-space.
 
     space.coords supplies the names of z^1..z^n in order; the fields are
-    built from structure constants only and must then pass
-    verify_realization, as invariants.realize does.  Built once per
-    distinct (sc, space), by value, in a bounded memo (FRAME_MEMO_SIZE
-    entries, least recently used dropped first; __wrapped__ is the uncached
-    builder).  The frames are tuples of frozen fields, so no caller can
-    alter what the next one gets.
+    built from structure constants only and returned once they pass
+    verify_realization under cfg (VerificationFailed otherwise).  Built and
+    gated once per distinct (sc, space, cfg), by value, in the bounded memo
+    _gated_frames (FRAME_MEMO_SIZE entries, least recently used dropped
+    first; its __wrapped__ builds and gates uncached).  The frames are
+    tuples of frozen fields, so no caller can alter what the next one gets.
     """
+    # every argument passed on: f(sc, space), f(sc, space, cfg) share a key
+    return _gated_frames(sc, space, cfg)
+
+
+@lru_cache(maxsize=FRAME_MEMO_SIZE)
+def _gated_frames(sc: StructureConstants, space: JetSpace,
+                  cfg: nm.SamplerConfig) -> Tuple[tuple, tuple]:
+    """(xi, eta) on space, built and gated.  lru_cache stores no raised
+    VerificationFailed, so a failing key is built and gated again."""
     n = sc.dim
     if len(space.coords) != n:
         raise ValueError("coordinate count does not match algebra dimension")
@@ -247,6 +258,7 @@ def build_invariant_fields(sc: StructureConstants, space: JetSpace
     xi = frame(lambda k: ad_inv[:k][::-1])
     # Omega_R column k: Ad(A_n) ... Ad(A_{k+1}) e_k
     eta = frame(lambda k: ad[k + 1:])
+    verify_realization(xi, eta, sc, cfg)
     return xi, eta
 
 
@@ -267,13 +279,13 @@ def _field_combination(fields: List[VectorField], coeffs: List[Fraction],
 
 def verify_realization(xi: List[VectorField], eta: List[VectorField],
                        sc: StructureConstants,
-                       cfg: nm.SamplerConfig = nm.SamplerConfig(),
-                       params: Optional[Mapping] = None) -> None:
+                       cfg: nm.SamplerConfig = nm.SamplerConfig()) -> None:
     """Numeric gate: commutation relations of both frames plus det || xi || != 0.
 
     Every relation is checked; VerificationFailed lists each one that fails,
     and "det" if the determinant vanishes, or is singular, at one of the
-    cfg.points sampled points.
+    cfg.points sampled points.  Frames built from rational structure
+    constants hold no parameter symbol, so no parameter values are taken.
     """
     n = sc.dim
     space = xi[0].space
@@ -282,7 +294,7 @@ def verify_realization(xi: List[VectorField], eta: List[VectorField],
     def check(label: str, got: VectorField, want: Dict[str, ex.Expr]):
         for c, comp in got.components:
             if not nm.is_zero(ex.add(comp, ex.mul(ex.Const(-1), want[c])),
-                              cfg, params):
+                              cfg):
                 failures.append(label)
                 return
 
@@ -309,7 +321,7 @@ def verify_realization(xi: List[VectorField], eta: List[VectorField],
         except SingularEvaluation:
             return True
 
-    if nm.at_regular_points([det], cfg, params, det_vanishes):
+    if nm.at_regular_points([det], cfg, None, det_vanishes):
         failures.append("det")
     if failures:
         raise VerificationFailed(f"realization gate failed: {failures}")

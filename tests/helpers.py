@@ -1,11 +1,13 @@
 """Helpers that only the tests use: point evaluation, numeric equality, a
-catalog entry's frames, the so3 worked example's jet spaces and the
-perturbed invariants of the negative controls."""
+catalog entry's frames, a count of realization gates, the so3 worked
+example's jet spaces and the perturbed invariants of the negative
+controls."""
 
 from fractions import Fraction
 from typing import List, Mapping, Optional
 
 from lieinv import expr as ex
+from lieinv import liealg
 from lieinv import numeric as nm
 from lieinv.errors import SingularEvaluation, UnboundSymbol
 from lieinv.fixtures import SO3_COORDS
@@ -41,9 +43,25 @@ def exprs_equal(a: ex.Expr, b: ex.Expr,
 
 
 def fields(entry: AlgebraCatalogEntry, space: Optional[JetSpace] = None):
-    """The frames (xi, eta) of a catalog entry, on its split space by default."""
+    """The gated frames (xi, eta) of a catalog entry, on its split space by
+    default, under the default sampler configuration."""
     return build_invariant_fields(
         entry.sc, entry.split_space() if space is None else space)
+
+
+def count_gates(monkeypatch) -> list:
+    """Empty the gated-frame memo; from now on, the arguments of every run
+    of the realization gate are appended to the returned list."""
+    liealg._gated_frames.cache_clear()
+    calls = []
+    gate = liealg.verify_realization
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return gate(*args, **kwargs)
+
+    monkeypatch.setattr(liealg, "verify_realization", counted)
+    return calls
 
 
 def so3_split_space() -> JetSpace:

@@ -16,7 +16,6 @@ import pytest
 
 from lieinv import expr as ex
 from lieinv import fixtures as fx
-from lieinv import invariants
 from lieinv import jet
 from lieinv import liealg
 from lieinv import numeric as nm
@@ -178,13 +177,12 @@ def test_criterion_6_realization_gate():
             entry = liealg.catalog_lookup(name, params)
             xi, eta = fields(entry)
             # the gate raises VerificationFailed naming each failed relation
-            liealg.verify_realization(xi, eta, entry.sc, CFG, entry.param_map)
+            liealg.verify_realization(xi, eta, entry.sc, CFG)
             # rebuild from raw structure constants, past the frame memo, and
             # re-run the same gate
-            xi2, eta2 = liealg.build_invariant_fields.__wrapped__(
-                entry.sc, entry.split_space())
-            liealg.verify_realization(xi2, eta2, entry.sc, CFG,
-                                      entry.param_map)
+            xi2, eta2 = liealg._gated_frames.__wrapped__(
+                entry.sc, entry.split_space(), CFG)
+            liealg.verify_realization(xi2, eta2, entry.sc, CFG)
     report(6, "realization gate, 32-point determinant")
 
 
@@ -240,8 +238,7 @@ def test_report_bytes_do_not_depend_on_the_memos(capsys):
         outs.append(capsys.readouterr().out)
         ex._code.cache_clear()
         putzer._exp_poly_matrix.cache_clear()
-        liealg.build_invariant_fields.cache_clear()
-        invariants._gated_frames.cache_clear()
+        liealg._gated_frames.cache_clear()
         jet._prolongation.cache_clear()
     assert outs[0] == outs[1]
     assert hashlib.sha256(outs[1].encode()).hexdigest() == REPRODUCE_ALL_SHA256

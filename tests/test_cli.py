@@ -162,6 +162,21 @@ class TestCovariant:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error [ParseError]")
 
+    @pytest.mark.parametrize("flag,text", [
+        ("--to", "coords: x; dep: u\nlhs: u_x*u - u*u_x\n"),
+        ("--from", "coords: x, u; dep: w\nlhs: w_x*w_u - w_u*w_x\n"),
+    ], ids=["to", "from"])
+    def test_identically_zero_equation_is_refused(self, tmp_path, capsys,
+                                                  flag, text):
+        # the lhs cancels to 0 when it is parsed: it has no degree, and
+        # there is no regular point to draw for it
+        f = tmp_path / "pde.txt"
+        f.write_text(text)
+        assert main(["covariant", flag, str(f)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error [NotHomogeneous]: "
+                       "the equation vanishes identically"]
+
     def test_to_unsampleable_is_one_error_line(self, tmp_path, capsys):
         # sin(exp(800 + x + u)) is sin(inf) at every point
         f = tmp_path / "pde.txt"

@@ -21,7 +21,7 @@ from lieinv.invariants import (
 from lieinv.jet import JetSpace
 from lieinv.verify import TABLE_ROWS, run_fixture_suite
 
-from helpers import fields
+from helpers import count_gates, fields
 
 CFG = nm.SamplerConfig()
 F = Fraction
@@ -224,38 +224,25 @@ class TestNoParameterSymbols:
 
 
 class TestRealizationMemo:
-    @staticmethod
-    def _count_gates(monkeypatch):
-        invariants._gated_frames.cache_clear()
-        calls = []
-        gate = liealg.verify_realization
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return gate(*args, **kwargs)
-
-        monkeypatch.setattr(liealg, "verify_realization", counted)
-        return calls
-
     def test_suite_gates_each_key_once(self, monkeypatch):
         # 2g1 and g2 at m = 1 and m = 2: the free rows of one algebra share
         # their frames on x1, x2
-        calls = self._count_gates(monkeypatch)
+        calls = count_gates(monkeypatch)
         report = run_fixture_suite(["2d-free"], CFG)
         assert report.passed and len(report.rows) == 4
         assert len(calls) == 2
 
     def test_equal_spaces_share_one_gate(self, monkeypatch):
-        calls = self._count_gates(monkeypatch)
+        calls = count_gates(monkeypatch)
         entry = liealg.catalog_lookup("g3_7", {})
         for _ in range(2):
             wspace = entry.split_space("w")
             realize(entry, wspace, JetSpace(("x", "y"), "u"), CFG)
         assert len(calls) == 1
-        assert invariants._gated_frames.cache_info().hits == 1
+        assert liealg._gated_frames.cache_info().hits == 1
 
     def test_other_cfg_gates_again(self, monkeypatch):
-        calls = self._count_gates(monkeypatch)
+        calls = count_gates(monkeypatch)
         entry = liealg.catalog_lookup("g2", {})
         other = nm.SamplerConfig(seed=CFG.seed + 1)
         for cfg in (CFG, other, CFG, other):
@@ -264,7 +251,7 @@ class TestRealizationMemo:
 
     def test_failing_gate_is_not_stored(self, monkeypatch):
         # g3_5 at p = 13 fails the gate in double precision
-        calls = self._count_gates(monkeypatch)
+        calls = count_gates(monkeypatch)
         entry = liealg.catalog_lookup("g3_5", {"p": F(13)})
         raised = []
         for _ in range(2):
@@ -274,7 +261,7 @@ class TestRealizationMemo:
             raised.append(str(err.value))
         assert len(calls) == 2
         assert raised[0] == raised[1]
-        assert invariants._gated_frames.cache_info().currsize == 0
+        assert liealg._gated_frames.cache_info().currsize == 0
 
     def test_generators_cannot_alter_the_memo(self):
         entry = liealg.catalog_lookup("g3_1", {})

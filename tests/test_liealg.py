@@ -11,9 +11,10 @@ from lieinv import liealg
 from lieinv import numeric as nm
 from lieinv import putzer
 from lieinv.errors import CatalogError, JacobiViolation, VerificationFailed
+from lieinv.invariants import realize
 from lieinv.jet import JetSpace, VectorField
 
-from helpers import eval_numeric, fields
+from helpers import count_gates, eval_numeric, fields
 
 CFG = nm.SamplerConfig()
 F = Fraction
@@ -106,7 +107,7 @@ class TestInvariantFields:
     def test_realization_gate(self, name):
         entry = liealg.catalog_lookup(name, {})
         xi, eta = fields(entry)
-        liealg.verify_realization(xi, eta, entry.sc, CFG, entry.param_map)
+        liealg.verify_realization(xi, eta, entry.sc, CFG)
 
     @pytest.mark.parametrize("name,params", [
         ("g3_4", {"h": F(-1, 3)}),
@@ -117,7 +118,7 @@ class TestInvariantFields:
     def test_realization_gate_parametrized(self, name, params):
         entry = liealg.catalog_lookup(name, params)
         xi, eta = fields(entry)
-        liealg.verify_realization(xi, eta, entry.sc, CFG, entry.param_map)
+        liealg.verify_realization(xi, eta, entry.sc, CFG)
 
     def test_fields_reduce_to_coordinate_frame_at_origin(self):
         entry = liealg.catalog_lookup("g3_7", {})
@@ -133,7 +134,7 @@ class TestInvariantFields:
         sc, _ = liealg.load_algebra(SO3_JSON)
         space = liealg.catalog_lookup("g3_7", {}).split_space()
         xi, eta = liealg.build_invariant_fields(sc, space)
-        liealg.verify_realization(xi, eta, sc, CFG, {})
+        liealg.verify_realization(xi, eta, sc, CFG)
 
     def test_broken_constants_fail_gate(self):
         # valid algebra, but frames deliberately mismatched: check the gate
@@ -143,7 +144,7 @@ class TestInvariantFields:
         xi, _ = fields(entry)
         _, eta = fields(other)
         with pytest.raises(VerificationFailed, match="realization gate"):
-            liealg.verify_realization(xi, eta, entry.sc, CFG, {})
+            liealg.verify_realization(xi, eta, entry.sc, CFG)
 
     def test_non_finite_det_fails_gate(self):
         # the frames commute, but det = exp(710 + x + y) overflows to inf
@@ -152,7 +153,7 @@ class TestInvariantFields:
               VectorField.from_dict(space, {"y": "exp(355+y)"})]
         sc = liealg.StructureConstants.from_dict(2, {})
         with pytest.raises(VerificationFailed) as exc:
-            liealg.verify_realization(xi, xi, sc, CFG, {})
+            liealg.verify_realization(xi, xi, sc, CFG)
         # only the determinant fails: no bracket is listed
         assert str(exc.value).endswith("['det']")
         assert "[xi" not in str(exc.value) and "[eta" not in str(exc.value)
@@ -168,7 +169,7 @@ class TestInvariantFields:
         monkeypatch.setattr(putzer, "exp_matrix_expr", counted)
         entry = liealg.catalog_lookup("g3_6", {})
         # the uncached builder: a memo hit would make no exponential at all
-        liealg.build_invariant_fields.__wrapped__(entry.sc, entry.split_space())
+        liealg._gated_frames.__wrapped__(entry.sc, entry.split_space(), CFG)
         assert 0 < len(calls) <= 3
 
     @pytest.mark.parametrize("name,params", [
@@ -193,29 +194,29 @@ class TestInvariantFields:
 
 class TestFrameMemo:
     def test_equal_spaces_share_one_entry(self):
-        liealg.build_invariant_fields.cache_clear()
+        liealg._gated_frames.cache_clear()
         entry = liealg.catalog_lookup("g3_4", {"h": F(-1, 3)})
         a, b = entry.split_space(), entry.split_space()
         assert a is not b
         first = liealg.build_invariant_fields(entry.sc, a)
         second = liealg.build_invariant_fields(entry.sc, b)
-        info = liealg.build_invariant_fields.cache_info()
+        info = liealg._gated_frames.cache_info()
         assert (info.misses, info.hits) == (1, 1)
         assert second is first
         # the memo holds what the builder makes
-        assert first == liealg.build_invariant_fields.__wrapped__(entry.sc, b)
+        assert first == liealg._gated_frames.__wrapped__(entry.sc, b, CFG)
 
     def test_other_constants_are_another_entry(self):
-        liealg.build_invariant_fields.cache_clear()
+        liealg._gated_frames.cache_clear()
         space = liealg.catalog_lookup("g3_5", {}).split_space()
         for p in (F(1), F(2), F(1)):
             entry = liealg.catalog_lookup("g3_5", {"p": p})
             liealg.build_invariant_fields(entry.sc, space)
-        info = liealg.build_invariant_fields.cache_info()
+        info = liealg._gated_frames.cache_info()
         assert (info.misses, info.hits) == (2, 1)
 
     def test_returned_frames_cannot_be_altered(self):
-        liealg.build_invariant_fields.cache_clear()
+        liealg._gated_frames.cache_clear()
         entry = liealg.catalog_lookup("g2", {})
         xi, eta = fields(entry)
         want = [[comp for _, comp in f.components] for f in xi + eta]
@@ -225,3 +226,25 @@ class TestFrameMemo:
             xi[0].components = ()
         xi2, eta2 = fields(entry)
         assert [[comp for _, comp in f.components] for f in xi2 + eta2] == want
+
+    def test_frames_are_gated_once_where_they_are_made(self, monkeypatch):
+        calls = count_gates(monkeypatch)
+        entry = liealg.catalog_lookup("g3_6", {})
+        first = liealg.build_invariant_fields(entry.sc, entry.split_space())
+        assert len(calls) == 1
+        assert calls[0][:3] == (*first, entry.sc)
+        second = liealg.build_invariant_fields(entry.sc, entry.split_space())
+        assert len(calls) == 1 and second is first
+
+    def test_two_argument_call_after_realize_builds_nothing(self, monkeypatch):
+        # the benchmark asks for the frames of a pipeline's z-space without a
+        # configuration: the default one shares the pipeline's memo entry
+        calls = count_gates(monkeypatch)
+        entry = liealg.catalog_lookup("g3_1", {})
+        zspace = entry.split_space("w")
+        realize(entry, zspace, JetSpace(("x", "y"), "u"), nm.SamplerConfig())
+        built = liealg._gated_frames.cache_info().misses
+        assert (len(calls), built) == (1, 1)
+        liealg.build_invariant_fields(entry.sc, zspace)
+        assert len(calls) == 1
+        assert liealg._gated_frames.cache_info().misses == built

@@ -11,13 +11,14 @@ differentiate symbolically: every other first-order operator check goes
 through the annihilation routine.  Only the numeric checks, the covariant
 degree fit and the realization gate loop over points, so the verification
 suite has no oracle loop of its own.  The expression kernel walks a tree
-recursively only in its one fold, and every parameter is read.  Only
-`invariants.realize` builds and gates the frames, through its gated-frame
-memo, and every span the benchmark's tracer names exists.  Only the
-kernel's compile helpers run `exec` or `compile`, and every memo is an
-`lru_cache` with a bound.  Only `jet.frame_jets` takes frame derivatives,
-so both pipelines share one frame-jet table, and every imported name is
-read.  These tests keep it that way.
+recursively only in its one fold, and every parameter is read.  The
+frames are gated where they are made, in `liealg`'s gated-frame memo,
+which only `invariants.realize` reaches, and every span the benchmark's
+tracer names exists.  Only the kernel's compile helpers run `exec` or
+`compile`, and every memo is an `lru_cache` with a bound.  Only
+`jet.frame_jets` takes frame derivatives, so both pipelines share one
+frame-jet table, and every imported name is read.  These tests keep it
+that way.
 """
 
 import ast
@@ -168,8 +169,7 @@ def test_every_memo_is_bounded():
                 unbounded.append((path.stem, n.lineno))
     assert unbounded == []
     assert memos == {("expr", "_code"), ("putzer", "_exp_poly_matrix"),
-                     ("liealg", "build_invariant_fields"),
-                     ("invariants", "_gated_frames"), ("jet", "_prolongation")}
+                     ("liealg", "_gated_frames"), ("jet", "_prolongation")}
 
 
 def test_no_finiteness_check_outside_the_evaluator():
@@ -268,13 +268,15 @@ def _qualified_callers(name):
 
 
 def test_only_realize_gates_frames():
-    # the frames are built and gated in one place for both pipelines: the
-    # gated-frame memo, which only realize reads
-    assert _qualified_callers("build_invariant_fields") == {
-        ("invariants", "_gated_frames")}
+    # the frames are built and gated in one place, the gated-frame memo
+    # behind build_invariant_fields, and realize is its one caller in the
+    # package, for both pipelines
     assert _qualified_callers("verify_realization") == {
-        ("invariants", "_gated_frames")}
-    assert _qualified_callers("_gated_frames") == {("invariants", "realize")}
+        ("liealg", "_gated_frames")}
+    assert _qualified_callers("_gated_frames") == {
+        ("liealg", "build_invariant_fields")}
+    assert _qualified_callers("build_invariant_fields") == {
+        ("invariants", "realize")}
 
 
 def _expr_functions():
@@ -298,7 +300,8 @@ def test_only_the_fold_walks_recursively():
         and _calls_to(g, g.name)}
     assert self_calling_closures == {"_fold"}
     visitors = {"expand", "diff", "simplify_basic", "substitute",
-                "substitute_heads", "_codegen"}
+                "substitute_heads", "_codegen", "applications",
+                "denominator_symbols"}
     assert {f.name for f in functions if f.name in visitors
             and not _calls_to(f, f.name)} == visitors
     assert {f.name for f in functions

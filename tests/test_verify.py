@@ -300,10 +300,11 @@ class TestReport:
             return build(*args, **kwargs)
 
         monkeypatch.setattr(liealg, "build_invariant_fields", counted)
-        invariants._gated_frames.cache_clear()  # gates kept by earlier tests
+        liealg._gated_frames.cache_clear()  # gates kept by earlier tests
         report = run_fixture_suite(["2d-transitive"], CFG)
         assert report.passed
         assert len(calls) == len(report.rows) == 2
+        assert liealg._gated_frames.cache_info().misses == 2
 
     def test_json_deterministic_and_sorted(self):
         r1 = run_fixture_suite(["1d"], CFG)
