@@ -245,13 +245,15 @@ def rescale_invariance_check(e: ex.Expr, wspace: JetSpace,
     earliest point raises NotHomogeneous (D) or NotRescaleInvariant (R_j).
     """
     ops = [euler_operator(wspace, degree)] + rescale_operators(wspace)
-    k = nm.first_non_annihilating(ops, e, cfg, params)
+    found = nm.first_non_annihilating(ops, [e], cfg, params)
+    if found is None:
+        return
+    _, k = found
     if k == 0:
         raise NotHomogeneous(
             f"D - {degree} does not annihilate the equation")
-    if k is not None:
-        raise NotRescaleInvariant(
-            f"R_{wspace.coords[k - 1]} does not annihilate the equation")
+    raise NotRescaleInvariant(
+        f"R_{wspace.coords[k - 1]} does not annihilate the equation")
 
 
 def J_invariants(wspace: JetSpace, dep_coord: str

@@ -883,10 +883,35 @@ def _adjoints(refs: dict, wrt: frozenset, lines: list) -> dict:
 CODE_MEMO_SIZE = 128  # distinct generated sources whose code objects are kept
 
 
+class _Source:
+    """A generated source as the code memo's key: equal by its SHA-256
+    digest, so the text can be dropped once compiled."""
+
+    __slots__ = ("text", "digest")
+
+    def __init__(self, text: str):
+        # imported on first use: loading OpenSSL adds about 3 ms to start-up
+        import hashlib
+        self.text = text
+        self.digest = hashlib.sha256(text.encode()).digest()
+
+    def __eq__(self, other):
+        return self.digest == other.digest
+
+    def __hash__(self):
+        return hash(self.digest)
+
+
 @lru_cache(maxsize=CODE_MEMO_SIZE)
-def _code(src: str):
-    """The code object of a generated source; equal sources share one."""
-    return compile(src, "<string>", "exec")
+def _code(src: _Source):
+    """The code object of a generated source; equal sources share one.
+
+    The memo keeps src as its key, so the text is dropped here: the memo
+    holds the 32-byte digest, not the source.
+    """
+    code = compile(src.text, "<string>", "exec")
+    src.text = None
+    return code
 
 
 def _compile(src: str):
@@ -896,7 +921,7 @@ def _compile(src: str):
         "abs": abs,
         "S": SingularEvaluation,
     }
-    exec(_code(src), env)  # noqa: S102 - generated from our own AST
+    exec(_code(_Source(src)), env)  # noqa: S102 - generated from our own AST
     # popped, so the evaluator does not hold itself through its globals
     return env.pop("f")
 
@@ -915,7 +940,8 @@ def compile_numeric(e: Expr, magnitude: bool = False):
     the leaves and propagated through sums and products.  Both evaluators
     are kept on the node itself, so they live exactly as long as the tree
     does.  Structurally equal nodes generate the same source, whose code
-    object comes from a bounded memo (_code, CODE_MEMO_SIZE sources); each
+    object comes from a bounded memo (_code, CODE_MEMO_SIZE sources, keyed
+    by each source's SHA-256 digest, so no source text is kept); each
     node still gets its own function, made from that code object in fresh
     globals.
     """

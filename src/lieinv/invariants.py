@@ -120,12 +120,16 @@ class InvariantSet:
 def _verify_annihilation(fields: Sequence[ProlongedField],
                          invariants: Sequence[Tuple[str, ex.Expr]],
                          cfg: nm.SamplerConfig) -> None:
-    """Every invariant must be annihilated by every prolonged generator."""
-    for label, inv in invariants:
-        k = nm.first_non_annihilating(fields, inv, cfg)
-        if k is not None:
-            raise VerificationFailed(
-                f"invariant {label} is not annihilated by generator X{k + 1}")
+    """Every invariant must be annihilated by every prolonged generator.
+
+    The invariants are checked as one family; the error names the first
+    (invariant, generator) pair that fails.
+    """
+    found = nm.first_non_annihilating(fields, [e for _, e in invariants], cfg)
+    if found is not None:
+        i, k = found
+        raise VerificationFailed(f"invariant {invariants[i][0]} is not "
+                                 f"annihilated by generator X{k + 1}")
 
 
 def _check_rank(invariants: Sequence[Tuple[str, ex.Expr]],

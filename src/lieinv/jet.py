@@ -13,7 +13,7 @@ On top of it live:
   * frame_jets        -- X_i u and (1/2)(X_i X_j + X_j X_i) u of a frame,
                          each total derivative taken once
   * prolong2          -- second prolongation of a point symmetry generator,
-                         memoized by (field, theta)
+                         each D_a xi^b taken once, memoized by (field, theta)
 """
 
 from __future__ import annotations
@@ -235,6 +235,9 @@ def _prolongation(field: VectorField, theta: ex.Expr) -> tuple:
     space = field.space
     given = dict(field.components)
     xi = {c: given.get(c, ex.ZERO) for c in space.coords}
+    # D_a xi^b, taken once for both phi_a and phi_ab
+    dxi = {(a, b): total_derivative(xi[b], a, space)
+           for a in space.coords for b in space.coords}
     coeffs = {space.jet(): theta}
     phi1 = {}
     # phi_a = D_a theta - u_b D_a xi^b
@@ -242,7 +245,7 @@ def _prolongation(field: VectorField, theta: ex.Expr) -> tuple:
         terms = [total_derivative(theta, a, space)]
         for b in space.coords:
             terms.append(ex.mul(ex.Const(-1), ex.Sym(space.jet(b)),
-                                total_derivative(xi[b], a, space)))
+                                dxi[a, b]))
         phi1[a] = ex.add(*terms)
         coeffs[space.base(a)] = xi[a]
         coeffs[space.jet(a)] = phi1[a]
@@ -252,7 +255,7 @@ def _prolongation(field: VectorField, theta: ex.Expr) -> tuple:
             terms = [total_derivative(phi1[a], b, space)]
             for c in space.coords:
                 terms.append(ex.mul(ex.Const(-1), ex.Sym(space.jet(a, c)),
-                                    total_derivative(xi[c], b, space)))
+                                    dxi[b, c]))
             coeffs[space.jet(a, b)] = ex.add(*terms)
     return tuple(coeffs.items())
 

@@ -8,15 +8,23 @@ appear in any denominator are sampled bounded away from zero.
 Annihilation residuals and Jacobian rows come from one compiled
 value-and-gradient evaluator per expression (expr.compile_gradient): the
 derivatives are exact, and no residual expression is built unless a float
-residual exceeds the tolerance.
+residual exceeds the tolerance.  Each check takes a whole family in one
+pass over one point stream:
+
+  * first_non_annihilating evaluates each distinct operator coefficient
+    and each member's gradient once per point, and compiles nothing for a
+    member no operator touches;
+  * equivalence_check evaluates the Jacobian of A and B once per point;
+    one elimination of A gives rank(A) and a null basis K of A, and
+    rank(A u B) = rank(A) + rank(BK).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import (Any, Callable, Iterable, Iterator, Mapping, Optional,
-                    Sequence)
+from typing import (Any, Callable, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 from . import expr as ex
 from .errors import SingularEvaluation, Unsampleable
@@ -149,70 +157,92 @@ def is_zero(e: ex.Expr, cfg: SamplerConfig = SamplerConfig(),
     return at_regular_points([e], cfg, params, visit, extra_denoms) is None
 
 
-def first_non_annihilating(fields: Sequence, e: ex.Expr,
+def first_non_annihilating(fields: Sequence, exprs: Sequence[ex.Expr],
                            cfg: SamplerConfig = SamplerConfig(),
-                           params: Optional[Mapping] = None) -> Optional[int]:
-    """Index of the first operator X with X e != 0, or None (randomized).
+                           params: Optional[Mapping] = None
+                           ) -> Optional[Tuple[int, int]]:
+    """(i, k) for an operator X = fields[k] with X exprs[i] != 0, or None.
 
     X is a jet.FirstOrderOperator: X e = c e + sum_s c_s de/ds, with c
-    (key None) and c_s from its `coefficients`.  At each sampled point, one
-    call of e's compiled gradient (e itself in slot 0) and the compiled
-    coefficients give the residual r_k of every operator k.  A point where
-    |r_k| <= tol passes for k.  Elsewhere the point is decided by the zero
-    test on the symbolic residual fields[k].apply(e) (exactly for a
-    constant one), so no rejection rests on these floats.  Points cover
-    e and the coefficients it uses.
+    (key None) and c_s from its `coefficients`.  The family is checked in
+    one pass: each member's rows (the terms of each operator that touch
+    it) come from its free symbols, so a member no operator touches is
+    never compiled, and the points cover the members with rows and the
+    coefficients they use.  At each point every distinct coefficient is
+    evaluated once and each member's compiled gradient (the member itself
+    in slot 0) once; together they give the residual r_ik of every
+    operator k on every member i.  A point where |r_ik| <= tol passes for
+    (i, k).  Elsewhere the point is decided by the zero test on the
+    symbolic residual fields[k].apply(exprs[i]) (exactly for a constant
+    one), so no rejection rests on these floats.  The first failing pair,
+    in point, member and operator order, is returned.
     """
-    wrt, grad = ex.compile_gradient(e)
-    column = {s: i for i, s in enumerate(wrt, start=1)}
-    column[None] = 0
-    used = [e]  # what the points must cover
-    rows = []  # per field: [(compiled coefficient, column of de/ds)]
-    for f in fields:
-        row = []
-        for s, c in f.coefficients.items():
-            if s in column and c != ex.ZERO:
-                row.append((ex.compile_numeric(c), column[s]))
-                used.append(c)
-        rows.append(row)
-    if not any(rows):
+    slot = {}  # id(coefficient) -> its index in coeffs and values
+    coeffs, values = [], []  # the distinct coefficients rows use, compiled
+    checks = []  # (i, gradient of exprs[i], per field [(slot, column)])
+    for i, e in enumerate(exprs):
+        free = {s for s in e.free_symbols() if s.kind != ex.PARAM}
+        rows = [[(s, c) for s, c in f.coefficients.items()
+                 if (s is None or s in free) and c != ex.ZERO]
+                for f in fields]
+        if not any(rows):
+            continue  # no operator touches e
+        wrt, grad = ex.compile_gradient(e)
+        column = {s: j for j, s in enumerate(wrt, start=1)}
+        column[None] = 0
+        for row in rows:
+            for _, c in row:
+                if id(c) not in slot:
+                    slot[id(c)] = len(coeffs)
+                    coeffs.append(c)
+                    values.append(ex.compile_numeric(c))
+        checks.append((i, grad, [[(slot[id(c)], column[s]) for s, c in row]
+                                 for row in rows]))
+    if not checks:
         return None
     residuals = {}
 
-    def rejects(k, pt):
-        x = residuals.get(k)
+    def rejects(i, k, pt):
+        x = residuals.get((i, k))
         if x is None:
-            x = residuals[k] = fields[k].apply(e)
+            x = residuals[i, k] = fields[k].apply(exprs[i])
         if isinstance(x, ex.Const):
             return x.value != 0
         return _exceeds(x, ex.compile_numeric(x), pt, cfg.tol)
 
     def visit(pt):
-        g = grad(pt)
-        for k, row in enumerate(rows):
-            r = 0.0
-            for c, i in row:
-                r += c(pt) * g[i]
-            if abs(r) > cfg.tol and rejects(k, pt):
-                return k
+        cv = [c(pt) for c in values]
+        for i, grad, rows in checks:
+            g = grad(pt)
+            for k, row in enumerate(rows):
+                r = 0.0
+                for c, j in row:
+                    r += cv[c] * g[j]
+                if abs(r) > cfg.tol and rejects(i, k, pt):
+                    return i, k
         return None
 
-    return at_regular_points(used, cfg, params, visit)
+    return at_regular_points([exprs[i] for i, _, _ in checks] + coeffs, cfg,
+                             params, visit)
 
 
-def _row_echelon_rank(matrix: list) -> int:
-    """Rank by Gaussian elimination with full pivoting.
+def _row_echelon(matrix: list, scale: Optional[float] = None
+                 ) -> Tuple[int, List[Tuple[int, list]]]:
+    """Rank and pivot rows by Gaussian elimination with full pivoting.
 
     The pivot is the first entry of largest magnitude, row by row, over
-    the columns not yet pivoted on.  The pivot threshold is relative to
-    the largest pivot seen so far.
+    the columns not yet pivoted on.  A pivot counts while it exceeds
+    RANK_PIVOT_TOL * max(1, scale), where scale defaults to the first
+    pivot, the largest magnitude in the matrix.  The pivot rows are
+    (column, row as reduced by the pivots before it), in pivot order.
     """
     m = [row[:] for row in matrix]
     if not m or not m[0]:
-        return 0
+        return 0, []
     rows = len(m)
     free = list(range(len(m[0])))  # unpivoted columns, ascending
-    first_pivot = None
+    pivots = []
+    bound = None
     r = 0
     while r < rows:
         best = (0.0, -1, -1)
@@ -223,27 +253,98 @@ def _row_echelon_rank(matrix: list) -> int:
                 if v > best[0]:
                     best = (v, i, j)
         pv, pi, pj = best
-        if first_pivot is None:
-            first_pivot = pv
-        if pv <= RANK_PIVOT_TOL * max(1.0, first_pivot if first_pivot else 1.0):
+        if bound is None:
+            bound = RANK_PIVOT_TOL * max(1.0, pv if scale is None else scale)
+        if pv <= bound:
             break
         m[r], m[pi] = m[pi], m[r]
         free.remove(pj)
         mr = m[r]
+        pivots.append((pj, mr))
         for i in range(r + 1, rows):
             f = m[i][pj] / mr[pj]
             if f != 0.0:
                 m[i] = [a - f * b for a, b in zip(m[i], mr)]
         r += 1
-    return r
+    return r, pivots
+
+
+def _row_echelon_rank(matrix: list) -> int:
+    """Rank of matrix, pivots counted relative to its largest entry."""
+    return _row_echelon(matrix)[0]
+
+
+def _null_basis(pivots: List[Tuple[int, list]], width: int) -> List[list]:
+    """A basis of the null space of the pivot rows, by back-substitution.
+
+    One vector per column no pivot took: 1 there and 0 in the other such
+    columns, the pivot columns solved from the last pivot row up, each
+    vector scaled to max-norm 1.
+    """
+    pivoted = {j for j, _ in pivots}
+    basis = []
+    for f in range(width):
+        if f in pivoted:
+            continue
+        x = [0.0] * width
+        x[f] = 1.0
+        for j, row in reversed(pivots):
+            # x[j] is still 0, and so is each pivot column solved later
+            x[j] = -sum([a * b for a, b in zip(row, x)]) / row[j]
+        top = max(map(abs, x))
+        basis.append([v / top for v in x])
+    return basis
+
+
+def _union_rank(ja: list, jb: list, width: int) -> Tuple[int, int]:
+    """(rank A, rank of A and B stacked) at one point, eliminating A once.
+
+    With K a null basis of A's pivot rows, rank [A; B] = rank A + rank BK.
+    BK's pivots count above RANK_PIVOT_TOL * max(1, largest |entry| of A
+    and B), the threshold of the stacked elimination.
+    """
+    ra, pivots = _row_echelon(ja)
+    scale = max([abs(v) for row in ja + jb for v in row], default=0.0)
+    null = _null_basis(pivots, width)
+    bk = [[sum([a * b for a, b in zip(row, k)]) for k in null] for row in jb]
+    return ra, ra + _row_echelon(bk, scale)[0]
+
+
+def _jacobian(exprs: Sequence[ex.Expr]) -> Tuple[int, Callable[[dict], list]]:
+    """(width, rows): rows(pt) is the exact Jacobian of exprs at pt.
+
+    One row per expression, one column per non-parameter symbol name, in
+    name order; each row is one call of the expression's compiled
+    gradient (expr.compile_gradient), placed by column index.
+    """
+    names = sorted({s.name for e in exprs for s in e.free_symbols()
+                    if s.kind != ex.PARAM})
+    column = {name: j for j, name in enumerate(names)}
+    width = len(names)
+    parts = []
+    for e in exprs:
+        wrt, grad = ex.compile_gradient(e)
+        parts.append((grad, [(j, column[s.name])
+                             for j, s in enumerate(wrt, start=1)]))
+
+    def rows(pt):
+        out = []
+        for grad, cols in parts:
+            g = grad(pt)
+            row = [0.0] * width
+            for j, c in cols:
+                row[c] = g[j]
+            out.append(row)
+        return out
+
+    return width, rows
 
 
 def functional_rank(exprs: Sequence[ex.Expr], cfg: SamplerConfig = SamplerConfig(),
                     params: Optional[Mapping] = None) -> int:
     """Generic rank of the Jacobian of the given functions.
 
-    The Jacobian is exact: its rows come from each function's compiled
-    gradient (expr.compile_gradient), with respect to the union of free
+    The Jacobian is exact (_jacobian), with respect to the union of free
     symbols, parameters excluded.  The result is the maximum rank over the
     sampled regular points, which equals the generic rank with probability
     one.  Sampling stops early once the rank is full.
@@ -251,20 +352,13 @@ def functional_rank(exprs: Sequence[ex.Expr], cfg: SamplerConfig = SamplerConfig
     exprs = list(exprs)
     if not exprs:
         return 0
-    var_order = sorted(s.name for s in frozenset().union(
-        *[e.free_symbols() for e in exprs]) if s.kind != ex.PARAM)
-    grads = [([s.name for s in wrt], grad)
-             for wrt, grad in map(ex.compile_gradient, exprs)]
-    full = min(len(exprs), len(var_order))
+    width, jacobian = _jacobian(exprs)
+    full = min(len(exprs), width)
     best = 0
 
     def visit(pt):
         nonlocal best
-        jac = []
-        for names, grad in grads:
-            partial = dict(zip(names, grad(pt)[1:]))
-            jac.append([partial.get(name, 0.0) for name in var_order])
-        best = max(best, _row_echelon_rank(jac))
+        best = max(best, _row_echelon_rank(jacobian(pt)))
         return best if best == full else None
 
     at_regular_points(exprs, cfg, params, visit)
@@ -274,12 +368,31 @@ def functional_rank(exprs: Sequence[ex.Expr], cfg: SamplerConfig = SamplerConfig
 def equivalence_check(a: Sequence[ex.Expr], b: Sequence[ex.Expr],
                       cfg: SamplerConfig = SamplerConfig(),
                       params: Optional[Mapping] = None) -> bool:
-    """Functional equivalence of two invariant sets.
+    """Functional equivalence of two invariant sets, in one pass.
 
     True iff rank(A) == rank(B) == rank(A ∪ B), i.e. each family is
-    functionally expressible through the other.
+    functionally expressible through the other.  At each point of the
+    union's stream the Jacobian of A ∪ B is evaluated once: one
+    elimination of A gives rank(A) and, through A's null space, the
+    union rank (_union_rank), and B is eliminated until its rank is full.
+    Each rank is the maximum over the points; sampling stops early once
+    the union rank is full.
     """
-    ra = functional_rank(a, cfg, params)
-    rb = functional_rank(b, cfg, params)
-    rab = functional_rank(list(a) + list(b), cfg, params)
+    a, b = list(a), list(b)
+    width, jacobian = _jacobian(a + b)
+    full_b = min(len(b), width)
+    full = min(len(a) + len(b), width)
+    ra = rb = rab = 0
+
+    def visit(pt):
+        nonlocal ra, rb, rab
+        rows = jacobian(pt)
+        ja, jb = rows[:len(a)], rows[len(a):]
+        if rb < full_b:
+            rb = max(rb, _row_echelon_rank(jb))
+        rank_a, rank_ab = _union_rank(ja, jb, width)
+        ra, rab = max(ra, rank_a), max(rab, rank_ab)
+        return True if rab == full else None
+
+    at_regular_points(a + b, cfg, params, visit)
     return ra == rb == rab

@@ -3,16 +3,20 @@
 run_fixture_suite re-derives every requested table row from structure
 constants alone and holds the result against the transcribed fixtures:
 
-  * fixture self-test - every transcribed invariant is annihilated by the
-    prolonged generators (catches transcription typos);
+  * fixture self-test - the transcribed invariants, as one family, are
+    annihilated by the prolonged generators (catches transcription typos);
   * generated pipeline run - annihilation and functional-rank gates inside
     the pipeline itself;
-  * equivalence - functional_rank(generated) = rank(fixture) =
-    rank(generated + fixture);
+  * equivalence - rank(generated) = rank(fixture) = rank(generated +
+    fixture), all three from one pass of numeric.equivalence_check, the
+    union through the null space of the generated family's Jacobian;
   * template soundness - the template is annihilated for every choice of
     its arbitrary-function slots: the lhs with each slot application
     replaced by a free leaf, and every argument of a slot it depends on,
-    each pass annihilation_check (template_spot_check gives the proof).
+    pass as one family (template_spot_check gives the proof).
+
+Each family is one numeric.first_non_annihilating call;
+annihilation_check is the same routine on a single expression.
 
 Reports serialize deterministically (sorted keys) to JSON, CSV, and a plain
 text table; overall exit status is 0 iff every row passes.
@@ -42,7 +46,7 @@ def annihilation_check(fields: Sequence[ProlongedField], e: ex.Expr,
                        cfg: nm.SamplerConfig = nm.SamplerConfig(),
                        params: Optional[Mapping] = None) -> bool:
     """True iff every prolonged generator annihilates e (randomized)."""
-    return nm.first_non_annihilating(fields, e, cfg, params) is None
+    return nm.first_non_annihilating(fields, [e], cfg, params) is None
 
 
 def template_spot_check(template: PDETemplate,
@@ -59,8 +63,8 @@ def template_spot_check(template: PDETemplate,
 
     This vanishes for every choice of the slots iff X L = 0 with the leaves
     free (take each a_k constant) and X I_j = 0 for every argument I_j of
-    every slot that L depends on (then take a_k = I_j).  Each of these is
-    one annihilation_check; the arguments are the lhs's own nodes.
+    every slot that L depends on (then take a_k = I_j).  L and the
+    arguments, the lhs's own nodes, are checked as one family.
     """
     apps = ex.applications(template.lhs)
     leaf = {x: ex.Symbol(f"{x.head}#{i}") for i, x in enumerate(apps)}
@@ -69,8 +73,8 @@ def template_spot_check(template: PDETemplate,
         for x in apps})
     used = lhs.free_symbols()
     args = {a: None for x in apps if leaf[x] in used for a in x.args}
-    return all(annihilation_check(fields, e, cfg, params)
-               for e in [lhs, *args])
+    return nm.first_non_annihilating(fields, [lhs, *args], cfg,
+                                     params) is None
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +205,8 @@ def _run_row(table: str, algebra: str, pipeline: str, m: Optional[int],
             inv = type2_pipeline(entry, cfg)
         row.checks["generated_verified"] = inv.verified
         fixture_exprs = fixture.exprs()
-        row.checks["fixture_annihilated"] = all(
-            annihilation_check(inv.generators, e, cfg, pmap)
-            for e in fixture_exprs)
+        row.checks["fixture_annihilated"] = nm.first_non_annihilating(
+            inv.generators, fixture_exprs, cfg, pmap) is None
         row.checks["equivalent"] = nm.equivalence_check(
             inv.exprs(), fixture_exprs, cfg, pmap)
         row.checks["template_sound"] = template_spot_check(

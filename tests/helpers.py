@@ -1,17 +1,18 @@
 """Helpers that only the tests use: point evaluation, numeric equality, a
 catalog entry's frames, a count of realization gates, the so3 worked
-example's jet spaces and the perturbed invariants of the negative
-controls."""
+example's jet spaces, the perturbed invariants of the negative controls
+and a reference second prolongation."""
 
 from fractions import Fraction
 from typing import List, Mapping, Optional
 
 from lieinv import expr as ex
+from lieinv import jet
 from lieinv import liealg
 from lieinv import numeric as nm
 from lieinv.errors import SingularEvaluation, UnboundSymbol
 from lieinv.fixtures import SO3_COORDS
-from lieinv.jet import JetSpace
+from lieinv.jet import JetSpace, VectorField
 from lieinv.liealg import AlgebraCatalogEntry, build_invariant_fields
 
 
@@ -96,3 +97,29 @@ def perturbed_variants(e: ex.Expr, space: JetSpace, count: int = 3) -> List[ex.E
             out.append(ex.add(e, ex.mul(ex.Const(add_coeffs[k % len(add_coeffs)]),
                                         ex.Sym(space.base(c)))))
     return out
+
+
+def reference_prolongation(field: VectorField, theta: ex.Expr) -> list:
+    """The (symbol, coefficient) pairs of the second prolongation, built
+    with a total_derivative call at every use of D_a xi^b."""
+    space = field.space
+    given = dict(field.components)
+    xi = {c: given.get(c, ex.ZERO) for c in space.coords}
+    coeffs = {space.jet(): theta}
+    phi1 = {}
+    for a in space.coords:
+        terms = [jet.total_derivative(theta, a, space)]
+        for b in space.coords:
+            terms.append(ex.mul(ex.Const(-1), ex.Sym(space.jet(b)),
+                                jet.total_derivative(xi[b], a, space)))
+        phi1[a] = ex.add(*terms)
+        coeffs[space.base(a)] = xi[a]
+        coeffs[space.jet(a)] = phi1[a]
+    for i, a in enumerate(space.coords):
+        for b in space.coords[i:]:
+            terms = [jet.total_derivative(phi1[a], b, space)]
+            for c in space.coords:
+                terms.append(ex.mul(ex.Const(-1), ex.Sym(space.jet(a, c)),
+                                    jet.total_derivative(xi[c], b, space)))
+            coeffs[space.jet(a, b)] = ex.add(*terms)
+    return list(coeffs.items())

@@ -284,6 +284,19 @@ class TestNumeric:
         assert a._fns[0] is fa and b._fns[0] is fb
         assert fa({"x": 1.0, "y": 1.0}) == fb({"x": 1.0, "y": 1.0}) == -6.0
 
+    def test_code_memo_keeps_no_source(self):
+        # the memo is keyed by the source's digest: the key it stores drops
+        # its text once compiled, and an equal source finds the same code
+        ex._code.cache_clear()
+        first = ex._Source("def f():\n return 1.0\n")
+        code = ex._code(first)
+        assert first.text is None
+        again = ex._Source("def f():\n return 1.0\n")
+        assert ex._code(again) is code
+        assert again.text is not None
+        assert ex._code(ex._Source("def f():\n return 2.0\n")) is not code
+        assert ex._code.cache_info().misses == 2
+
     def test_negative_power_underflow_is_singular(self):
         # 1e-10 ** 40 underflows to 0.0; the point must be redrawn, not crash
         with pytest.raises(SingularEvaluation):

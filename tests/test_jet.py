@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lieinv import expr as ex
+from lieinv import invariants
 from lieinv import jet
 from lieinv import liealg
 from lieinv import numeric as nm
@@ -16,7 +17,7 @@ from lieinv.jet import (
     prolong2,
     total_derivative,
 )
-from helpers import fields
+from helpers import fields, reference_prolongation
 from test_acceptance import CFG as ACCEPTANCE_CFG
 from test_acceptance import _admissible_draws
 
@@ -183,6 +184,57 @@ class TestProlongation:
         pf = prolong2(f, p("x"))
         assert pf.apply(p("u_x")) == ex.ONE
         assert pf.apply(p("u_xx")) == ex.ZERO
+
+
+    @pytest.mark.parametrize("name, params, pipeline", [
+        ("g3_7", {}, "free"), ("g3_4", {"h": Fraction(1, 2)}, "transitive")])
+    def test_equal_to_the_reference(self, monkeypatch, name, params,
+                                    pipeline):
+        # each D_a xi^b is taken once; the coefficients are the ones a
+        # total_derivative call at every use gives, in the same order
+        entry = liealg.catalog_lookup(name, params)
+        names = [p for p, _ in entry.params]
+        if pipeline == "free":
+            xs = tuple(f"x{i}" for i in range(1, entry.dim + 1))
+            zspace = JetSpace(xs, "u", params=names)
+            space = JetSpace(xs + ("y1",), "u", params=names)
+        else:
+            zspace = entry.split_space("w")
+            space = JetSpace(tuple(c for c in zspace.coords if c != entry.dep),
+                             entry.dep, params=names)
+        made = []
+        original = invariants.prolong2
+
+        def recording(field, theta):
+            made.append((field, theta, original(field, theta)))
+            return made[-1][2]
+
+        monkeypatch.setattr(invariants, "prolong2", recording)
+        jet._prolongation.cache_clear()
+        invariants.realize(entry, zspace, space, CFG)
+        assert len(made) == entry.dim
+        for field, theta, pf in made:
+            assert list(pf.coefficients.items()) == \
+                reference_prolongation(field, theta)
+
+    def test_each_total_derivative_of_xi_taken_once(self, monkeypatch):
+        # n coordinates: n for D_a theta, n^2 for D_a xi^b and n(n + 1)/2
+        # for D_b phi_a; the reference takes D_a xi^b again for each phi_ab
+        f = VectorField.from_dict(JetSpace(("x", "y", "z"), "u"),
+                                  {"x": "y", "y": "x*z", "z": "1"})
+        calls = []
+        original = jet.total_derivative
+
+        def counting(e, coord, space):
+            calls.append(coord)
+            return original(e, coord, space)
+
+        monkeypatch.setattr(jet, "total_derivative", counting)
+        jet._prolongation.__wrapped__(f, ex.ZERO)
+        assert len(calls) == 3 + 9 + 6
+        calls.clear()
+        reference_prolongation(f, ex.ZERO)
+        assert len(calls) == 3 + 9 + 6 + 6 * 3
 
 
 class TestProlongationMemo:

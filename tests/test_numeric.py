@@ -319,3 +319,37 @@ class TestRowEchelon:
         matrix = [[1.0, 2.0], [2.0, 4.0]]
         assert nm._row_echelon_rank(matrix) == 1
         assert matrix == [[1.0, 2.0], [2.0, 4.0]]
+
+
+class TestUnionRank:
+    def test_same_rank_as_the_stacked_elimination(self):
+        # rank A + rank BK, with K a null basis of A's pivot rows, for every
+        # split of each case into A above and B below
+        for matrix in _elimination_cases():
+            if not matrix or not matrix[0]:
+                continue
+            for k in range(len(matrix) + 1):
+                ja, jb = matrix[:k], matrix[k:]
+                assert nm._union_rank(ja, jb, len(matrix[0])) == \
+                    (nm._row_echelon_rank(ja),
+                     nm._row_echelon_rank(matrix)), (k, matrix)
+
+    @pytest.mark.parametrize("a", [
+        [[1.0, 2.0, 3.0, 4.0], [2.0, 4.0, 7.0, 1.0]],
+        # back-substitution doubles: the raw solution is (-2, -1, 1)
+        [[4.0, -4.0, 4.0], [0.0, 4.0, 4.0]]])
+    def test_null_basis(self, a):
+        # each vector solves the pivot rows, has max-norm 1 and is nonzero
+        # only in its own unpivoted column among those
+        width = len(a[0])
+        rank, pivots = nm._row_echelon(a)
+        basis = nm._null_basis(pivots, width)
+        assert rank == 2 and len(basis) == width - 2
+        pivoted = {j for j, _ in pivots}
+        free = [j for j in range(width) if j not in pivoted]
+        for f, x in zip(free, basis):
+            assert max(map(abs, x)) == 1.0
+            assert all(abs(sum(r * v for r, v in zip(row, x))) < 1e-12
+                       for row in a)
+            assert x[f] != 0.0
+            assert all(x[j] == 0.0 for j in free if j != f)

@@ -10,7 +10,8 @@ only `covariant` builds its operators.  Only the kernel and the jet layer
 differentiate symbolically: every other first-order operator check goes
 through the annihilation routine.  Only the numeric checks, the covariant
 degree fit and the realization gate loop over points, so the verification
-suite has no oracle loop of its own.  The expression kernel walks a tree
+suite has no oracle loop of its own, and no caller checks a family one
+member at a time.  The expression kernel walks a tree
 recursively only in its one fold, and every parameter is read.  The
 frames are gated where they are made, in `liealg`'s gated-frame memo,
 which only `invariants.realize` reaches, and every span the benchmark's
@@ -82,6 +83,7 @@ def test_only_the_oracle_checks_loop_over_points():
     assert callers == {("numeric", "is_zero"),
                        ("numeric", "first_non_annihilating"),
                        ("numeric", "functional_rank"),
+                       ("numeric", "equivalence_check"),
                        ("covariant", "homogeneity_degree"),
                        ("liealg", "verify_realization")}
     # called, or handed to map(): every use of the compiled gradient
@@ -89,8 +91,27 @@ def test_only_the_oracle_checks_loop_over_points():
              for module, scope, n in _nodes((ast.Name, ast.Attribute))
              if module != "expr" and "compile_gradient" in _names(n)}
     assert users == {("numeric", "first_non_annihilating"),
-                     ("numeric", "functional_rank"),
+                     ("numeric", "_jacobian"),
                      ("covariant", "homogeneity_degree")}
+
+
+def test_each_family_is_checked_in_one_pass():
+    # a family's members share one annihilation pass and one rank pass, so
+    # no caller runs those checks once per member, in a loop or a
+    # comprehension
+    checks = {"annihilation_check", "first_non_annihilating",
+              "functional_rank"}
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for loop in ast.walk(tree):
+            if isinstance(loop, loops):
+                found += [(path.stem, call.lineno) for call in ast.walk(loop)
+                          if isinstance(call, ast.Call)
+                          and checks & _names(call.func)]
+    assert found == []
 
 
 def test_only_a_covariant_form_checks_its_contract():

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from lieinv import liealg
 from lieinv import numeric as nm
 from lieinv import invariants
 from lieinv import verify
+from lieinv.errors import VerificationFailed
 from lieinv.invariants import (
     realize,
     type1_pipeline,
@@ -242,12 +244,15 @@ class TestTemplateFastPath:
         mutant = dataclasses.replace(t, lhs=ex.add(
             t.lhs, ex.mul(ex.Const(Fraction(1, 10)), x, slot)))
         checked = []
+        first_non_annihilating = nm.first_non_annihilating
 
-        def recording_check(fields, e, *args):
-            checked.append((e, annihilation_check(fields, e, *args)))
-            return checked[-1][1]
+        def recording_check(fields, exprs, *args):
+            # the verdict on the first member, the leaf form
+            found = first_non_annihilating(fields, exprs, *args)
+            checked.append((exprs[0], found is None or found[0] != 0))
+            return found
 
-        monkeypatch.setattr(verify, "annihilation_check", recording_check)
+        monkeypatch.setattr(nm, "first_non_annihilating", recording_check)
         assert not template_spot_check(mutant, inv.generators, CFG, pmap)
         leaf_form, verdict = checked[0]
         assert ex.applications(leaf_form) == []
@@ -283,6 +288,114 @@ class TestTemplateFastPath:
             mutant = dataclasses.replace(t, lhs=lhs)
             assert not template_spot_check(mutant, inv.generators, CFG,
                                            pmap), p
+
+
+class TestFamilyPass:
+    def test_untouched_member_not_compiled(self, monkeypatch):
+        # a member on whose symbols no generator has a term, such as y1, u
+        # and u_y1 under the free generators, gets no compiled gradient
+        pmap, inv, _ = _derived(ROWS.index(("2d-free", "g2", "free", 2, {})))
+
+        def touched(e):
+            return any(c != ex.ZERO and s in e.free_symbols()
+                       for f in inv.generators
+                       for s, c in f.coefficients.items())
+
+        labelled = inv.labelled()
+        assert not any(touched(labelled[k]) for k in ("y1", "u", "u_y1"))
+        compiled = []
+        gradient = ex.compile_gradient
+
+        def counted(e):
+            compiled.append(e)
+            return gradient(e)
+
+        monkeypatch.setattr(ex, "compile_gradient", counted)
+        assert nm.first_non_annihilating(inv.generators, inv.exprs(), CFG,
+                                         pmap) is None
+        want = [e for e in inv.exprs() if touched(e)]
+        assert 0 < len(want) <= len(inv.exprs()) - 3
+        assert len(compiled) == len(want)
+        assert all(a is b for a, b in zip(compiled, want))
+
+
+class TestFamilyControls:
+    """Negative controls of the one-pass family checks."""
+
+    @pytest.mark.parametrize("index", [
+        ROWS.index(("2d-free", "g2", "free", 2, {})),
+        ROWS.index(("3d-transitive", "g3_7", "transitive", None, {}))])
+    def test_last_member_not_invariant(self, index):
+        pmap, inv, _ = _derived(index)
+        family = list(inv.invariants)
+        label, e = family[-1]
+        family[-1] = (label, ex.add(e, ex.mul(ex.Const(Fraction(1, 10)),
+                                               _moved_coordinate(inv))))
+        found = nm.first_non_annihilating(inv.generators,
+                                          [x for _, x in family], CFG, pmap)
+        assert found is not None and found[0] == len(family) - 1
+        with pytest.raises(VerificationFailed,
+                           match=rf"invariant {re.escape(label)} is not "):
+            invariants._verify_annihilation(inv.generators, family, CFG)
+
+    @pytest.mark.parametrize("index", [
+        ROWS.index(("2d-free", "g2", "free", 2, {})),
+        ROWS.index(("3d-transitive", "g3_7", "transitive", None, {}))])
+    def test_perturbed_middle_fixture_member(self, monkeypatch, index):
+        table, algebra, pipeline, m, params = ROWS[index]
+        exprs = fx.Fixture.exprs
+
+        def perturbed(fixture):
+            out = exprs(fixture)
+            mid = len(out) // 2
+            out[mid] = perturbed_variants(out[mid], fixture.space())[0]
+            return out
+
+        assert verify._run_row(table, algebra, pipeline, m, params,
+                               CFG).checks["fixture_annihilated"]
+        monkeypatch.setattr(fx.Fixture, "exprs", perturbed)
+        row = verify._run_row(table, algebra, pipeline, m, params, CFG)
+        assert row.error is None
+        assert row.checks["fixture_annihilated"] is False
+
+    @pytest.mark.parametrize("index", range(len(ROWS)), ids=ROW_IDS)
+    def test_equivalence_member_replaced(self, index):
+        # a moved coordinate is outside span(A): the union rank grows; a
+        # duplicated member drops rank(B)
+        pmap, inv, fixture = _derived(index)
+        generated = inv.exprs()
+        assert nm.equivalence_check(generated, fixture, CFG, pmap)
+        j = index % len(fixture)
+        outside = fixture[:j] + [_moved_coordinate(inv)] + fixture[j + 1:]
+        assert not nm.equivalence_check(generated, outside, CFG, pmap)
+        if len(fixture) > 1:
+            k = (j + 1) % len(fixture)
+            duplicated = fixture[:k] + [fixture[j]] + fixture[k + 1:]
+            assert not nm.equivalence_check(generated, duplicated, CFG, pmap)
+
+    @pytest.mark.parametrize("index", [
+        ROWS.index(("1d", "g1", "free", 2, {})),
+        ROWS.index(("2d-free", "g2", "free", 2, {})),
+        ROWS.index(("3d-free", "g3_7", "free", 2, {}))])
+    def test_union_rank_equals_the_stacked_elimination(self, monkeypatch,
+                                                       index):
+        pmap, inv, fixture = _derived(index)
+        seen = []
+        union_rank = nm._union_rank
+
+        def recording(ja, jb, width):
+            seen.append((ja, jb, union_rank(ja, jb, width)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(nm, "_union_rank", recording)
+        assert nm.equivalence_check(inv.exprs(), fixture, CFG, pmap)
+        # g1's union spans its jet space at the first point, which ends
+        # the pass; the others take every point
+        assert len(seen) == (1 if inv.algebra == "g1" else CFG.points)
+        for ja, jb, (ra, rab) in seen:
+            assert ra == nm._row_echelon_rank(ja)
+            assert rab == nm._row_echelon_rank(ja + jb)
+            assert ra == rab
 
 
 class TestReport:
