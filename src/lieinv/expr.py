@@ -24,12 +24,18 @@ subtree is visited once, children first.  Differentiation, expansion,
 substitution, code generation and the collection of applications and
 denominator symbols are its visitors, so each handles a repeated subtree
 once per call.  A node's free symbols follow one rule over its operands.
+
+Node identity is cheap.  Nodes and symbols are slotted, with no instance
+dict; a node caches its sort key and the hash of that key on first use,
+and a symbol computes its hash when it is made.  `add` and `mul` collect
+like terms and like bases in dicts keyed by the nodes themselves, so a
+lookup hashes no nested key tuple.  A JetSpace builds each of its jet
+symbols once and hands out that one object.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -51,19 +57,48 @@ JET = "jet"
 PARAM = "param"
 
 
-@dataclass(frozen=True)
 class Symbol:
     """A named leaf: base coordinate, jet variable, or parameter.
 
     Jet variables carry the dependent name and a sorted multi-index of
     coordinate names (length 0..2); u itself is the jet variable with the
-    empty index.
+    empty index.  Immutable: equal fields make equal symbols, and the hash
+    is computed once, when the symbol is made.
     """
 
-    name: str
-    kind: str = BASE
-    dep: Optional[str] = None
-    index: tuple = ()
+    __slots__ = ("name", "kind", "dep", "index", "_hash")
+
+    def __init__(self, name: str, kind: str = BASE,
+                 dep: Optional[str] = None, index: tuple = ()):
+        init = object.__setattr__
+        init(self, "name", name)
+        init(self, "kind", kind)
+        init(self, "dep", dep)
+        init(self, "index", index)
+        init(self, "_hash", hash((name, kind, dep, index)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r} of an immutable Symbol "
+                             f"to {value!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r} of an immutable Symbol")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not Symbol:
+            return NotImplemented
+        return (self._hash == other._hash and self.name == other.name
+                and self.kind == other.kind and self.dep == other.dep
+                and self.index == other.index)
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which alone sets slots
+        return (Symbol, (self.name, self.kind, self.dep, self.index))
 
     @property
     def order(self) -> int:
@@ -86,15 +121,15 @@ def jet_symbol(dep: str, index: Sequence[str]) -> Symbol:
 
 
 class Expr:
-    """Base class; subclasses are immutable and canonical by construction."""
+    """Base class; subclasses are immutable and canonical by construction.
+
+    Four cache slots, all None until first use, which each subclass's
+    __init__ sets itself (no super() call on the hot path): the sort key,
+    its hash, the free symbols and the compiled [value, magnitude,
+    gradient] evaluators.
+    """
 
     __slots__ = ("_key", "_hash", "_free", "_fns")
-
-    def __init__(self):
-        self._key = None
-        self._hash = None
-        self._free = None
-        self._fns = None  # compiled [value, magnitude, gradient] evaluators
 
     # -- operator sugar -----------------------------------------------------
     def __add__(self, other):
@@ -127,17 +162,19 @@ class Expr:
 
     # -- structural identity -----------------------------------------------
     def sort_key(self):
-        if self._key is None:
-            self._key = self._make_key()
-        return self._key
+        key = self._key
+        if key is None:
+            key = self._key = self._make_key()
+        return key
 
     def __eq__(self, other):
         return isinstance(other, Expr) and self.sort_key() == other.sort_key()
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.sort_key())
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self.sort_key())
+        return h
 
     def free_symbols(self) -> frozenset:
         """A Sym's own symbol, one operand's set shared, else the union."""
@@ -174,7 +211,6 @@ class Const(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        # Expr.__init__ inlined: Const is the node built most often
         self._key = self._hash = self._free = self._fns = None
         self.value = _exact(value)
 
@@ -190,7 +226,7 @@ class Sym(Expr):
     __slots__ = ("symbol",)
 
     def __init__(self, symbol: Symbol):
-        super().__init__()
+        self._key = self._hash = self._free = self._fns = None
         self.symbol = symbol
 
     def _make_key(self):
@@ -206,7 +242,7 @@ class Pow(Expr):
     __slots__ = ("base", "exp")
 
     def __init__(self, base: Expr, exp: int | Fraction):
-        super().__init__()
+        self._key = self._hash = self._free = self._fns = None
         self.base = base
         self.exp = exp
 
@@ -220,7 +256,7 @@ class Func(Expr):
     __slots__ = ("head", "arg")
 
     def __init__(self, head: str, arg: Expr):
-        super().__init__()
+        self._key = self._hash = self._free = self._fns = None
         self.head = head
         self.arg = arg
 
@@ -234,34 +270,34 @@ class Applied(Expr):
     __slots__ = ("head", "args")
 
     def __init__(self, head: str, args: tuple):
-        super().__init__()
+        self._key = self._hash = self._free = self._fns = None
         self.head = head
         self.args = args
 
     def _make_key(self):
-        return (6, self.head, tuple(a.sort_key() for a in self.args))
+        return (6, self.head, tuple([a.sort_key() for a in self.args]))
 
 
 class Add(Expr):
     __slots__ = ("terms",)
 
     def __init__(self, terms: tuple):
-        super().__init__()
+        self._key = self._hash = self._free = self._fns = None
         self.terms = terms
 
     def _make_key(self):
-        return (7, tuple(t.sort_key() for t in self.terms))
+        return (7, tuple([t.sort_key() for t in self.terms]))
 
 
 class Mul(Expr):
     __slots__ = ("factors",)
 
     def __init__(self, factors: tuple):
-        super().__init__()
+        self._key = self._hash = self._free = self._fns = None
         self.factors = factors
 
     def _make_key(self):
-        return (8, tuple(f.sort_key() for f in self.factors))
+        return (8, tuple([f.sort_key() for f in self.factors]))
 
 
 def as_expr(x) -> Expr:
@@ -302,7 +338,7 @@ def _rebuild_monomial(factors):
         return None
     if len(factors) == 1:
         return factors[0]
-    return Mul(tuple(sorted(factors, key=lambda f: f.sort_key())))
+    return Mul(tuple(sorted(factors, key=Expr.sort_key)))
 
 
 def _trig_square_candidates(mono, head):
@@ -327,38 +363,30 @@ def _trig_square_candidates(mono, head):
 def _pythagorean_merge(monos: dict):
     """In-place merge of matching c*f*sin(a)^2 and c*f*cos(a)^2 terms.
 
-    `monos` maps sort-key -> [monomial-or-None, coefficient].
+    `monos` maps monomial (None for the constant) -> coefficient.
     """
     changed = True
     while changed:
         changed = False
         sin_index = {}
-        for key, (mono, coeff) in monos.items():
+        for mono, coeff in monos.items():
             if mono is None or coeff == 0:
                 continue
             for arg, rest in _trig_square_candidates(mono, "sin"):
-                rk = None if rest is None else rest.sort_key()
-                sin_index[(arg.sort_key(), rk, coeff)] = (key, rest)
+                sin_index[(arg, rest, coeff)] = mono
         if not sin_index:
             return
-        for key, (mono, coeff) in list(monos.items()):
+        for mono, coeff in list(monos.items()):
             if mono is None or coeff == 0:
                 continue
             for arg, rest in _trig_square_candidates(mono, "cos"):
-                rk = None if rest is None else rest.sort_key()
-                hit = sin_index.get((arg.sort_key(), rk, coeff))
-                if hit is None:
+                hit = sin_index.get((arg, rest, coeff))
+                # distinct keys of monos are distinct monomials
+                if hit is None or hit is mono:
                     continue
-                skey, srest = hit
-                if skey == key:
-                    continue
-                monos[skey][1] = 0
-                monos[key][1] = 0
-                tgt = None if rest is None else rest.sort_key()
-                if tgt in monos:
-                    monos[tgt][1] += coeff
-                else:
-                    monos[tgt] = [rest, coeff]
+                monos[hit] = 0
+                monos[mono] = 0
+                monos[rest] = monos.get(rest, 0) + coeff
                 changed = True
                 break
             if changed:
@@ -366,24 +394,24 @@ def _pythagorean_merge(monos: dict):
 
 
 def add(*terms) -> Expr:
-    flat = []
+    monos = {}  # monomial (None for the constant) -> coefficient
     for t in terms:
-        t = as_expr(t)
-        if isinstance(t, Add):
-            flat.extend(t.terms)
-        else:
-            flat.append(t)
-    monos = {}
-    for t in flat:
-        coeff, mono = _split_coeff(t)
-        key = None if mono is None else mono.sort_key()
-        if key in monos:
-            monos[key][1] += coeff
-        else:
-            monos[key] = [mono, coeff]
+        if not isinstance(t, Expr):
+            t = as_expr(t)
+        for t in (t.terms if type(t) is Add else (t,)):
+            # split the term into its rational coefficient and monomial
+            if type(t) is Const:
+                coeff, mono = t.value, None
+            elif type(t) is Mul and type(t.factors[0]) is Const:
+                fs = t.factors
+                coeff = fs[0].value
+                mono = fs[1] if len(fs) == 2 else Mul(fs[1:])
+            else:
+                coeff, mono = 1, t
+            monos[mono] = monos.get(mono, 0) + coeff
     _pythagorean_merge(monos)
     out = []
-    for mono, coeff in monos.values():
+    for mono, coeff in monos.items():
         if coeff == 0:
             continue
         if mono is None:
@@ -396,52 +424,39 @@ def add(*terms) -> Expr:
         return ZERO
     if len(out) == 1:
         return out[0]
-    out.sort(key=lambda t: t.sort_key())
+    out.sort(key=Expr.sort_key)
     return Add(tuple(out))
 
 
 def mul(*factors) -> Expr:
-    flat = []
-    for f in factors:
-        f = as_expr(f)
-        if isinstance(f, Mul):
-            flat.extend(f.factors)
-        else:
-            flat.append(f)
     const = 1
-    powers = {}  # base key -> [base, exponent]
-    order = []
-    for f in flat:
-        if isinstance(f, Const):
-            const *= f.value
-            continue
-        if isinstance(f, Pow):
-            base, exp = f.base, f.exp
-        else:
-            base, exp = f, 1
-        if isinstance(base, Const) and exp.denominator == 1:
-            const *= _rat_pow(base.value, exp)
-            continue
-        key = base.sort_key()
-        if key in powers:
-            powers[key][1] += exp
-        else:
-            powers[key] = [base, exp]
-            order.append(key)
+    powers = {}  # base -> exponent, in first-occurrence order
+    for f in factors:
+        if not isinstance(f, Expr):
+            f = as_expr(f)
+        for f in (f.factors if type(f) is Mul else (f,)):
+            if type(f) is Const:
+                const *= f.value
+                continue
+            if type(f) is Pow:
+                base, exp = f.base, f.exp
+            else:
+                base, exp = f, 1
+            if type(base) is Const and exp.denominator == 1:
+                const *= _rat_pow(base.value, exp)
+                continue
+            powers[base] = powers.get(base, 0) + exp
     if const == 0:
         return ZERO
-    out = []
-    for key in order:
-        base, exp = powers[key]
-        if exp == 0:
-            continue
-        out.append(base if exp == 1 else pow_(base, exp))
+    out = [base if exp == 1 else pow_(base, exp)
+           for base, exp in powers.items() if exp != 0]
     # pow_ may have folded, e.g. into constants or nested products
-    if any(isinstance(f, (Mul, Const)) for f in out):
-        return mul(Const(const), *out)
+    for f in out:
+        if type(f) is Mul or type(f) is Const:
+            return mul(Const(const), *out)
     if not out:
         return Const(const)
-    out.sort(key=lambda f: f.sort_key())
+    out.sort(key=Expr.sort_key)
     if const == 1 and len(out) == 1:
         return out[0]
     if const != 1:

@@ -42,6 +42,12 @@ class JetSpace:
         self.params = tuple(sorted(set(params)))
         self._base = {c: ex.Symbol(c, ex.BASE) for c in coords}
         self._params = {p: ex.Symbol(p, ex.PARAM) for p in self.params}
+        # every jet symbol up to order 2, once, under each order of its index
+        jets = self._jets = {(): ex.jet_symbol(dep, ())}
+        for i, a in enumerate(coords):
+            jets[a,] = ex.jet_symbol(dep, (a,))
+            for b in coords[i:]:
+                jets[a, b] = jets[b, a] = ex.jet_symbol(dep, (a, b))
 
     # equal names make equal spaces, so a space is a memo key by value
     def __eq__(self, other):
@@ -57,10 +63,15 @@ class JetSpace:
         return self._base[name]
 
     def jet(self, *index: str) -> ex.Symbol:
-        for c in index:
-            if c not in self._base:
-                raise KeyError(f"{c!r} is not a coordinate of this space")
-        return ex.jet_symbol(self.dep, index)
+        """The jet symbol of u differentiated along index, the same object
+        on every call."""
+        sym = self._jets.get(index)
+        if sym is None:
+            for c in index:
+                if c not in self._base:
+                    raise KeyError(f"{c!r} is not a coordinate of this space")
+            return ex.jet_symbol(self.dep, index)  # order > 2: raises
+        return sym
 
     def jet_symbols(self):
         """All jet symbols up to order 2, in a fixed order."""

@@ -1,7 +1,8 @@
 """Helpers that only the tests use: point evaluation, numeric equality, a
 catalog entry's frames, a count of realization gates, the so3 worked
-example's jet spaces, the perturbed invariants of the negative controls
-and a reference second prolongation."""
+example's jet spaces, the perturbed invariants of the negative controls,
+a reference second prolongation and reference sum and product
+constructors."""
 
 from fractions import Fraction
 from typing import List, Mapping, Optional
@@ -123,3 +124,174 @@ def reference_prolongation(field: VectorField, theta: ex.Expr) -> list:
                                     jet.total_derivative(xi[c], b, space)))
             coeffs[space.jet(a, b)] = ex.add(*terms)
     return list(coeffs.items())
+
+
+# ---------------------------------------------------------------------------
+# Reference sum and product constructors: the kernel's add and mul as they
+# were when like terms and like bases were collected under their sort keys.
+# They pin the canonical forms that the node-keyed constructors must give.
+
+
+def reference_split_coeff(term: ex.Expr):
+    """Split a canonical term into (rational coefficient, monomial or None)."""
+    if isinstance(term, ex.Const):
+        return term.value, None
+    if isinstance(term, ex.Mul):
+        first = term.factors[0]
+        if isinstance(first, ex.Const):
+            rest = term.factors[1:]
+            mono = rest[0] if len(rest) == 1 else ex.Mul(rest)
+            return first.value, mono
+    return 1, term
+
+
+def reference_pythagorean_merge(monos: dict):
+    """In-place merge of matching c*f*sin(a)^2 and c*f*cos(a)^2 terms.
+
+    `monos` maps sort-key -> [monomial-or-None, coefficient].
+    """
+    changed = True
+    while changed:
+        changed = False
+        sin_index = {}
+        for key, (mono, coeff) in monos.items():
+            if mono is None or coeff == 0:
+                continue
+            for arg, rest in ex._trig_square_candidates(mono, "sin"):
+                rk = None if rest is None else rest.sort_key()
+                sin_index[(arg.sort_key(), rk, coeff)] = (key, rest)
+        if not sin_index:
+            return
+        for key, (mono, coeff) in list(monos.items()):
+            if mono is None or coeff == 0:
+                continue
+            for arg, rest in ex._trig_square_candidates(mono, "cos"):
+                rk = None if rest is None else rest.sort_key()
+                hit = sin_index.get((arg.sort_key(), rk, coeff))
+                if hit is None:
+                    continue
+                skey, srest = hit
+                if skey == key:
+                    continue
+                monos[skey][1] = 0
+                monos[key][1] = 0
+                tgt = None if rest is None else rest.sort_key()
+                if tgt in monos:
+                    monos[tgt][1] += coeff
+                else:
+                    monos[tgt] = [rest, coeff]
+                changed = True
+                break
+            if changed:
+                break
+
+
+def reference_add(*terms) -> ex.Expr:
+    flat = []
+    for t in terms:
+        t = ex.as_expr(t)
+        if isinstance(t, ex.Add):
+            flat.extend(t.terms)
+        else:
+            flat.append(t)
+    monos = {}
+    for t in flat:
+        coeff, mono = reference_split_coeff(t)
+        key = None if mono is None else mono.sort_key()
+        if key in monos:
+            monos[key][1] += coeff
+        else:
+            monos[key] = [mono, coeff]
+    reference_pythagorean_merge(monos)
+    out = []
+    for mono, coeff in monos.values():
+        if coeff == 0:
+            continue
+        if mono is None:
+            out.append(ex.Const(coeff))
+        elif coeff == 1:
+            out.append(mono)
+        else:
+            out.append(reference_mul(ex.Const(coeff), mono))
+    if not out:
+        return ex.ZERO
+    if len(out) == 1:
+        return out[0]
+    out.sort(key=lambda t: t.sort_key())
+    return ex.Add(tuple(out))
+
+
+def reference_mul(*factors) -> ex.Expr:
+    flat = []
+    for f in factors:
+        f = ex.as_expr(f)
+        if isinstance(f, ex.Mul):
+            flat.extend(f.factors)
+        else:
+            flat.append(f)
+    const = 1
+    powers = {}  # base key -> [base, exponent]
+    order = []
+    for f in flat:
+        if isinstance(f, ex.Const):
+            const *= f.value
+            continue
+        if isinstance(f, ex.Pow):
+            base, exp = f.base, f.exp
+        else:
+            base, exp = f, 1
+        if isinstance(base, ex.Const) and exp.denominator == 1:
+            const *= ex._rat_pow(base.value, exp)
+            continue
+        key = base.sort_key()
+        if key in powers:
+            powers[key][1] += exp
+        else:
+            powers[key] = [base, exp]
+            order.append(key)
+    if const == 0:
+        return ex.ZERO
+    out = []
+    for key in order:
+        base, exp = powers[key]
+        if exp == 0:
+            continue
+        out.append(base if exp == 1 else ex.pow_(base, exp))
+    # pow_ may have folded, e.g. into constants or nested products
+    if any(isinstance(f, (ex.Mul, ex.Const)) for f in out):
+        return reference_mul(ex.Const(const), *out)
+    if not out:
+        return ex.Const(const)
+    out.sort(key=lambda f: f.sort_key())
+    if const == 1 and len(out) == 1:
+        return out[0]
+    if const != 1:
+        out.insert(0, ex.Const(const))
+    if len(out) == 1:
+        return out[0]
+    return ex.Mul(tuple(out))
+
+
+def use_reference_constructors(monkeypatch) -> None:
+    """Make the kernel build every sum and product with the reference
+    constructors, its own internal calls included."""
+    monkeypatch.setattr(ex, "add", reference_add)
+    monkeypatch.setattr(ex, "mul", reference_mul)
+
+
+def structure(e: ex.Expr) -> tuple:
+    """e as nested tuples of node types and fields, exact types included."""
+    t = type(e)
+    if t is ex.Const:
+        return ("Const", type(e.value), e.value)
+    if t is ex.Sym:
+        s = e.symbol
+        return ("Sym", s.name, s.kind, s.dep, s.index)
+    if t is ex.Pow:
+        return ("Pow", structure(e.base), type(e.exp), e.exp)
+    if t is ex.Func:
+        return ("Func", e.head, structure(e.arg))
+    if t is ex.Applied:
+        return ("Applied", e.head, tuple(structure(a) for a in e.args))
+    return (t.__name__, tuple(structure(k) for k in
+                              (e.terms if t is ex.Add else e.factors)))

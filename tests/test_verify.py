@@ -272,6 +272,30 @@ class TestTemplateFastPath:
                                ("b",))
         assert not template_spot_check(t, inv.generators, CFG, pmap)
 
+    def test_verified_arguments_not_checked_again(self, monkeypatch):
+        # the row's own invariants passed the pipeline's annihilation check
+        # under the same generators and configuration; any other argument
+        # is still checked
+        pmap, inv, _ = _derived(ROWS.index(("3d-free", "g3_7", "free", 2, {})))
+        families = []
+        first_non_annihilating = nm.first_non_annihilating
+
+        def recording_check(fields, exprs, *args):
+            families.append(len(exprs))
+            return first_non_annihilating(fields, exprs, *args)
+
+        monkeypatch.setattr(nm, "first_non_annihilating", recording_check)
+        t = inv.template
+        assert template_spot_check(t, inv.generators, CFG, pmap, inv.exprs())
+        assert template_spot_check(t, inv.generators, CFG, pmap)
+        assert families[0] == 1 and families[1] > 1
+        x = ex.Sym(t.space.base(t.space.coords[0]))
+        moved = verify.PDETemplate(t.space, ex.add(
+            t.lhs, ex.applied("c", [*inv.exprs()[:2], x])), t.heads + ("c",))
+        assert not template_spot_check(moved, inv.generators, CFG, pmap,
+                                       inv.exprs())
+        assert families[2] == 2
+
     def test_every_slot_argument_checked(self):
         # a moved coordinate in any argument position of b(...), past the
         # third included, makes the template unsound

@@ -1,0 +1,135 @@
+"""Micro-benchmark of the expression kernel on a fixed corpus.
+
+    python3 tools/kernel_bench.py [--repeats N]
+
+Run from anywhere; lieinv is imported from the checkout's ``src/`` and the
+covariant round trip's equations from ``perfbench/workloads.py``.  Standard
+library only.
+
+The corpus is built once, untimed: the invariants of every row of
+``reproduce all`` (``verify.TABLE_ROWS``), and for each of the 70 equations
+of the benchmark's covariant round trip (seed 61) its lhs and its lifted
+covariant form, structurally distinct expressions only.  Each repetition
+times one pass over a fresh copy of the corpus, whose nodes have no cached
+sort key, hash, free symbols or evaluators, so every pass does the work of
+a first visit:
+
+* ``add_mul_ms``: ``simplify_basic``, every sum and product rebuilt through
+  ``add``/``mul``;
+* ``diff_ms``: ``diff`` along each free symbol of each expression;
+* ``substitute_ms``: ``substitute`` of 2*s for every free symbol s;
+* ``expand_ms``: ``expand``;
+* ``codegen_compile_ms``: the evaluator's source and its compilation, with
+  the code memo emptied first.
+
+The one line of output is a JSON object of the medians over the
+repetitions, in milliseconds, with the corpus size and the repetition count.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+from lieinv import covariant, invariants, liealg, verify  # noqa: E402
+from lieinv import expr as ex  # noqa: E402
+from lieinv import numeric as nm  # noqa: E402
+
+import workloads  # noqa: E402
+
+
+def corpus() -> list:
+    """The catalog's invariants and the covariant battery, deduplicated."""
+    cfg = nm.SamplerConfig()
+    exprs = []
+    for rows in verify.TABLE_ROWS.values():
+        for algebra, pipeline, m, params in rows:
+            entry = liealg.catalog_lookup(algebra, params)
+            inv = (invariants.type1_pipeline(entry, m, cfg) if pipeline == "free"
+                   else invariants.type2_pipeline(entry, cfg))
+            exprs += inv.exprs()
+    for text in workloads.make_covariant_roundtrip(61)["pdes"]:
+        pde = covariant.parse_pde(text)
+        exprs += [pde.lhs, covariant.to_covariant(pde, cfg).lhs]
+    return list(dict.fromkeys(exprs))
+
+
+_CLONE = {
+    ex.Add: lambda x, kids: ex.Add(tuple(kids)),
+    ex.Mul: lambda x, kids: ex.Mul(tuple(kids)),
+    ex.Pow: lambda x, kids: ex.Pow(kids[0], x.exp),
+    ex.Func: lambda x, kids: ex.Func(x.head, kids[0]),
+}
+
+
+def fresh(e: ex.Expr) -> ex.Expr:
+    """A copy of e built from new nodes with empty caches, sharing kept."""
+    def leaf(x):
+        if type(x) is ex.Const:
+            return ex.Const(x.value)
+        return ex.Sym(x.symbol) if type(x) is ex.Sym else None
+
+    return ex._fold(e, lambda x, kids: _CLONE[type(x)](x, kids), leaf)
+
+
+def _diff_all(e):
+    for s in sorted(e.free_symbols(), key=lambda s: (s.name, s.kind)):
+        ex.diff(e, s)
+
+
+def _substitute_all(e):
+    ex.substitute(e, {s: ex.mul(2, ex.Sym(s)) for s in e.free_symbols()})
+
+
+def _codegen_compile(e):
+    ex._compile(ex._codegen(e, False))
+
+
+OPS = {
+    "add_mul_ms": ex.simplify_basic,
+    "diff_ms": _diff_all,
+    "substitute_ms": _substitute_all,
+    "expand_ms": ex.expand,
+    "codegen_compile_ms": _codegen_compile,
+}
+
+
+def _nodes(exprs) -> int:
+    memo = {}
+    for e in exprs:
+        ex._fold(e, lambda x, kids: True, lambda x: None, memo)
+    return len(memo)
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=7)
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    exprs = corpus()
+    times = {name: [] for name in OPS}
+    for _ in range(args.repeats):
+        for name, op in OPS.items():
+            copies = [fresh(e) for e in exprs]
+            ex._code.cache_clear()
+            start = time.perf_counter()
+            for e in copies:
+                op(e)
+            times[name].append((time.perf_counter() - start) * 1e3)
+    out = {name: round(statistics.median(t), 2) for name, t in times.items()}
+    out.update(corpus_exprs=len(exprs), corpus_nodes=_nodes(exprs),
+               repeats=args.repeats, python=platform.python_version())
+    print(json.dumps(out, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()
