@@ -110,19 +110,23 @@ def cmd_covariant(args) -> int:
     params = _parse_params(args.params).get("", {})
     pde = cov.parse_pde(text, tuple(params))
     if args.to:
-        out = cov.to_covariant(pde, cfg=cfg, params=params)
-        print(f"coords: {', '.join(out.space.coords)}; dep: {out.space.dep}"
-              f"  (was dependent: {out.dep_coord})")
-        print(f"degree: {out.degree}")
-        print(f"lhs: {ex.render(out.lhs)}")
+        space, dep_coord = cov.wspace_for(pde.space), pde.space.dep
+        lhs = cov.lift(pde, space)
+    else:
+        # the file's coords are the z-coordinates, its dep is the covariant
+        # scalar (usually w); the last coordinate was the dependent variable
+        space, lhs, dep_coord = pde.space, pde.lhs, pde.space.coords[-1]
+    # the form is checked with the values bound and printed with the names
+    degree = cov.CovariantPDE(space, ex.bind(lhs, params), dep_coord,
+                              cfg).degree
+    if args.to:
+        print(f"coords: {', '.join(space.coords)}; dep: {space.dep}"
+              f"  (was dependent: {dep_coord})")
+        print(f"degree: {degree}")
+        print(f"lhs: {ex.render(lhs)}")
         return 0
-    # --from: the file's coords are the z-coordinates, its dep is the
-    # covariant scalar (usually w); the last coordinate plays the role of
-    # the original dependent variable.
-    covpde = cov.CovariantPDE(pde.space, pde.lhs, pde.space.coords[-1],
-                              cfg, params)
-    out = cov.from_covariant(covpde)
-    print(f"rescale-invariant: yes (degree {covpde.degree})")
+    out = cov.section(space, lhs, dep_coord)
+    print(f"rescale-invariant: yes (degree {degree})")
     print(f"coords: {', '.join(out.space.coords)}; dep: {out.space.dep}")
     print(f"lhs: {ex.render(out.lhs)}")
     return 0

@@ -20,7 +20,7 @@ decides, for the transitive pipeline, that the rescale invariants J~ taken
 on the frame derivatives are free of the residual w-jets.  Every
 covariant form passed its check once; from_covariant then restores the
 split form on the normalized section w_n = 1, w_a = -u_a, w_an = 0,
-w_nn = 0 (so w_ab = -u_ab).
+w_nn = 0 (so w_ab = -u_ab).  lift and section are these two maps, unchecked.
 """
 
 from __future__ import annotations
@@ -58,21 +58,20 @@ class CovariantPDE:
     dep_coord names the z-coordinate that was the dependent variable of the
     split form.  Construction reads degree, the homogeneity degree of lhs in
     the w-derivatives, at one point, and then checks in one pass that
-    D - degree and every R_j annihilate lhs, both with the oracle under cfg
-    and params; it raises NotHomogeneous or NotRescaleInvariant otherwise.
+    D - degree and every R_j annihilate lhs (values bound: expr.bind), both
+    under cfg; it raises NotHomogeneous or NotRescaleInvariant otherwise.
     """
 
     space: JetSpace
     lhs: ex.Expr
     dep_coord: str
     cfg: InitVar[nm.SamplerConfig]
-    params: InitVar[Optional[dict]] = None
     degree: int = field(init=False)
 
-    def __post_init__(self, cfg, params):
+    def __post_init__(self, cfg):
         object.__setattr__(self, "degree", homogeneity_degree(
-            self.lhs, self.space, cfg, params))
-        rescale_invariance_check(self.lhs, self.space, cfg, params,
+            self.lhs, self.space, cfg))
+        rescale_invariance_check(self.lhs, self.space, cfg,
                                  degree=self.degree)
 
     def __str__(self):
@@ -164,14 +163,10 @@ def _min_wn_exponent(e: ex.Expr, wn_sym: ex.Symbol) -> int:
     return lo
 
 
-def to_covariant(pde: ScalarPDE, cfg: nm.SamplerConfig = nm.SamplerConfig(),
-                 params: Optional[dict] = None) -> CovariantPDE:
-    """Covariant form of a split scalar PDE, cleared of w_n denominators."""
-    wspace = wspace_for(pde.space)
+def lift(pde: ScalarPDE, wspace: JetSpace) -> ex.Expr:
+    """The lhs of pde on wspace (wspace_for), cleared of w_n; unchecked."""
     dep = pde.space.dep
-    subs = {}
-    subs.update(implicit_first(wspace, dep))
-    subs.update(implicit_second(wspace, dep))
+    subs = {**implicit_first(wspace, dep), **implicit_second(wspace, dep)}
     # the old dependent u becomes the base coordinate z^n = u
     subs[pde.space.jet()] = ex.Sym(wspace.base(dep))
     lifted = ex.substitute(pde.lhs, subs)
@@ -181,8 +176,14 @@ def to_covariant(pde: ScalarPDE, cfg: nm.SamplerConfig = nm.SamplerConfig(),
     # each term of the expanded lift times w_n^kappa: no second expand
     wn_kappa = ex.pow_(ex.Sym(wn_sym), kappa)
     terms = expanded.terms if isinstance(expanded, ex.Add) else (expanded,)
-    cleared = ex.add(*[ex.mul(wn_kappa, t) for t in terms])
-    return CovariantPDE(wspace, cleared, dep, cfg, params)
+    return ex.add(*[ex.mul(wn_kappa, t) for t in terms])
+
+
+def to_covariant(pde: ScalarPDE, cfg: nm.SamplerConfig = nm.SamplerConfig()
+                 ) -> CovariantPDE:
+    """Covariant form of a split scalar PDE, checked: CovariantPDE of lift."""
+    wspace = wspace_for(pde.space)
+    return CovariantPDE(wspace, lift(pde, wspace), pde.space.dep, cfg)
 
 
 def euler_operator(wspace: JetSpace, k: int = 0) -> FirstOrderOperator:
@@ -202,8 +203,7 @@ def rescale_operators(wspace: JetSpace) -> List[FirstOrderOperator]:
 
 
 def homogeneity_degree(e: ex.Expr, wspace: JetSpace,
-                       cfg: nm.SamplerConfig = nm.SamplerConfig(),
-                       params: Optional[dict] = None) -> int:
+                       cfg: nm.SamplerConfig = nm.SamplerConfig()) -> int:
     """Degree k with D e = k e, read at one point.
 
     An identically zero e has no degree and raises NotHomogeneous before
@@ -228,7 +228,7 @@ def homogeneity_degree(e: ex.Expr, wspace: JetSpace,
         return sum([pt[name] * g[i] for name, i in euler]) / g[0]
 
     jets = frozenset(s for s in e.free_symbols() if s.kind == ex.JET)
-    fit = nm.at_regular_points([e], cfg, params, ratio, jets)
+    fit = nm.at_regular_points([e], cfg, ratio, jets)
     k = Fraction(fit).limit_denominator(1000)
     if k.denominator != 1:
         raise NotHomogeneous(f"non-integer homogeneity degree {k}")
@@ -236,8 +236,7 @@ def homogeneity_degree(e: ex.Expr, wspace: JetSpace,
 
 
 def rescale_invariance_check(e: ex.Expr, wspace: JetSpace,
-                             cfg: nm.SamplerConfig = nm.SamplerConfig(),
-                             params: Optional[dict] = None, *,
+                             cfg: nm.SamplerConfig = nm.SamplerConfig(), *,
                              degree: int) -> None:
     """The covariant-form contract: D - degree and every R_j annihilate e.
 
@@ -245,7 +244,7 @@ def rescale_invariance_check(e: ex.Expr, wspace: JetSpace,
     earliest point raises NotHomogeneous (D) or NotRescaleInvariant (R_j).
     """
     ops = [euler_operator(wspace, degree)] + rescale_operators(wspace)
-    found = nm.first_non_annihilating(ops, [e], cfg, params)
+    found = nm.first_non_annihilating(ops, [e], cfg)
     if found is None:
         return
     _, k = found
@@ -302,15 +301,15 @@ def normalized_section(wspace: JetSpace, split: JetSpace
     return subs
 
 
-def from_covariant(cov: CovariantPDE, cfg: Optional[nm.SamplerConfig] = None,
-                   params: Optional[dict] = None) -> ScalarPDE:
-    """Split form of a covariant PDE: its lhs on the normalized section.
-
-    cov passed the covariant-form contract when it was made, so nothing is
-    checked here; cfg and params are accepted and unused.
-    """
-    wspace = cov.space
-    indep = tuple(c for c in wspace.coords if c != cov.dep_coord)
-    split = JetSpace(indep, cov.dep_coord, params=wspace.params)
-    return ScalarPDE(split, ex.substitute(cov.lhs,
+def section(wspace: JetSpace, lhs: ex.Expr, dep_coord: str) -> ScalarPDE:
+    """The split PDE of lhs on the normalized section of wspace; unchecked."""
+    indep = tuple(c for c in wspace.coords if c != dep_coord)
+    split = JetSpace(indep, dep_coord, params=wspace.params)
+    return ScalarPDE(split, ex.substitute(lhs,
                                           normalized_section(wspace, split)))
+
+
+def from_covariant(cov: CovariantPDE, cfg: Optional[nm.SamplerConfig] = None
+                   ) -> ScalarPDE:
+    """Split form of a covariant PDE, checked when made; cfg is unused."""
+    return section(cov.space, cov.lhs, cov.dep_coord)

@@ -442,7 +442,8 @@ def mul(*factors) -> Expr:
                 base, exp = f.base, f.exp
             else:
                 base, exp = f, 1
-            if type(base) is Const and exp.denominator == 1:
+            if type(base) is Const and exp.denominator == 1 \
+                    and (exp > 0 or base.value):  # 0^-k stays, as in pow_
                 const *= _rat_pow(base.value, exp)
                 continue
             powers[base] = powers.get(base, 0) + exp
@@ -669,6 +670,14 @@ def substitute(e: Expr, bindings: Mapping[Symbol, Expr]) -> Expr:
         return _leaf(x) if r is None else as_expr(r)
 
     return _fold(e, _construct, stop)
+
+
+def bind(e: Expr, values: Optional[Mapping[str, int | Fraction]]) -> Expr:
+    """e with Const(v) for each parameter named in values (e if none is)."""
+    if not values:
+        return e
+    return substitute(e, {Symbol(name, PARAM): Const(v)
+                          for name, v in values.items()})
 
 
 def substitute_heads(e: Expr, heads: Mapping[str, Callable]) -> Expr:
@@ -969,7 +978,7 @@ def compile_numeric(e: Expr, magnitude: bool = False):
 
 
 def compile_gradient(e: Expr):
-    """(symbols, g): e's non-parameter symbols by name, and its gradient.
+    """(symbols, g): e's free symbols by name, and its gradient.
 
     g(a) returns [e(a)] + [de/ds(a) for s in symbols] from one call: the
     forward sweep of compile_numeric(e), so g(a)[0] is bit-identical to
@@ -979,8 +988,7 @@ def compile_gradient(e: Expr):
     if e._fns is None:
         e._fns = [None, None, None]
     if e._fns[2] is None:
-        wrt = tuple(sorted((s for s in e.free_symbols() if s.kind != PARAM),
-                           key=lambda s: (s.name, s.kind)))
+        wrt = tuple(sorted(e.free_symbols(), key=lambda s: (s.name, s.kind)))
         e._fns[2] = (wrt, _compile(_codegen(e, False, wrt)))
     return e._fns[2]
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from . import covariant
 from . import expr as ex
@@ -255,7 +255,6 @@ def type1_pipeline(entry: liealg.AlgebraCatalogEntry, m: int = 1,
 
 def eliminate_w(e: ex.Expr, wspace: JetSpace, split: JetSpace,
                 cfg: nm.SamplerConfig = nm.SamplerConfig(),
-                params: Optional[Mapping] = None,
                 label: str = "") -> ex.Expr:
     """A w-space invariant on the normalized section of split.
 
@@ -266,7 +265,7 @@ def eliminate_w(e: ex.Expr, wspace: JetSpace, split: JetSpace,
     those coordinates followed by the section is the section.
     """
     try:
-        covariant.rescale_invariance_check(e, wspace, cfg, params, degree=0)
+        covariant.rescale_invariance_check(e, wspace, cfg, degree=0)
     except (NotHomogeneous, NotRescaleInvariant) as err:
         raise ResidualDependence(f"{label or ex.render(e)} depends on the "
                                  f"residual w-jets: {err}") from err

@@ -285,7 +285,7 @@ def verify_realization(xi: List[VectorField], eta: List[VectorField],
     Every relation is checked; VerificationFailed lists each one that fails,
     and "det" if the determinant vanishes, or is singular, at one of the
     cfg.points sampled points.  Frames built from rational structure
-    constants hold no parameter symbol, so no parameter values are taken.
+    constants hold no parameter symbol: the catalog binds its values there.
     """
     n = sc.dim
     space = xi[0].space
@@ -321,7 +321,7 @@ def verify_realization(xi: List[VectorField], eta: List[VectorField],
         except SingularEvaluation:
             return True
 
-    if nm.at_regular_points([det], cfg, None, det_vanishes):
+    if nm.at_regular_points([det], cfg, det_vanishes):
         failures.append("det")
     if failures:
         raise VerificationFailed(f"realization gate failed: {failures}")

@@ -3,7 +3,8 @@
 All checks evaluate candidate expressions at reproducibly sampled random
 points.  Points are drawn from narrow ranges near the identity so that the
 exponential-coordinate constructions stay well conditioned; symbols that
-appear in any denominator are sampled bounded away from zero.
+appear in any denominator are sampled bounded away from zero.  Parameter
+values are bound first (expr.bind); an unbound parameter is Unsampleable.
 
 Annihilation residuals and Jacobian rows come from one compiled
 value-and-gradient evaluator per expression (expr.compile_gradient): the
@@ -23,8 +24,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import (Any, Callable, Iterable, Iterator, List, Mapping,
-                    Optional, Sequence, Tuple)
+from typing import (Any, Callable, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from . import expr as ex
 from .errors import SingularEvaluation, Unsampleable
@@ -59,13 +60,9 @@ class SamplerConfig:
             raise ValueError(f"tol must lie in (0, {MAX_TOL}], got {self.tol}")
 
 
-def _draw(rng: random.Random, sym: ex.Symbol, denom: bool,
-          params: Mapping) -> float:
+def _draw(rng: random.Random, sym: ex.Symbol, denom: bool) -> float:
     if sym.kind == ex.PARAM:
-        v = params.get(sym.name)
-        if v is None:
-            raise Unsampleable(f"parameter {sym.name!r} has no assigned value")
-        return float(v)
+        raise Unsampleable(f"parameter {sym.name!r} has no assigned value")
     if denom:
         mag = rng.uniform(DENOM_LOW, DENOM_HIGH)
         return mag if rng.random() < 0.5 else -mag
@@ -74,25 +71,23 @@ def _draw(rng: random.Random, sym: ex.Symbol, denom: bool,
 
 
 def sample_points(symbols: Iterable[ex.Symbol], cfg: SamplerConfig,
-                  denom_syms: frozenset = frozenset(),
-                  params: Optional[Mapping] = None) -> Iterator[dict]:
+                  denom_syms: frozenset = frozenset()) -> Iterator[dict]:
     """Yield cfg.points assignments {name: float} for the given symbols.
 
     Symbols are ordered by name so the stream is independent of set/iteration
     order; denominator symbols are bounded away from zero.  Points are drawn
     as they are taken, so a caller that stops early draws no more.
     """
-    params = params or {}
     symbols = sorted(set(symbols), key=lambda s: (s.name, s.kind))
     denom_names = {s.name for s in denom_syms}
     rng = random.Random(cfg.seed)
     for _ in range(cfg.points):
-        yield {s.name: _draw(rng, s, s.name in denom_names, params)
+        yield {s.name: _draw(rng, s, s.name in denom_names)
                for s in symbols}
 
 
 def at_regular_points(exprs: Sequence[ex.Expr], cfg: SamplerConfig,
-                      params: Optional[Mapping], visit: Callable[[dict], Any],
+                      visit: Callable[[dict], Any],
                       off_zero: frozenset = frozenset()) -> Any:
     """Call visit at cfg.points regular points; the point policy of every check.
 
@@ -110,7 +105,7 @@ def at_regular_points(exprs: Sequence[ex.Expr], cfg: SamplerConfig,
     need = cfg.points
     for attempt in range(MAX_SAMPLE_ATTEMPTS):
         batch = replace(cfg, seed=cfg.seed + attempt, points=need)
-        for pt in sample_points(syms, batch, denoms, params):
+        for pt in sample_points(syms, batch, denoms):
             try:
                 verdict = visit(pt)
             except SingularEvaluation:
@@ -140,7 +135,6 @@ def _exceeds(e: ex.Expr, value: Callable, pt: dict, tol: float) -> bool:
 
 
 def is_zero(e: ex.Expr, cfg: SamplerConfig = SamplerConfig(),
-            params: Optional[Mapping] = None,
             extra_denoms: frozenset = frozenset()) -> bool:
     """Randomized zero test: |e(p)| <= tol * max(1, magnitude(e, p)) at all points.
 
@@ -154,12 +148,11 @@ def is_zero(e: ex.Expr, cfg: SamplerConfig = SamplerConfig(),
     def visit(pt):
         return False if _exceeds(e, value, pt, cfg.tol) else None
 
-    return at_regular_points([e], cfg, params, visit, extra_denoms) is None
+    return at_regular_points([e], cfg, visit, extra_denoms) is None
 
 
 def first_non_annihilating(fields: Sequence, exprs: Sequence[ex.Expr],
-                           cfg: SamplerConfig = SamplerConfig(),
-                           params: Optional[Mapping] = None
+                           cfg: SamplerConfig = SamplerConfig()
                            ) -> Optional[Tuple[int, int]]:
     """(i, k) for an operator X = fields[k] with X exprs[i] != 0, or None.
 
@@ -181,7 +174,7 @@ def first_non_annihilating(fields: Sequence, exprs: Sequence[ex.Expr],
     coeffs, values = [], []  # the distinct coefficients rows use, compiled
     checks = []  # (i, gradient of exprs[i], per field [(slot, column)])
     for i, e in enumerate(exprs):
-        free = {s for s in e.free_symbols() if s.kind != ex.PARAM}
+        free = e.free_symbols()
         rows = [[(s, c) for s, c in f.coefficients.items()
                  if (s is None or s in free) and c != ex.ZERO]
                 for f in fields]
@@ -223,7 +216,7 @@ def first_non_annihilating(fields: Sequence, exprs: Sequence[ex.Expr],
         return None
 
     return at_regular_points([exprs[i] for i, _, _ in checks] + coeffs, cfg,
-                             params, visit)
+                             visit)
 
 
 def _row_echelon(matrix: list, scale: Optional[float] = None
@@ -313,12 +306,11 @@ def _union_rank(ja: list, jb: list, width: int) -> Tuple[int, int]:
 def _jacobian(exprs: Sequence[ex.Expr]) -> Tuple[int, Callable[[dict], list]]:
     """(width, rows): rows(pt) is the exact Jacobian of exprs at pt.
 
-    One row per expression, one column per non-parameter symbol name, in
-    name order; each row is one call of the expression's compiled
-    gradient (expr.compile_gradient), placed by column index.
+    One row per expression, one column per symbol name, in name order;
+    each row is one call of the expression's compiled gradient
+    (expr.compile_gradient), placed by column index.
     """
-    names = sorted({s.name for e in exprs for s in e.free_symbols()
-                    if s.kind != ex.PARAM})
+    names = sorted({s.name for e in exprs for s in e.free_symbols()})
     column = {name: j for j, name in enumerate(names)}
     width = len(names)
     parts = []
@@ -340,14 +332,14 @@ def _jacobian(exprs: Sequence[ex.Expr]) -> Tuple[int, Callable[[dict], list]]:
     return width, rows
 
 
-def functional_rank(exprs: Sequence[ex.Expr], cfg: SamplerConfig = SamplerConfig(),
-                    params: Optional[Mapping] = None) -> int:
+def functional_rank(exprs: Sequence[ex.Expr],
+                    cfg: SamplerConfig = SamplerConfig()) -> int:
     """Generic rank of the Jacobian of the given functions.
 
     The Jacobian is exact (_jacobian), with respect to the union of free
-    symbols, parameters excluded.  The result is the maximum rank over the
-    sampled regular points, which equals the generic rank with probability
-    one.  Sampling stops early once the rank is full.
+    symbols.  The result is the maximum rank over the sampled regular
+    points, which equals the generic rank with probability one.  Sampling
+    stops early once the rank is full.
     """
     exprs = list(exprs)
     if not exprs:
@@ -361,13 +353,12 @@ def functional_rank(exprs: Sequence[ex.Expr], cfg: SamplerConfig = SamplerConfig
         best = max(best, _row_echelon_rank(jacobian(pt)))
         return best if best == full else None
 
-    at_regular_points(exprs, cfg, params, visit)
+    at_regular_points(exprs, cfg, visit)
     return best
 
 
 def equivalence_check(a: Sequence[ex.Expr], b: Sequence[ex.Expr],
-                      cfg: SamplerConfig = SamplerConfig(),
-                      params: Optional[Mapping] = None) -> bool:
+                      cfg: SamplerConfig = SamplerConfig()) -> bool:
     """Functional equivalence of two invariant sets, in one pass.
 
     True iff rank(A) == rank(B) == rank(A ∪ B), i.e. each family is
@@ -394,5 +385,5 @@ def equivalence_check(a: Sequence[ex.Expr], b: Sequence[ex.Expr],
         ra, rab = max(ra, rank_a), max(rab, rank_ab)
         return True if rab == full else None
 
-    at_regular_points(a + b, cfg, params, visit)
+    at_regular_points(a + b, cfg, visit)
     return ra == rb == rab

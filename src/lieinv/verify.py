@@ -46,14 +46,14 @@ from .jet import ProlongedField
 def annihilation_check(fields: Sequence[ProlongedField], e: ex.Expr,
                        cfg: nm.SamplerConfig = nm.SamplerConfig(),
                        params: Optional[Mapping] = None) -> bool:
-    """True iff every prolonged generator annihilates e (randomized)."""
-    return nm.first_non_annihilating(fields, [e], cfg, params) is None
+    """True iff every prolonged generator annihilates e, params bound in e."""
+    return nm.first_non_annihilating(fields, [ex.bind(e, params)],
+                                     cfg) is None
 
 
 def template_spot_check(template: PDETemplate,
                         fields: Sequence[ProlongedField],
                         cfg: nm.SamplerConfig,
-                        params: Optional[Mapping],
                         verified: Sequence[ex.Expr] = ()) -> bool:
     """True iff the fields annihilate the template for every choice of slots.
 
@@ -82,8 +82,7 @@ def template_spot_check(template: PDETemplate,
     known = set(verified)
     args = {a: None for x in apps if leaf[x] in used for a in x.args
             if a not in known}
-    return nm.first_non_annihilating(fields, [lhs, *args], cfg,
-                                     params) is None
+    return nm.first_non_annihilating(fields, [lhs, *args], cfg) is None
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +94,10 @@ TABLE_ROWS: Dict[str, List[tuple]] = {
     "1d": [("g1", "free", m, {}) for m in (1, 2)],
     "2d-free": [(name, "free", m, {})
                 for name in ("2g1", "g2") for m in (1, 2)],
-    "3d-free": [(name, "free", m, _p)
+    "3d-free": [(name, "free", m, {})
                 for name in ("3g1", "g1+g2", "g3_1", "g3_2", "g3_3",
                              "g3_4", "g3_5", "g3_6", "g3_7")
-                for m in (1, 2)
-                for _p in [{}]],
+                for m in (1, 2)],
     "2d-transitive": [("2g1", "transitive", None, {}),
                       ("g2", "transitive", None, {})],
     "3d-transitive": (
@@ -205,7 +203,6 @@ def _run_row(table: str, algebra: str, pipeline: str, m: Optional[int],
                     {k: str(v) for k, v in params.items()})
     try:
         entry = liealg.catalog_lookup(algebra, params)
-        pmap = entry.param_map
         if pipeline == "free":
             fixture = fx.free_fixture(algebra, m or 1)
             inv = type1_pipeline(entry, m or 1, cfg)
@@ -213,14 +210,15 @@ def _run_row(table: str, algebra: str, pipeline: str, m: Optional[int],
             fixture = fx.transitive_fixture(algebra)
             inv = type2_pipeline(entry, cfg)
         row.checks["generated_verified"] = inv.verified
-        fixture_exprs = fixture.exprs()
+        fixture_exprs = [ex.bind(e, entry.param_map)
+                         for e in fixture.exprs()]
         row.checks["fixture_annihilated"] = nm.first_non_annihilating(
-            inv.generators, fixture_exprs, cfg, pmap) is None
+            inv.generators, fixture_exprs, cfg) is None
         row.checks["equivalent"] = nm.equivalence_check(
-            inv.exprs(), fixture_exprs, cfg, pmap)
+            inv.exprs(), fixture_exprs, cfg)
         # the pipeline verified its invariants under inv.generators and cfg
         row.checks["template_sound"] = template_spot_check(
-            inv.template, inv.generators, cfg, pmap, inv.exprs())
+            inv.template, inv.generators, cfg, inv.exprs())
     except LieInvError as exc:
         row.error = f"{type(exc).__name__}: {exc}"
     return row

@@ -41,7 +41,7 @@ def exprs_equal(a: ex.Expr, b: ex.Expr,
                 params: Optional[Mapping] = None) -> bool:
     """Numeric equality a == b via is_zero(a - b) with shared denominator info."""
     denoms = ex.denominator_symbols(a) | ex.denominator_symbols(b)
-    return nm.is_zero(a - b, cfg, params, extra_denoms=denoms)
+    return nm.is_zero(ex.bind(a - b, params), cfg, extra_denoms=denoms)
 
 
 def fields(entry: AlgebraCatalogEntry, space: Optional[JetSpace] = None):
@@ -240,7 +240,9 @@ def reference_mul(*factors) -> ex.Expr:
             base, exp = f.base, f.exp
         else:
             base, exp = f, 1
-        if isinstance(base, ex.Const) and exp.denominator == 1:
+        # 0^-k stays a singular power, as in pow_
+        if isinstance(base, ex.Const) and exp.denominator == 1 \
+                and (exp > 0 or base.value != 0):
             const *= ex._rat_pow(base.value, exp)
             continue
         key = base.sort_key()

@@ -134,7 +134,7 @@ def test_criterion_4_so3_worked_example():
         d = ex.add(combined, ex.mul(ex.Const(-1), tv[name]))
         denoms = ex.denominator_symbols(d) | {
             s for s in d.free_symbols() if s.kind == "jet"}
-        assert nm.is_zero(d, tight, {}, extra_denoms=denoms), name
+        assert nm.is_zero(d, tight, extra_denoms=denoms), name
     report(4, "so(3) worked example")
 
 
@@ -214,7 +214,7 @@ def test_criterion_7_negative_controls():
     _, eta = fields(entry, wspace)
     raw = eta[0].frame_derivative(ex.Sym(wspace.jet()))
     with pytest.raises(ResidualDependence):
-        eliminate_w(raw, wspace, split, CFG, {}, "w_(1)")
+        eliminate_w(raw, wspace, split, CFG, "w_(1)")
     report(7, "negative controls")
 
 
@@ -314,7 +314,7 @@ def _kernel_property_cases():
             pt = next(nm.sample_points(
                 e.free_symbols() | d.free_symbols() | {sym},
                 nm.SamplerConfig(seed=rng.randint(0, 10**6), points=1),
-                ex.denominator_symbols(e) | ex.denominator_symbols(d), {}))
+                ex.denominator_symbols(e) | ex.denominator_symbols(d)))
             fd = central_difference(e, pt, sym.name)
             sv = eval_numeric(d, pt)
         except (ZeroDivisionError, OverflowError, nm.Unsampleable,

@@ -187,6 +187,55 @@ class TestCovariant:
         assert len(err) == 1 and err[0].startswith("error [Unsampleable]")
 
 
+PARAM_PDE = "coords: x, y; dep: u; params: a\nlhs: u_xx + a*u_yy + a*u_x^2\n"
+PARAM_LIFT = ("-a*w_uu*w_y^2 - a*w_yy*w_u^2 - w_uu*w_x^2 - w_xx*w_u^2"
+              " + 2*a*w_u*w_y*w_uy + 2*w_u*w_x*w_ux + a*w_u*w_x^2")
+
+
+class TestCovariantParams:
+    """A parameter is checked at its --params value and printed by name."""
+
+    def test_to(self, tmp_path, capsys):
+        f = tmp_path / "pde.txt"
+        f.write_text(PARAM_PDE)
+        assert main(["covariant", "--to", str(f), "--params", "a=2"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "coords: x, y, u; dep: w  (was dependent: u)",
+            "degree: 3",
+            f"lhs: {PARAM_LIFT}"]
+
+    def test_from(self, tmp_path, capsys):
+        f = tmp_path / "cov.txt"
+        f.write_text(f"coords: x, y, u; dep: w; params: a\nlhs: {PARAM_LIFT}\n")
+        assert main(["covariant", "--from", str(f), "--params", "a=3"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "rescale-invariant: yes (degree 3)",
+            "coords: x, y; dep: u",
+            "lhs: u_xx + a*u_yy + a*u_x^2"]
+
+    @pytest.mark.parametrize("flag,text", [
+        ("--to", PARAM_PDE),
+        ("--from", f"coords: x, y, u; dep: w; params: a\nlhs: {PARAM_LIFT}\n"),
+    ], ids=["to", "from"])
+    def test_no_value_is_one_error_line(self, tmp_path, capsys, flag, text):
+        f = tmp_path / "pde.txt"
+        f.write_text(text)
+        assert main(["covariant", flag, str(f)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            "error [Unsampleable]: parameter 'a' has no assigned value"]
+
+    def test_zero_value_in_a_denominator_is_one_error_line(self, tmp_path,
+                                                           capsys):
+        # a = 0 makes u_x/a singular at every point, not a ZeroDivisionError
+        f = tmp_path / "pde.txt"
+        f.write_text("coords: x; dep: u\nlhs: u_xx + u_x/a\n")
+        assert main(["covariant", "--to", str(f), "--params", "a=0"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error [Unsampleable]")
+
+
 class TestReproduce:
     def test_2d_transitive(self, capsys):
         assert main(["reproduce", "2d-transitive"]) == 0

@@ -236,6 +236,32 @@ class TestSubstituteExpand:
         monkeypatch.undo()
         assert out == self._repeated(U)
 
+    @pytest.mark.parametrize("text, want", [
+        ("y/x + u_x", "u_x + y/0"),
+        ("1/x + u_x", "u_x + 1/0"),
+    ])
+    def test_substituting_a_pole_keeps_a_singular_power(self, text, want):
+        # mul keeps 0^-k unfolded, as pow_ does, in either operand order
+        out = ex.substitute(SP.parse(text), {SP.base("x"): ex.ZERO})
+        singular = ex.Pow(ex.ZERO, -1)
+        assert ex.render(out) == want
+        assert singular in [t for t in out.terms
+                            for t in (t.factors if isinstance(t, ex.Mul)
+                                      else (t,))]
+        with pytest.raises(SingularEvaluation):
+            ex.compile_numeric(out)({"y": 1.0, "u_x": 1.0})
+
+    def test_bind(self):
+        h = SP.resolve("h")
+        e = SP.parse("h*u_x + x/h")
+        assert ex.bind(e, {}) is e
+        assert ex.bind(e, None) is e
+        out = ex.bind(e, {"h": Fraction(1, 2)})
+        assert h not in out.free_symbols()
+        assert out == SP.parse("(1/2)*u_x + 2*x")
+        # only parameters are bound: a coordinate of the same name is not
+        assert ex.bind(X, {"x": 3}) is X
+
 
 class TestNumeric:
     def test_eval_basic(self):

@@ -181,7 +181,7 @@ class TestEliminateW:
         _, eta = fields(entry, wspace)
         raw = eta[0].frame_derivative(ex.Sym(wspace.jet()))
         with pytest.raises(ResidualDependence):
-            eliminate_w(raw, wspace, split, CFG, {}, "w_(1)")
+            eliminate_w(raw, wspace, split, CFG, "w_(1)")
 
 
 class TestGenerators:

@@ -36,27 +36,27 @@ def p(text):
 class TestSampling:
     def test_deterministic(self):
         syms = p("x + y + u_x").free_symbols()
-        a = list(nm.sample_points(syms, CFG, frozenset(), {}))
-        b = list(nm.sample_points(syms, CFG, frozenset(), {}))
+        a = list(nm.sample_points(syms, CFG, frozenset()))
+        b = list(nm.sample_points(syms, CFG, frozenset()))
         assert a == b
 
     def test_seed_changes_points(self):
         syms = p("x + y").free_symbols()
-        a = list(nm.sample_points(syms, CFG, frozenset(), {}))
+        a = list(nm.sample_points(syms, CFG, frozenset()))
         other = dataclasses.replace(CFG, seed=CFG.seed + 1)
-        b = list(nm.sample_points(syms, other, frozenset(), {}))
+        b = list(nm.sample_points(syms, other, frozenset()))
         assert a != b
 
     def test_denominator_symbols_bounded_away_from_zero(self):
         syms = p("u_x").free_symbols()
-        pts = nm.sample_points(syms, CFG, syms, {})
+        pts = nm.sample_points(syms, CFG, syms)
         assert all(0.5 <= abs(pt["u_x"]) <= 1.5 for pt in pts)
 
     def test_missing_param_raises(self):
         sp = JetSpace(("x",), "u", params=("h",))
         syms = sp.parse("h*u_x").free_symbols()
         with pytest.raises(Unsampleable):
-            next(nm.sample_points(syms, CFG, frozenset(), {}))
+            next(nm.sample_points(syms, CFG, frozenset()))
 
     @pytest.mark.parametrize("kwargs", [
         {"points": 0}, {"points": -3}, {"tol": 0.0}, {"tol": -1e-7},
@@ -96,7 +96,7 @@ class TestAtRegularPoints:
                 raise SingularEvaluation("singular")
             return "verdict"
 
-        assert nm.at_regular_points([self.E], cfg, {}, visit) == "verdict"
+        assert nm.at_regular_points([self.E], cfg, visit) == "verdict"
         assert len(draws) == 2 * 3
         syms = self.E.free_symbols()
         if points > 1:  # the next point of the same batch
@@ -107,13 +107,13 @@ class TestAtRegularPoints:
 
     def test_every_point_drawn_without_a_verdict(self, monkeypatch):
         draws = self._draws(monkeypatch)
-        assert nm.at_regular_points([self.E], CFG, {}, lambda pt: None) is None
+        assert nm.at_regular_points([self.E], CFG, lambda pt: None) is None
         assert len(draws) == CFG.points * 3
 
     def test_symbols_and_denominators_from_the_expressions(self):
         seen = []
         e, f = p("x/u_x"), p("y")
-        nm.at_regular_points([e, f], CFG, {}, seen.append,
+        nm.at_regular_points([e, f], CFG, seen.append,
                              frozenset(f.free_symbols()))
         assert len(seen) == CFG.points
         assert all(set(pt) == {"x", "y", "u_x"} for pt in seen)

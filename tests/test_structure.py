@@ -18,8 +18,10 @@ which only `invariants.realize` reaches, and every span the benchmark's
 tracer names exists.  Only the kernel's compile helpers run `exec` or
 `compile`, and every memo is an `lru_cache` with a bound.  Only
 `jet.frame_jets` takes frame derivatives, so both pipelines share one
-frame-jet table, and every imported name is read.  These tests keep it
-that way.
+frame-jet table, and every imported name is read.  Parameter values are
+bound where they enter, so no function below that boundary takes a
+parameter map and the oracle reads the parameter kind only to refuse an
+unbound one.  These tests keep it that way.
 """
 
 import ast
@@ -226,10 +228,9 @@ def test_only_the_kernel_and_jet_differentiate():
 def test_every_parameter_is_read():
     # a parameter nothing reads misstates what a function depends on.  A
     # method's receiver is bound by Python, so it is not counted; and
-    # from_covariant keeps cfg and params because the benchmark's covariant
-    # round trip (perfbench/workloads.py) calls from_covariant(cov, cfg)
-    exempt = {("covariant", "from_covariant", "cfg"),
-              ("covariant", "from_covariant", "params")}
+    # from_covariant keeps cfg because the benchmark's covariant round
+    # trip (perfbench/workloads.py) calls from_covariant(cov, cfg)
+    exempt = {("covariant", "from_covariant", "cfg")}
     unread = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
@@ -271,14 +272,15 @@ def test_every_traced_span_exists():
     assert spans and missing == []
 
 
-def _qualified_callers(name):
-    """(module, enclosing function or Class.method) of every call of name."""
+def _qualified(match):
+    """(module, enclosing function or Class.method) of every node match
+    accepts; a function's own arguments are inside it."""
     found = set()
     for path in SOURCES:
         stack = [(ast.parse(path.read_text(encoding="utf-8"), str(path)), "")]
         while stack:
             node, scope = stack.pop()
-            if isinstance(node, ast.Call) and name in _names(node.func):
+            if match(node):
                 found.add((path.stem, scope))
             if isinstance(node, ast.ClassDef) and not scope:
                 scope = node.name + "."
@@ -286,6 +288,12 @@ def _qualified_callers(name):
                 scope += node.name
             stack.extend((c, scope) for c in ast.iter_child_nodes(node))
     return found
+
+
+def _qualified_callers(name):
+    """(module, enclosing function or Class.method) of every call of name."""
+    return _qualified(lambda node: isinstance(node, ast.Call)
+                      and name in _names(node.func))
 
 
 def test_only_realize_gates_frames():
@@ -327,6 +335,24 @@ def test_only_the_fold_walks_recursively():
             and not _calls_to(f, f.name)} == visitors
     assert {f.name for f in functions
             if any(isinstance(n, ast.Delete) for n in ast.walk(f))} == {"_fold"}
+
+
+def test_parameter_values_are_bound_at_the_boundary():
+    # a value meets an expression only in expr.bind, where it enters the
+    # program, so the oracle sees only numbers.  A map is taken only by
+    # the benchmark's entry annihilation_check, by the row runner that
+    # binds a row's values and by the catalog's checks; parse_pde and
+    # JetSpace take parameter names, not values
+    takers = _qualified(lambda node: isinstance(node, ast.arg)
+                        and node.arg == "params")
+    assert takers == {
+        ("verify", "annihilation_check"), ("verify", "_run_row"),
+        ("liealg", "check_params"), ("liealg", "catalog_lookup"),
+        ("covariant", "parse_pde"), ("jet", "JetSpace.__init__")}
+    readers = _qualified(lambda node: isinstance(node, ast.Attribute)
+                         and node.attr == "PARAM")
+    assert {scope for module, scope in readers
+            if module == "numeric"} == {"_draw"}
 
 
 def test_only_frame_jets_takes_frame_derivatives():

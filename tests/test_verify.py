@@ -151,14 +151,17 @@ ROW_IDS = [f"{i}-{t}-{a}-{p}" + ("" if m is None else f"-m{m}")
 
 @functools.lru_cache(maxsize=None)
 def _derived(index):
-    """(param map, InvariantSet, fixture expressions) of table row `index`."""
+    """(InvariantSet, fixture expressions with the row's values bound) of
+    table row `index`."""
     _, algebra, pipeline, m, params = ROWS[index]
     entry = liealg.catalog_lookup(algebra, params)
     if pipeline == "free":
-        return (entry.param_map, type1_pipeline(entry, m, CFG),
-                fx.free_fixture(algebra, m).exprs())
-    return (entry.param_map, type2_pipeline(entry, CFG),
-            fx.transitive_fixture(algebra).exprs())
+        inv = type1_pipeline(entry, m, CFG)
+        fixture = fx.free_fixture(algebra, m)
+    else:
+        inv = type2_pipeline(entry, CFG)
+        fixture = fx.transitive_fixture(algebra)
+    return inv, [ex.bind(e, entry.param_map) for e in fixture.exprs()]
 
 
 def _moved_coordinate(inv):
@@ -176,36 +179,36 @@ class TestRowControls:
 
     @pytest.mark.parametrize("index", range(len(ROWS)), ids=ROW_IDS)
     def test_template_mutants_rejected(self, index):
-        pmap, inv, _ = _derived(index)
+        inv, _ = _derived(index)
         t = inv.template
         x = ex.Sym(t.space.base(t.space.coords[0]))
         slot = next(a for a in ex.applications(t.lhs) if a.head == t.heads[0])
         shift = ex.mul(ex.Const(Fraction(1, 10)), x)
         for extra in (shift, ex.mul(shift, slot)):
             mutant = dataclasses.replace(t, lhs=ex.add(t.lhs, extra))
-            assert not template_spot_check(mutant, inv.generators, CFG, pmap), \
+            assert not template_spot_check(mutant, inv.generators, CFG), \
                 ex.render(extra)
 
     @pytest.mark.parametrize("index", range(len(ROWS)), ids=ROW_IDS)
     def test_equivalence_mutants_rejected(self, index):
-        pmap, inv, fixture = _derived(index)
+        inv, fixture = _derived(index)
         generated = inv.exprs()
         drop = index % len(generated)
         dropped = generated[:drop] + generated[drop + 1:]
-        assert not nm.equivalence_check(dropped, fixture, CFG, pmap)
+        assert not nm.equivalence_check(dropped, fixture, CFG)
         grown = generated + [_moved_coordinate(inv)]
-        assert not nm.equivalence_check(grown, fixture, CFG, pmap)
+        assert not nm.equivalence_check(grown, fixture, CFG)
 
     @pytest.mark.parametrize("index", range(len(ROWS)), ids=ROW_IDS)
     def test_invariant_mutants_rejected(self, index):
         # I + x/10 and I*(1 + x/10) with x moved by some generator: X I = 0
         # and X x != 0 make both non-invariant
-        pmap, inv, _ = _derived(index)
+        inv, _ = _derived(index)
         shift = ex.mul(ex.Const(Fraction(1, 10)), _moved_coordinate(inv))
         for label, e in inv.invariants:
             for mutant in (ex.add(e, shift), ex.mul(e, ex.add(ex.ONE, shift))):
-                assert not annihilation_check(inv.generators, mutant, CFG,
-                                              pmap), (label, ex.render(mutant))
+                assert not annihilation_check(inv.generators, mutant,
+                                              CFG), (label, ex.render(mutant))
 
 
 class TestTemplateFastPath:
@@ -215,7 +218,7 @@ class TestTemplateFastPath:
     def test_sound_template_compiles_once(self, monkeypatch, index):
         # one gradient for the lhs with its slots as leaves; the arguments'
         # and the coefficients' evaluators are the pipeline's own
-        pmap, inv, _ = _derived(index)
+        inv, _ = _derived(index)
         instantiated, with_wrt = [], []
         codegen = ex._codegen
 
@@ -228,7 +231,7 @@ class TestTemplateFastPath:
         monkeypatch.setattr(invariants, "instantiate_template",
                             lambda *a: instantiated.append(a))
         t = inv.template
-        assert template_spot_check(t, inv.generators, CFG, pmap)
+        assert template_spot_check(t, inv.generators, CFG)
         assert instantiated == []
         assert len(with_wrt) == 1
         assert {a.head for a in ex.applications(with_wrt[0])} == set()
@@ -236,7 +239,7 @@ class TestTemplateFastPath:
             len(t.heads)
 
     def test_mutant_rejected_on_the_leaf_form(self, monkeypatch):
-        pmap, inv, _ = _derived(
+        inv, _ = _derived(
             ROWS.index(("3d-transitive", "g3_7", "transitive", None, {})))
         t = inv.template
         x = ex.Sym(t.space.base(t.space.coords[0]))
@@ -253,7 +256,7 @@ class TestTemplateFastPath:
             return found
 
         monkeypatch.setattr(nm, "first_non_annihilating", recording_check)
-        assert not template_spot_check(mutant, inv.generators, CFG, pmap)
+        assert not template_spot_check(mutant, inv.generators, CFG)
         leaf_form, verdict = checked[0]
         assert ex.applications(leaf_form) == []
         assert len(leaf_form.free_symbols() - mutant.lhs.free_symbols()) == \
@@ -263,20 +266,20 @@ class TestTemplateFastPath:
     def test_slot_of_a_moved_coordinate_rejected(self):
         # b(x) is not invariant through its argument alone: only the check
         # of the slot's arguments sees it
-        pmap, inv, _ = _derived(
+        inv, _ = _derived(
             ROWS.index(("3d-transitive", "g3_7", "transitive", None, {})))
         space = inv.space
         x = ex.Sym(space.base(space.coords[0]))
         t = verify.PDETemplate(space, ex.add(inv.exprs()[-1],
                                              ex.applied("b", [x])),
                                ("b",))
-        assert not template_spot_check(t, inv.generators, CFG, pmap)
+        assert not template_spot_check(t, inv.generators, CFG)
 
     def test_verified_arguments_not_checked_again(self, monkeypatch):
         # the row's own invariants passed the pipeline's annihilation check
         # under the same generators and configuration; any other argument
         # is still checked
-        pmap, inv, _ = _derived(ROWS.index(("3d-free", "g3_7", "free", 2, {})))
+        inv, _ = _derived(ROWS.index(("3d-free", "g3_7", "free", 2, {})))
         families = []
         first_non_annihilating = nm.first_non_annihilating
 
@@ -286,20 +289,20 @@ class TestTemplateFastPath:
 
         monkeypatch.setattr(nm, "first_non_annihilating", recording_check)
         t = inv.template
-        assert template_spot_check(t, inv.generators, CFG, pmap, inv.exprs())
-        assert template_spot_check(t, inv.generators, CFG, pmap)
+        assert template_spot_check(t, inv.generators, CFG, inv.exprs())
+        assert template_spot_check(t, inv.generators, CFG)
         assert families[0] == 1 and families[1] > 1
         x = ex.Sym(t.space.base(t.space.coords[0]))
         moved = verify.PDETemplate(t.space, ex.add(
             t.lhs, ex.applied("c", [*inv.exprs()[:2], x])), t.heads + ("c",))
-        assert not template_spot_check(moved, inv.generators, CFG, pmap,
+        assert not template_spot_check(moved, inv.generators, CFG,
                                        inv.exprs())
         assert families[2] == 2
 
     def test_every_slot_argument_checked(self):
         # a moved coordinate in any argument position of b(...), past the
         # third included, makes the template unsound
-        pmap, inv, _ = _derived(
+        inv, _ = _derived(
             ROWS.index(("3d-free", "g3_7", "free", 2, {})))
         t = inv.template
         x = ex.Sym(t.space.base(t.space.coords[0]))
@@ -310,15 +313,14 @@ class TestTemplateFastPath:
             lhs = ex.substitute_heads(t.lhs, {
                 "b": lambda *_, _a=args: ex.applied("b", _a)})
             mutant = dataclasses.replace(t, lhs=lhs)
-            assert not template_spot_check(mutant, inv.generators, CFG,
-                                           pmap), p
+            assert not template_spot_check(mutant, inv.generators, CFG), p
 
 
 class TestFamilyPass:
     def test_untouched_member_not_compiled(self, monkeypatch):
         # a member on whose symbols no generator has a term, such as y1, u
         # and u_y1 under the free generators, gets no compiled gradient
-        pmap, inv, _ = _derived(ROWS.index(("2d-free", "g2", "free", 2, {})))
+        inv, _ = _derived(ROWS.index(("2d-free", "g2", "free", 2, {})))
 
         def touched(e):
             return any(c != ex.ZERO and s in e.free_symbols()
@@ -335,8 +337,8 @@ class TestFamilyPass:
             return gradient(e)
 
         monkeypatch.setattr(ex, "compile_gradient", counted)
-        assert nm.first_non_annihilating(inv.generators, inv.exprs(), CFG,
-                                         pmap) is None
+        assert nm.first_non_annihilating(inv.generators, inv.exprs(),
+                                         CFG) is None
         want = [e for e in inv.exprs() if touched(e)]
         assert 0 < len(want) <= len(inv.exprs()) - 3
         assert len(compiled) == len(want)
@@ -350,13 +352,13 @@ class TestFamilyControls:
         ROWS.index(("2d-free", "g2", "free", 2, {})),
         ROWS.index(("3d-transitive", "g3_7", "transitive", None, {}))])
     def test_last_member_not_invariant(self, index):
-        pmap, inv, _ = _derived(index)
+        inv, _ = _derived(index)
         family = list(inv.invariants)
         label, e = family[-1]
         family[-1] = (label, ex.add(e, ex.mul(ex.Const(Fraction(1, 10)),
                                                _moved_coordinate(inv))))
         found = nm.first_non_annihilating(inv.generators,
-                                          [x for _, x in family], CFG, pmap)
+                                          [x for _, x in family], CFG)
         assert found is not None and found[0] == len(family) - 1
         with pytest.raises(VerificationFailed,
                            match=rf"invariant {re.escape(label)} is not "):
@@ -386,16 +388,16 @@ class TestFamilyControls:
     def test_equivalence_member_replaced(self, index):
         # a moved coordinate is outside span(A): the union rank grows; a
         # duplicated member drops rank(B)
-        pmap, inv, fixture = _derived(index)
+        inv, fixture = _derived(index)
         generated = inv.exprs()
-        assert nm.equivalence_check(generated, fixture, CFG, pmap)
+        assert nm.equivalence_check(generated, fixture, CFG)
         j = index % len(fixture)
         outside = fixture[:j] + [_moved_coordinate(inv)] + fixture[j + 1:]
-        assert not nm.equivalence_check(generated, outside, CFG, pmap)
+        assert not nm.equivalence_check(generated, outside, CFG)
         if len(fixture) > 1:
             k = (j + 1) % len(fixture)
             duplicated = fixture[:k] + [fixture[j]] + fixture[k + 1:]
-            assert not nm.equivalence_check(generated, duplicated, CFG, pmap)
+            assert not nm.equivalence_check(generated, duplicated, CFG)
 
     @pytest.mark.parametrize("index", [
         ROWS.index(("1d", "g1", "free", 2, {})),
@@ -403,7 +405,7 @@ class TestFamilyControls:
         ROWS.index(("3d-free", "g3_7", "free", 2, {}))])
     def test_union_rank_equals_the_stacked_elimination(self, monkeypatch,
                                                        index):
-        pmap, inv, fixture = _derived(index)
+        inv, fixture = _derived(index)
         seen = []
         union_rank = nm._union_rank
 
@@ -412,7 +414,7 @@ class TestFamilyControls:
             return seen[-1][2]
 
         monkeypatch.setattr(nm, "_union_rank", recording)
-        assert nm.equivalence_check(inv.exprs(), fixture, CFG, pmap)
+        assert nm.equivalence_check(inv.exprs(), fixture, CFG)
         # g1's union spans its jet space at the first point, which ends
         # the pass; the others take every point
         assert len(seen) == (1 if inv.algebra == "g1" else CFG.points)
@@ -506,7 +508,7 @@ class TestSO3WorkedExample:
             d = ex.add(combined, ex.mul(ex.Const(-1), tv[name]))
             denoms = ex.denominator_symbols(d) | {
                 s for s in d.free_symbols() if s.kind == "jet"}
-            assert nm.is_zero(d, cfg, {}, extra_denoms=denoms), name
+            assert nm.is_zero(d, cfg, extra_denoms=denoms), name
 
     def test_raw_and_tilde_sets_equivalent(self):
         sp = so3_split_space()
