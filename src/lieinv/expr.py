@@ -125,8 +125,8 @@ class Expr:
 
     Four cache slots, all None until first use, which each subclass's
     __init__ sets itself (no super() call on the hot path): the sort key,
-    its hash, the free symbols and the compiled [value, magnitude,
-    gradient] evaluators.
+    its hash, the free symbols and the compiled [value, gradient]
+    evaluators.
     """
 
     __slots__ = ("_key", "_hash", "_free", "_fns")
@@ -800,7 +800,7 @@ def _join(op: str, operands: list, lines: list) -> str:
     return op.join(operands)
 
 
-def _codegen(e: Expr, magnitude: bool, wrt: Optional[tuple] = None) -> str:
+def _codegen(e: Expr, wrt: Optional[tuple] = None) -> str:
     """Source of a flat function `f(a)` evaluating e, one local per subtree.
 
     Structurally equal subtrees share one local, assigned in first-occurrence
@@ -817,7 +817,7 @@ def _codegen(e: Expr, magnitude: bool, wrt: Optional[tuple] = None) -> str:
 
     def stop(x):
         if type(x) is Const:
-            return _literal(abs(x.value) if magnitude else x.value)
+            return _literal(x.value)
         if type(x) is Applied:
             raise UnboundSymbol(
                 f"cannot numerically evaluate arbitrary-function head {x.head!r}"
@@ -828,8 +828,6 @@ def _codegen(e: Expr, magnitude: bool, wrt: Optional[tuple] = None) -> str:
         t = type(x)
         if t is Sym:
             src = f"a[{x.symbol.name!r}]"
-            if magnitude:
-                src = f"abs({src})"
         elif t is Add:
             src = _join("+", kids, lines)
         elif t is Mul:
@@ -838,8 +836,6 @@ def _codegen(e: Expr, magnitude: bool, wrt: Optional[tuple] = None) -> str:
             src = f"P({kids[0]},{x.exp.numerator},{x.exp.denominator})"
         else:
             src = f"F[{x.head!r}]({kids[0]})"
-            if magnitude and x.head != "exp":
-                src = f"abs({src})"
         ref = f"t{len(refs)}"
         lines.append(f"  {ref}={src}")
         return ref
@@ -942,7 +938,6 @@ def _compile(src: str):
     env = {
         "P": _num_pow,
         "F": {"exp": _num_exp, "log": _num_log, "sin": math.sin, "cos": math.cos},
-        "abs": abs,
         "S": SingularEvaluation,
     }
     exec(_code(_Source(src)), env)  # noqa: S102 - generated from our own AST
@@ -950,7 +945,7 @@ def _compile(src: str):
     return env.pop("f")
 
 
-def compile_numeric(e: Expr, magnitude: bool = False):
+def compile_numeric(e: Expr):
     """Compile e to a fast evaluator mapping {symbol name: float} -> float.
 
     The generated function is flat: each distinct subtree is computed once
@@ -959,22 +954,18 @@ def compile_numeric(e: Expr, magnitude: bool = False):
     operation) and has no nesting limit of its own.  Every finite float
     it returns is the one that nested evaluation gives; a point where
     evaluation overflows, leaves the domain or ends non-finite raises
-    SingularEvaluation instead.  With magnitude=True
-    it computes a cancellation-free magnitude estimate: |.| is applied at
-    the leaves and propagated through sums and products.  Both evaluators
-    are kept on the node itself, so they live exactly as long as the tree
-    does.  Structurally equal nodes generate the same source, whose code
-    object comes from a bounded memo (_code, CODE_MEMO_SIZE sources, keyed
-    by each source's SHA-256 digest, so no source text is kept); each
-    node still gets its own function, made from that code object in fresh
-    globals.
+    SingularEvaluation instead.  The evaluator is kept on the node itself,
+    so it lives exactly as long as the tree does.  Structurally equal
+    nodes generate the same source, whose code object comes from a bounded
+    memo (_code, CODE_MEMO_SIZE sources, keyed by each source's SHA-256
+    digest, so no source text is kept); each node still gets its own
+    function, made from that code object in fresh globals.
     """
     if e._fns is None:
-        e._fns = [None, None, None]
-    fn = e._fns[magnitude]
-    if fn is None:
-        fn = e._fns[magnitude] = _compile(_codegen(e, magnitude))
-    return fn
+        e._fns = [None, None]
+    if e._fns[0] is None:
+        e._fns[0] = _compile(_codegen(e))
+    return e._fns[0]
 
 
 def compile_gradient(e: Expr):
@@ -986,11 +977,11 @@ def compile_gradient(e: Expr):
     singular-point rule.  Kept on the node like compile_numeric's.
     """
     if e._fns is None:
-        e._fns = [None, None, None]
-    if e._fns[2] is None:
+        e._fns = [None, None]
+    if e._fns[1] is None:
         wrt = tuple(sorted(e.free_symbols(), key=lambda s: (s.name, s.kind)))
-        e._fns[2] = (wrt, _compile(_codegen(e, False, wrt)))
-    return e._fns[2]
+        e._fns[1] = (wrt, _compile(_codegen(e, wrt)))
+    return e._fns[1]
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ values are bound first (expr.bind); an unbound parameter is Unsampleable.
 Annihilation residuals and Jacobian rows come from one compiled
 value-and-gradient evaluator per expression (expr.compile_gradient): the
 derivatives are exact, and no residual expression is built unless a float
-residual exceeds the tolerance.  Each check takes a whole family in one
-pass over one point stream:
+residual exceeds the tolerance; _rejects then decides the point, exactly
+where the residual expands to a constant.  Each check takes a whole family
+in one pass over one point stream:
 
   * first_non_annihilating evaluates each distinct operator coefficient
     and each member's gradient once per point, and compiles nothing for a
@@ -120,35 +121,38 @@ def at_regular_points(exprs: Sequence[ex.Expr], cfg: SamplerConfig,
         f"{MAX_SAMPLE_ATTEMPTS} attempts")
 
 
-def _exceeds(e: ex.Expr, value: Callable, pt: dict, tol: float) -> bool:
-    """The zero test at one point: |e(p)| > tol * max(1, magnitude(e, p)).
+def _rejects(x: ex.Expr, pt: dict, tol: float, expanded: dict) -> bool:
+    """Whether the residual x rejects pt, a point where its float exceeds tol.
 
-    The magnitude is the cancellation-free estimate of e itself, so genuine
-    identities with large intermediate terms still pass, while expressions
-    that are merely small never do.  Since max(1, magnitude) >= 1, the
-    magnitude is evaluated only where |e(p)| > tol.  `value` is e's compiled
-    evaluator.
+    x is expanded once per check (the memo `expanded`).  An expansion to a
+    Const decides exactly; to 0, no point of the check rejects x again.
+    Otherwise the float decides: |x(pt)| > tol rejects.
     """
-    val = abs(value(pt))
-    return val > tol and \
-        val > tol * max(1.0, ex.compile_numeric(e, magnitude=True)(pt))
+    y = expanded.get(x)
+    if y is None:
+        y = expanded[x] = ex.expand(x)
+    if isinstance(y, ex.Const):
+        return y.value != 0
+    return abs(ex.compile_numeric(x)(pt)) > tol
 
 
 def is_zero(e: ex.Expr, cfg: SamplerConfig = SamplerConfig(),
             extra_denoms: frozenset = frozenset()) -> bool:
-    """Randomized zero test: |e(p)| <= tol * max(1, magnitude(e, p)) at all points.
+    """Randomized zero test: |e(p)| <= tol at every point, or e expands to 0.
 
-    A point where the value or the magnitude is singular is redrawn
-    (at_regular_points).
+    The first point where |e(p)| > tol is decided by _rejects.  A point
+    where e is singular is redrawn (at_regular_points).
     """
     if isinstance(e, ex.Const):
         return e.value == 0
     value = ex.compile_numeric(e)
 
     def visit(pt):
-        return False if _exceeds(e, value, pt, cfg.tol) else None
+        if abs(value(pt)) <= cfg.tol:
+            return None
+        return not _rejects(e, pt, cfg.tol, {})  # True: e expands to 0
 
-    return at_regular_points([e], cfg, visit, extra_denoms) is None
+    return at_regular_points([e], cfg, visit, extra_denoms) is not False
 
 
 def first_non_annihilating(fields: Sequence, exprs: Sequence[ex.Expr],
@@ -165,10 +169,10 @@ def first_non_annihilating(fields: Sequence, exprs: Sequence[ex.Expr],
     evaluated once and each member's compiled gradient (the member itself
     in slot 0) once; together they give the residual r_ik of every
     operator k on every member i.  A point where |r_ik| <= tol passes for
-    (i, k).  Elsewhere the point is decided by the zero test on the
-    symbolic residual fields[k].apply(exprs[i]) (exactly for a constant
-    one), so no rejection rests on these floats.  The first failing pair,
-    in point, member and operator order, is returned.
+    (i, k).  Elsewhere _rejects decides the point on the symbolic residual
+    fields[k].apply(exprs[i]), expanded once per check, so no rejection of
+    an identity that expansion settles rests on these floats.  The first
+    failing pair, in point, member and operator order, is returned.
     """
     slot = {}  # id(coefficient) -> its index in coeffs and values
     coeffs, values = [], []  # the distinct coefficients rows use, compiled
@@ -193,15 +197,13 @@ def first_non_annihilating(fields: Sequence, exprs: Sequence[ex.Expr],
                                  for row in rows]))
     if not checks:
         return None
-    residuals = {}
+    residuals, expanded = {}, {}
 
     def rejects(i, k, pt):
         x = residuals.get((i, k))
         if x is None:
             x = residuals[i, k] = fields[k].apply(exprs[i])
-        if isinstance(x, ex.Const):
-            return x.value != 0
-        return _exceeds(x, ex.compile_numeric(x), pt, cfg.tol)
+        return _rejects(x, pt, cfg.tol, expanded)
 
     def visit(pt):
         cv = [c(pt) for c in values]

@@ -125,8 +125,9 @@ class TestExactNormalization:
             assert new.sort_key() == old.sort_key()
             assert hash(new) == hash(old) and new == old
             assert ex.render(new) == ex.render(old)
-            assert ex._codegen(new, False) == ex._codegen(old, False)
-            assert ex._codegen(new, True) == ex._codegen(old, True)
+            assert ex._codegen(new) == ex._codegen(old)
+            wrt = tuple(sorted(new.free_symbols(), key=lambda s: s.name))
+            assert ex._codegen(new, wrt) == ex._codegen(old, wrt)
 
 
 class TestDiff:
@@ -288,12 +289,12 @@ class TestNumeric:
     def test_evaluators_kept_per_node(self):
         e = ex.add(ex.mul(ex.Const(-2), X), Y)
         value = ex.compile_numeric(e)
-        magnitude = ex.compile_numeric(e, magnitude=True)
+        gradient = ex.compile_gradient(e)
         assert ex.compile_numeric(e) is value
-        assert ex.compile_numeric(e, magnitude=True) is magnitude
-        assert value is not magnitude
+        assert ex.compile_gradient(e) is gradient
+        assert e._fns == [value, gradient]
         assert value({"x": 1.0, "y": 1.0}) == -1.0
-        assert magnitude({"x": 1.0, "y": 1.0}) == 3.0
+        assert gradient[1]({"x": 1.0, "y": 1.0}) == [-1.0, -2.0, 1.0]
         # an equal but distinct node compiles its own evaluator
         assert ex.compile_numeric(ex.add(Y, ex.mul(ex.Const(-2), X))) \
             is not value
@@ -345,7 +346,7 @@ class TestNumeric:
         gc.disable()
         try:
             ex.diff(e, SP.base("x"))
-            ex._codegen(e, False)
+            ex._codegen(e)
             ex.simplify_basic(e)
             ex.expand(e)
             ex.denominator_symbols(e)
@@ -357,13 +358,14 @@ class TestNumeric:
 
     def test_deeply_nested_tree_evaluates(self):
         # sin(x + 2*sin(x + 2*...)) 120 levels deep, built by the constructors
-        e, val, mag = X, 0.3, 0.3
+        e, val, dval = X, 0.3, 1.0
         for _ in range(120):
             e = ex.func("sin", ex.add(X, ex.mul(ex.Const(2), e)))
+            dval = math.cos(0.3 + 2 * val) * (1 + 2 * dval)
             val = math.sin(0.3 + 2 * val)
-            mag = abs(math.sin(0.3 + 2 * mag))
         assert ex.compile_numeric(e)({"x": 0.3}) == val
-        assert ex.compile_numeric(e, magnitude=True)({"x": 0.3}) == mag
+        got = ex.compile_gradient(e)[1]({"x": 0.3})
+        assert got[0] == val and got[1] == pytest.approx(dval, rel=1e-9)
 
     def test_repeated_subtree_emitted_once(self):
         t = ex.add(X, ex.mul(ex.Const(-3), Y))
@@ -373,14 +375,15 @@ class TestNumeric:
         x, y = 0.7, -0.2
         tv = x + (-3) * y
         want = 1.0 / math.cos(tv) + (1 / 3) * math.exp(tv) + tv ** 2 * math.sin(tv)
-        tm = abs(x) + 3 * abs(y)
-        want_mag = (1.0 / abs(math.cos(tm)) + (1 / 3) * math.exp(tm)
-                    + tm ** 2 * abs(math.sin(tm)))
+        # d/dt of the sum above, times dt/dx = 1 and dt/dy = -3
+        dt = (math.sin(tv) / math.cos(tv) ** 2 + (1 / 3) * math.exp(tv)
+              + 2 * tv * math.sin(tv) + tv ** 2 * math.cos(tv))
         assert ex.compile_numeric(e)({"x": x, "y": y}) == want
-        assert ex.compile_numeric(e, magnitude=True)({"x": x, "y": y}) \
-            == want_mag
-        src = ex._codegen(e, False)
-        assert src.count("(-3)*") == 1 and src.count("a['x']") == 1
+        got = ex.compile_gradient(e)[1]({"x": x, "y": y})
+        assert got[0] == want
+        assert got[1:] == pytest.approx([dt, -3 * dt], rel=1e-12)
+        for src in (ex._codegen(e), ex._codegen(e, ex.compile_gradient(e)[0])):
+            assert src.count("(-3)*") == 1 and src.count("a['x']") == 1
 
     def test_long_sum_and_product_compile(self):
         # 3,000 operands would nest past the compiler's recursion limit in
@@ -412,9 +415,9 @@ class TestNumeric:
         e = ex.add(*[ex.func("sin", ex.mul(ex.Const(k), X))
                      for k in range(1, ex.JOIN_LIMIT + 1)])
         assert len(e.terms) == ex.JOIN_LIMIT
-        assert "  p" not in ex._codegen(e, False, (SP.base("x"),))
+        assert "  p" not in ex._codegen(e, (SP.base("x"),))
         longer = ex.add(e, Y)
-        assert "  p" in ex._codegen(longer, False)
+        assert "  p" in ex._codegen(longer)
 
 
 class TestParseRender:

@@ -250,9 +250,16 @@ class TestRealizationMemo:
         assert [c[3] for c in calls] == [CFG, other]
 
     def test_failing_gate_is_not_stored(self, monkeypatch):
-        # g3_5 at p = 13 fails the gate in double precision
+        # g2's xi frames with the two swapped: [xi1, xi2] is then -xi2, not
+        # xi1, so the gate fails exactly
         calls = count_gates(monkeypatch)
-        entry = liealg.catalog_lookup("g3_5", {"p": F(13)})
+        gate = liealg.verify_realization
+
+        def swapped(xi, eta, sc, cfg):
+            return gate((xi[1], xi[0]), eta, sc, cfg)
+
+        monkeypatch.setattr(liealg, "verify_realization", swapped)
+        entry = liealg.catalog_lookup("g2", {})
         raised = []
         for _ in range(2):
             with pytest.raises(VerificationFailed,
@@ -272,3 +279,21 @@ class TestRealizationMemo:
         eta, gens = realize(entry, entry.split_space("w"), inv.space, CFG)
         assert [g.coefficients for g in gens] == want
         assert isinstance(eta, tuple) and isinstance(gens, tuple)
+
+
+class TestExactlyDecidedVerdicts:
+    # g3_5 derivations that float rounding refused: each escalated residual
+    # expands to 0.  The transitive family at p = 3 was "not annihilated",
+    # at p = 10/3 a ResidualDependence; the free families at p = 7 were
+    # "not annihilated", and the p = 13 frames failed the realization gate.
+    @pytest.mark.parametrize("p, m", [
+        (F(3), None), (F(10, 3), None), (F(7), 1), (F(7), 2), (F(13), 1)],
+        ids=["transitive-p3", "transitive-p10_3", "free1-p7", "free2-p7",
+             "gate-p13"])
+    def test_g3_5_derives(self, p, m):
+        entry = liealg.catalog_lookup("g3_5", {"p": p})
+        if m is None:
+            inv = type2_pipeline(entry, CFG)
+        else:
+            inv = type1_pipeline(entry, m, CFG)
+        assert inv.verified

@@ -8,7 +8,7 @@ import pytest
 from lieinv import expr as ex
 from lieinv import numeric as nm
 from lieinv.errors import SingularEvaluation, Unsampleable
-from lieinv.jet import JetSpace
+from lieinv.jet import FirstOrderOperator, JetSpace
 
 from helpers import eval_numeric, exprs_equal
 
@@ -31,6 +31,19 @@ def central_difference(e, point, name):
 
 def p(text):
     return SP.parse(text)
+
+
+def expansions(monkeypatch) -> list:
+    """Every argument ex.expand is called with from now on."""
+    calls = []
+    expand = ex.expand
+
+    def counted(e):
+        calls.append(e)
+        return expand(e)
+
+    monkeypatch.setattr(ex, "expand", counted)
+    return calls
 
 
 class TestSampling:
@@ -140,19 +153,29 @@ class TestIsZero:
     def test_nonzero(self):
         assert not nm.is_zero(p("u_x + 1/1000000"), CFG)
 
-    def test_large_cancellation_scale(self):
-        # identity with huge intermediate terms still passes: |value| exceeds
-        # tol at some points but stays within tol * scale
-        e = p("(x + 1000000)^2 - x^2 - 2000000*x - 1000000000000")
+    CANCELLING = "(x + 1000000)^2 - x^2 - 2000000*x - 1000000000000"
+
+    def test_cancelling_identity_passes_by_one_expansion(self, monkeypatch):
+        # an identity with huge intermediate terms: its float exceeds tol at
+        # some points, and one expansion to 0 settles it
+        e = p(self.CANCELLING)
         assert any(abs(eval_numeric(e, pt)) > CFG.tol
                    for pt in nm.sample_points(e.free_symbols(), CFG))
+        calls = expansions(monkeypatch)
         assert nm.is_zero(e, CFG)
-        assert e._fns[1] is not None
+        assert calls == [e]
 
-    def test_scale_only_evaluated_above_tol(self):
-        e = p("sin(2*x) - 2*sin(x)*cos(x)")
-        assert nm.is_zero(e, CFG)
-        assert e._fns[0] is not None and e._fns[1] is None
+    def test_cancelling_identity_plus_small_term_fails(self, monkeypatch):
+        # the expansion is x/100, not a constant, so the float decides
+        e = p(self.CANCELLING + " + x/100")
+        calls = expansions(monkeypatch)
+        assert not nm.is_zero(e, CFG)
+        assert calls == [e]
+
+    def test_nothing_expanded_below_tol(self, monkeypatch):
+        calls = expansions(monkeypatch)
+        assert nm.is_zero(p("sin(2*x) - 2*sin(x)*cos(x)"), CFG)
+        assert calls == []
 
     def test_non_finite_residual_is_unsampleable(self):
         # exp(800 + x + y): the value overflows to inf - inf = nan everywhere
@@ -160,11 +183,11 @@ class TestIsZero:
         with pytest.raises(Unsampleable):
             nm.is_zero(e, CFG)
 
-    def test_non_finite_scale_is_unsampleable(self):
-        # value exp(400) is finite, but its magnitude overflows to inf
+    def test_large_finite_product_is_not_zero(self):
+        # exp(400) at every point: finite, far above tol, and its expansion
+        # is no constant
         e = p("exp(50 + 300*cos(x))*exp(350 - 300*cos(x))")
-        with pytest.raises(Unsampleable):
-            nm.is_zero(e, CFG)
+        assert not nm.is_zero(e, CFG)
 
     def test_domain_error_is_unsampleable(self):
         # exp(800 + x + y) overflows to inf, and sin(inf) leaves the domain
@@ -184,6 +207,28 @@ class TestIsZero:
         a = p("exp(u)*u_x")
         b = p("-(-u_x)*exp(u)")
         assert exprs_equal(a, b, CFG)
+
+
+class TestFirstNonAnnihilating:
+    X = FirstOrderOperator({SP.base("x"): ex.ONE})
+    # d/dx of this is the cancelling identity of TestIsZero
+    E = p("(x + 1000000)^3/3 - x^3/3 - 1000000*x^2 - 1000000000000*x + u_y")
+
+    def test_residual_expanded_once_per_check(self, monkeypatch):
+        # the float of d/dx E exceeds tol at many points; the one expansion
+        # of the residual to 0 settles them all
+        wrt, grad = ex.compile_gradient(self.E)
+        dx = wrt.index(SP.base("x")) + 1
+        assert sum(abs(grad(pt)[dx]) > CFG.tol
+                   for pt in nm.sample_points(self.E.free_symbols(), CFG)) > 1
+        calls = expansions(monkeypatch)
+        assert nm.first_non_annihilating([self.X], [self.E], CFG) is None
+        assert len(calls) == 1
+
+    def test_non_constant_expansion_rejects(self):
+        e = ex.add(self.E, p("x^2/100"))
+        assert nm.first_non_annihilating([self.X], [p("u_x"), e], CFG) \
+            == (1, 0)
 
 
 class TestRank:

@@ -21,7 +21,11 @@ tracer names exists.  Only the kernel's compile helpers run `exec` or
 frame-jet table, and every imported name is read.  Parameter values are
 bound where they enter, so no function below that boundary takes a
 parameter map and the oracle reads the parameter kind only to refuse an
-unbound one.  These tests keep it that way.
+unbound one.  A point whose float residual exceeds the tolerance is
+decided in one helper, `numeric._rejects`, the only place the oracle
+expands, and nothing estimates a cancellation-free magnitude: the kernel
+compiles a value and a gradient evaluator only.  These tests keep it that
+way.
 """
 
 import ast
@@ -200,6 +204,23 @@ def test_no_finiteness_check_outside_the_evaluator():
              for module, scope, n in _nodes(ast.Attribute)
              if n.attr == "isfinite"]
     assert found == []
+
+
+def test_one_exact_decision_and_no_magnitude():
+    # a point whose float residual exceeds tol is decided by one exact
+    # expansion of the residual; the kernel compiles a value and a
+    # gradient, and no cancellation-free magnitude
+    named = _qualified(lambda node: "magnitude" in (
+        getattr(node, "id", None), getattr(node, "arg", None),
+        getattr(node, "attr", None), getattr(node, "name", None)))
+    assert named == set()
+    compile_numeric, = [f for f in _expr_functions()
+                        if f.name == "compile_numeric"]
+    a = compile_numeric.args
+    assert len(a.posonlyargs + a.args + a.kwonlyargs) == 1
+    assert a.vararg is None and a.kwarg is None
+    assert {scope for module, scope in _qualified_callers("expand")
+            if module == "numeric"} == {"_rejects"}
 
 
 def test_only_the_annihilation_routine_applies_a_prolonged_field():

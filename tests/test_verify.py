@@ -222,10 +222,10 @@ class TestTemplateFastPath:
         instantiated, with_wrt = [], []
         codegen = ex._codegen
 
-        def counted(e, magnitude, wrt=None):
+        def counted(e, wrt=None):
             if wrt is not None:
                 with_wrt.append(e)
-            return codegen(e, magnitude, wrt)
+            return codegen(e, wrt)
 
         monkeypatch.setattr(ex, "_codegen", counted)
         monkeypatch.setattr(invariants, "instantiate_template",

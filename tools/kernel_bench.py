@@ -90,7 +90,7 @@ def _substitute_all(e):
 
 
 def _codegen_compile(e):
-    ex._compile(ex._codegen(e, False))
+    ex._compile(ex._codegen(e))
 
 
 OPS = {
