@@ -725,6 +725,24 @@ def expand(e: Expr) -> Expr:
     return _fold(e, _expanded, _leaf)
 
 
+def _terms_at(x: Expr, kids) -> int:
+    cap = MAX_EXPANSION_TERMS + 1
+    if type(x) is Add:
+        return min(sum(kids), cap)
+    if type(x) is Mul:
+        return min(math.prod(kids), cap)
+    if type(x) is Pow and x.exp.denominator == 1 and 2 <= x.exp <= 4:
+        return min(kids[0] ** int(x.exp), cap)
+    return 1 if max(kids, default=1) < cap else cap
+
+
+def expansion_terms(e: Expr) -> int:
+    """At least the terms of expand(e), counted without expanding (n sums of
+    m terms multiplied count m^n); MAX_EXPANSION_TERMS + 1 once e or a node
+    inside it counts more than MAX_EXPANSION_TERMS."""
+    return _fold(e, _terms_at, lambda x: None if _leaf(x) is None else 1)
+
+
 def _distribute(a: Expr, b: Expr) -> Expr:
     aterms = a.terms if isinstance(a, Add) else (a,)
     bterms = b.terms if isinstance(b, Add) else (b,)
@@ -1120,10 +1138,12 @@ class _Tokenizer:
 # Input limits: deeper nesting would exhaust the interpreter's stack in the
 # recursive parser, constructors and tree walks (compile_numeric emits flat
 # code, so it has no parenthesis limit); larger exponents build constants too
-# big to hold or floats that overflow.
+# big to hold or floats that overflow; the oracle expands no residual beyond
+# MAX_EXPANSION_TERMS, as a product of sums grows exponentially when expanded.
 MAX_NESTING = 32
 MAX_EXPONENT = 1000
 MAX_CONST_BITS = 1 << 16
+MAX_EXPANSION_TERMS = 10_000
 
 
 def _check_power(base: Expr, exp: int | Fraction, pos: int) -> None:

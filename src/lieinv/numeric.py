@@ -9,9 +9,9 @@ values are bound first (expr.bind); an unbound parameter is Unsampleable.
 Annihilation residuals and Jacobian rows come from one compiled
 value-and-gradient evaluator per expression (expr.compile_gradient): the
 derivatives are exact, and no residual expression is built unless a float
-residual exceeds the tolerance; _rejects then decides the point, exactly
-where the residual expands to a constant.  Each check takes a whole family
-in one pass over one point stream:
+residual exceeds the tolerance; the point is then decided exactly where
+the residual expands to a constant (_exact_value).  Each check takes a
+whole family in one pass over one point stream:
 
   * first_non_annihilating evaluates each distinct operator coefficient
     and each member's gradient once per point, and compiles nothing for a
@@ -24,6 +24,7 @@ in one pass over one point stream:
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from dataclasses import dataclass, replace
 from typing import (Any, Callable, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
@@ -121,27 +122,22 @@ def at_regular_points(exprs: Sequence[ex.Expr], cfg: SamplerConfig,
         f"{MAX_SAMPLE_ATTEMPTS} attempts")
 
 
-def _rejects(x: ex.Expr, pt: dict, tol: float, expanded: dict) -> bool:
-    """Whether the residual x rejects pt, a point where its float exceeds tol.
-
-    x is expanded once per check (the memo `expanded`).  An expansion to a
-    Const decides exactly; to 0, no point of the check rejects x again.
-    Otherwise the float decides: |x(pt)| > tol rejects.
-    """
-    y = expanded.get(x)
-    if y is None:
-        y = expanded[x] = ex.expand(x)
-    if isinstance(y, ex.Const):
-        return y.value != 0
-    return abs(ex.compile_numeric(x)(pt)) > tol
+def _exact_value(x: ex.Expr) -> Optional[Fraction]:
+    """The constant residual x expands to, or None where it does not or its
+    expansion would exceed ex.MAX_EXPANSION_TERMS terms (then the float of x
+    decides a point where it exceeds tol); 0 settles x for the whole check."""
+    if ex.expansion_terms(x) > ex.MAX_EXPANSION_TERMS:
+        return None
+    y = ex.expand(x)
+    return y.value if isinstance(y, ex.Const) else None
 
 
 def is_zero(e: ex.Expr, cfg: SamplerConfig = SamplerConfig(),
             extra_denoms: frozenset = frozenset()) -> bool:
     """Randomized zero test: |e(p)| <= tol at every point, or e expands to 0.
 
-    The first point where |e(p)| > tol is decided by _rejects.  A point
-    where e is singular is redrawn (at_regular_points).
+    The first point where |e(p)| > tol is decided by _exact_value(e).  A
+    point where e is singular is redrawn (at_regular_points).
     """
     if isinstance(e, ex.Const):
         return e.value == 0
@@ -150,7 +146,7 @@ def is_zero(e: ex.Expr, cfg: SamplerConfig = SamplerConfig(),
     def visit(pt):
         if abs(value(pt)) <= cfg.tol:
             return None
-        return not _rejects(e, pt, cfg.tol, {})  # True: e expands to 0
+        return _exact_value(e) == 0  # False: the float rejects
 
     return at_regular_points([e], cfg, visit, extra_denoms) is not False
 
@@ -169,10 +165,10 @@ def first_non_annihilating(fields: Sequence, exprs: Sequence[ex.Expr],
     evaluated once and each member's compiled gradient (the member itself
     in slot 0) once; together they give the residual r_ik of every
     operator k on every member i.  A point where |r_ik| <= tol passes for
-    (i, k).  Elsewhere _rejects decides the point on the symbolic residual
-    fields[k].apply(exprs[i]), expanded once per check, so no rejection of
-    an identity that expansion settles rests on these floats.  The first
-    failing pair, in point, member and operator order, is returned.
+    (i, k).  Elsewhere _exact_value of the symbolic residual
+    fields[k].apply(exprs[i]), taken once per check, decides, or else that
+    residual's own float.  The first failing pair, in point, member and
+    operator order, is returned.
     """
     slot = {}  # id(coefficient) -> its index in coeffs and values
     coeffs, values = [], []  # the distinct coefficients rows use, compiled
@@ -197,13 +193,17 @@ def first_non_annihilating(fields: Sequence, exprs: Sequence[ex.Expr],
                                  for row in rows]))
     if not checks:
         return None
-    residuals, expanded = {}, {}
+    residuals = {}  # (i, k) -> (residual, its _exact_value)
 
     def rejects(i, k, pt):
-        x = residuals.get((i, k))
-        if x is None:
-            x = residuals[i, k] = fields[k].apply(exprs[i])
-        return _rejects(x, pt, cfg.tol, expanded)
+        got = residuals.get((i, k))
+        if got is None:
+            x = fields[k].apply(exprs[i])
+            got = residuals[i, k] = (x, _exact_value(x))
+        x, exact = got
+        if exact is not None:
+            return exact != 0
+        return abs(ex.compile_numeric(x)(pt)) > cfg.tol
 
     def visit(pt):
         cv = [c(pt) for c in values]

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -130,6 +131,18 @@ class TestCovariant:
         f = tmp_path / "bad.txt"
         f.write_text("coords: x, u; dep: w\nlhs: w_xx\n")
         assert main(["covariant", "--from", str(f)]) == 1
+        assert "NotRescaleInvariant" in capsys.readouterr().err
+
+    def test_from_refuses_a_long_product_quickly(self, tmp_path, capsys):
+        # 12 sums of 8 terms: the residuals are refused by their floats, not
+        # spread into 8^12 terms
+        lhs = "*".join(f"(w_x + {k}*w_y + w_u + w_xx + {k + 1}*w_xy + w_yy"
+                       f" + {k}*w_xu + w_uu)" for k in range(1, 13))
+        f = tmp_path / "long.txt"
+        f.write_text(f"coords: x, y, u; dep: w\nlhs: {lhs}\n")
+        start = time.perf_counter()
+        assert main(["covariant", "--from", str(f)]) == 1
+        assert time.perf_counter() - start < 0.5
         assert "NotRescaleInvariant" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--points", "0"], ["--tol", "1e9"]])

@@ -180,6 +180,28 @@ class TestSubstituteExpand:
         e = ex.expand(ex.mul(X, ex.add(Y, ex.ONE)))
         assert e == ex.add(ex.mul(X, Y), X)
 
+    @pytest.mark.parametrize("text, want", [
+        ("x", 1), ("x + y + u", 3), ("(x + y)*(u + u_x + 1)", 6),
+        ("(x + y)^3", 8), ("(x + y)^(1/2)*(x + u)", 2),
+        ("sin((x + y)*(u + u_x))*(x + y) + x*y", 3),
+    ])
+    def test_expansion_terms_bound_the_expansion(self, text, want):
+        e = SP.parse(text)
+        out = ex.expand(e)
+        assert ex.expansion_terms(e) == want
+        assert len(out.terms if isinstance(out, ex.Add) else (out,)) <= want
+
+    def test_expansion_terms_cap(self):
+        # 8^12 terms are counted, not built; a node above the cap keeps
+        # every node around it above the cap
+        cap = ex.MAX_EXPANSION_TERMS + 1
+        big = SP.parse("*".join(f"(x + {k}*y + u + u_x + {k + 1}*u_y + u_xx"
+                                f" + u_xy + {k}*u_yy)" for k in range(1, 13)))
+        assert ex.expansion_terms(big) == cap
+        for e in [ex.func("exp", big), ex.mul(X, ex.func("sin", big)),
+                  ex.add(X, ex.pow_(big, Fraction(1, 2)))]:
+            assert ex.expansion_terms(e) == cap
+
     def test_substitute_heads(self):
         t = ex.add(ex.applied("b", [UX]), U)
         out = ex.substitute_heads(t, {"b": lambda a: ex.pow_(a, 2)})

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import time
 
 import pytest
 
@@ -229,6 +230,29 @@ class TestFirstNonAnnihilating:
         e = ex.add(self.E, p("x^2/100"))
         assert nm.first_non_annihilating([self.X], [p("u_x"), e], CFG) \
             == (1, 0)
+
+
+class TestExpansionLimit:
+    # a product of 12 sums of 8 terms expands to 8^12 terms; the oracle
+    # counts them and leaves the refusal to the float
+    BIG = p("*".join(f"(x + {k}*y + u + u_x + {k + 1}*u_y + u_xx + u_xy"
+                     f" + {k}*u_yy)" for k in range(1, 13)))
+
+    def test_annihilation_refused_without_expanding(self, monkeypatch):
+        calls = expansions(monkeypatch)
+        start = time.perf_counter()
+        got = nm.first_non_annihilating([TestFirstNonAnnihilating.X],
+                                        [self.BIG], CFG)
+        assert time.perf_counter() - start < 0.5
+        assert got == (0, 0)
+        assert calls == []
+
+    def test_zero_test_refused_without_expanding(self, monkeypatch):
+        calls = expansions(monkeypatch)
+        start = time.perf_counter()
+        assert not nm.is_zero(self.BIG, CFG)
+        assert time.perf_counter() - start < 0.5
+        assert calls == []
 
 
 class TestRank:

@@ -22,10 +22,10 @@ frame-jet table, and every imported name is read.  Parameter values are
 bound where they enter, so no function below that boundary takes a
 parameter map and the oracle reads the parameter kind only to refuse an
 unbound one.  A point whose float residual exceeds the tolerance is
-decided in one helper, `numeric._rejects`, the only place the oracle
-expands, and nothing estimates a cancellation-free magnitude: the kernel
-compiles a value and a gradient evaluator only.  These tests keep it that
-way.
+decided exactly by one helper, `numeric._exact_value`, the only place
+the oracle expands, and only after counting the terms the expansion would
+have; nothing estimates a cancellation-free magnitude: the kernel compiles
+a value and a gradient evaluator only.  These tests keep it that way.
 """
 
 import ast
@@ -220,7 +220,9 @@ def test_one_exact_decision_and_no_magnitude():
     assert len(a.posonlyargs + a.args + a.kwonlyargs) == 1
     assert a.vararg is None and a.kwarg is None
     assert {scope for module, scope in _qualified_callers("expand")
-            if module == "numeric"} == {"_rejects"}
+            if module == "numeric"} == {"_exact_value"}
+    assert {scope for module, scope in _qualified_callers("expansion_terms")
+            if module == "numeric"} == {"_exact_value"}
 
 
 def test_only_the_annihilation_routine_applies_a_prolonged_field():
@@ -349,8 +351,8 @@ def test_only_the_fold_walks_recursively():
         if isinstance(g, ast.FunctionDef) and g is not f
         and _calls_to(g, g.name)}
     assert self_calling_closures == {"_fold"}
-    visitors = {"expand", "diff", "simplify_basic", "substitute",
-                "substitute_heads", "_codegen", "applications",
+    visitors = {"expand", "expansion_terms", "diff", "simplify_basic",
+                "substitute", "substitute_heads", "_codegen", "applications",
                 "denominator_symbols"}
     assert {f.name for f in functions if f.name in visitors
             and not _calls_to(f, f.name)} == visitors
