@@ -7,10 +7,11 @@ E~(z, w_i, w_ij) = 0, w = 0) by the implicit-differentiation substitutions
   u_a  -> -w_a / w_n,
   u_ab -> -w_ab/w_n + w_na w_b/w_n^2 + w_nb w_a/w_n^2 - w_a w_b w_nn/w_n^3,
 
-followed by clearing the power of w_n from the denominators.  The contract
-of the covariant form is that E~ is homogeneous of some integer degree k in
-the w-derivatives, D E~ = k E~ for the Euler operator D, and is annihilated
-by the rescaling fields R_j = sum_i (1 + delta_ij) w_i d/dw_ij.  D - k and
+expanded, with the power of w_n cleared from the denominators in the same
+fold (lift: one expr.expand call).  The contract of the covariant form is
+that E~ is homogeneous of some integer degree k in the w-derivatives,
+D E~ = k E~ for the Euler operator D, and is annihilated by the rescaling
+fields R_j = sum_i (1 + delta_ij) w_i d/dw_ij.  D - k and
 the R_j are first-order operators (euler_operator, rescale_operators).
 CovariantPDE reads k as D E~ / E~ at one regular point when it is made,
 then checks the contract in one pass over D - k and every R_j (one
@@ -146,37 +147,18 @@ def implicit_second(wspace: JetSpace, dep_coord: str) -> Dict[ex.Symbol, ex.Expr
     return out
 
 
-def _min_wn_exponent(e: ex.Expr, wn_sym: ex.Symbol) -> int:
-    """Smallest exponent of w_n across the additive terms of an expanded expr."""
-    terms = e.terms if isinstance(e, ex.Add) else (e,)
-    lo = 0
-    for t in terms:
-        factors = t.factors if isinstance(t, ex.Mul) else (t,)
-        exp = 0
-        for f in factors:
-            if isinstance(f, ex.Pow) and isinstance(f.base, ex.Sym) \
-                    and f.base.symbol == wn_sym:
-                exp += int(f.exp)
-            elif isinstance(f, ex.Sym) and f.symbol == wn_sym:
-                exp += 1
-        lo = min(lo, exp)
-    return lo
-
-
 def lift(pde: ScalarPDE, wspace: JetSpace) -> ex.Expr:
-    """The lhs of pde on wspace (wspace_for), cleared of w_n; unchecked."""
+    """The lhs of pde on wspace (wspace_for), cleared of w_n; unchecked.
+
+    One expand call substitutes the implicit derivatives at the leaves,
+    expands, and multiplies every term by the least power of w_n that
+    leaves none in a denominator.
+    """
     dep = pde.space.dep
     subs = {**implicit_first(wspace, dep), **implicit_second(wspace, dep)}
     # the old dependent u becomes the base coordinate z^n = u
     subs[pde.space.jet()] = ex.Sym(wspace.base(dep))
-    lifted = ex.substitute(pde.lhs, subs)
-    expanded = ex.expand(lifted)
-    wn_sym = wspace.jet(dep)
-    kappa = -_min_wn_exponent(expanded, wn_sym)
-    # each term of the expanded lift times w_n^kappa: no second expand
-    wn_kappa = ex.pow_(ex.Sym(wn_sym), kappa)
-    terms = expanded.terms if isinstance(expanded, ex.Add) else (expanded,)
-    return ex.add(*[ex.mul(wn_kappa, t) for t in terms])
+    return ex.expand(pde.lhs, subs, clear=wspace.jet(dep))
 
 
 def to_covariant(pde: ScalarPDE, cfg: nm.SamplerConfig = nm.SamplerConfig()

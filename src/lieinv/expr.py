@@ -24,6 +24,8 @@ subtree is visited once, children first.  Differentiation, expansion,
 substitution, code generation and the collection of applications and
 denominator symbols are its visitors, so each handles a repeated subtree
 once per call.  A node's free symbols follow one rule over its operands.
+Expansion folds to sparse polynomials (coefficient and power map per term)
+and builds the canonical sum once, at the end.
 
 Node identity is cheap.  Nodes and symbols are slotted, with no instance
 dict; a node caches its sort key and the hash of that key on first use,
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -710,19 +712,275 @@ def applications(e: Expr) -> list:
                   key=Expr.sort_key)
 
 
-def _expanded(x: Expr, kids) -> Expr:
-    """x on its expanded operands, a product or small power of sums distributed."""
-    if type(x) is Mul:
-        return reduce(_distribute, kids, ONE)
-    if (type(x) is Pow and type(kids[0]) is Add and x.exp.denominator == 1
-            and 2 <= x.exp <= 4):
-        return reduce(_distribute, [kids[0]] * (x.exp - 1), kids[0])
-    return _construct(x, kids)
+# How a base's exponents merge in a product of two monomials: a plain base
+# or a sum adds them; a constant, product or power base folds (mul may turn
+# it into a coefficient or other factors); a sin or cos adds them and marks
+# a power >= 2, which a Pythagorean merge may need.
+_PLAIN, _SUM, _FOLDS, _TRIG = range(4)
+_UNIT = frozenset()  # the monomial of a constant term
 
 
-def expand(e: Expr) -> Expr:
-    """Distribute products over sums (and small positive integer powers of sums)."""
-    return _fold(e, _expanded, _leaf)
+class _Expansion:
+    """The sparse polynomials of one expand call.
+
+    A polynomial is the list of (monomial, rational coefficient) terms of
+    a node, in the order they were collected.  A monomial is a power map:
+    a frozenset of (base id, exponent) pairs, the bases interned per call.
+    A product of two terms merges their power maps and builds no node,
+    except where mul would do more than add exponents: then the two term
+    nodes are multiplied with mul and its result collected as add collects
+    it.  A term in which mul left a base unmerged (x*(x^2)^(1/2)*
+    (x^2)^(1/2) is x*x^2) has a sorted tuple of pairs, which every product
+    hands to mul.
+    """
+
+    def __init__(self):
+        self.ids = {}         # base node -> id
+        self.bases = []       # id -> base node
+        self.kinds = []       # id -> _PLAIN, _SUM, _FOLDS or _TRIG
+        self.squares = set()  # (id, exponent) of every sin/cos power >= 2
+        self.factors = {}     # (id, exponent) -> factor node
+        self.monos = {}       # monomial -> its factor nodes, sorted
+
+    def split(self, t: Expr):
+        """(monomial, coefficient) of the term t, as add splits it."""
+        if type(t) is Const:
+            return _UNIT, t.value
+        fs = t.factors if type(t) is Mul else (t,)
+        coeff = 1
+        if type(fs[0]) is Const:
+            coeff, fs = fs[0].value, fs[1:]
+        pairs = []
+        for f in fs:
+            b, x = (f.base, f.exp) if type(f) is Pow else (f, 1)
+            i = self.ids.get(b)
+            if i is None:
+                i = self.ids[b] = len(self.bases)
+                self.bases.append(b)
+                self.kinds.append(
+                    _SUM if type(b) is Add
+                    else _FOLDS if type(b) in (Const, Mul, Pow)
+                    else _TRIG if type(b) is Func and b.head in ("sin", "cos")
+                    else _PLAIN)
+            if self.kinds[i] == _TRIG and type(x) is int and x >= 2:
+                self.squares.add((i, x))
+            pairs.append((i, x))
+        if len({i for i, _ in pairs}) < len(pairs):
+            return tuple(sorted(pairs)), coeff
+        return frozenset(pairs), coeff
+
+    def terms(self, x: Expr) -> list:
+        """The polynomial of the node x: its terms as a parent meets them."""
+        return [self.split(t) for t in (x.terms if type(x) is Add else (x,))]
+
+    def monomial(self, key) -> tuple:
+        fs = self.monos.get(key)
+        if fs is None:
+            made = self.factors
+            fs = []
+            for pair in key:
+                f = made.get(pair)
+                if f is None:
+                    b, x = self.bases[pair[0]], pair[1]
+                    f = made[pair] = b if x == 1 else Pow(b, x)
+                fs.append(f)
+            fs = self.monos[key] = tuple(sorted(fs, key=Expr.sort_key))
+        return fs
+
+    def term(self, key, coeff) -> Expr:
+        """The node of coeff times the monomial key, as add builds it."""
+        fs = self.monomial(key)
+        if not fs:
+            return Const(coeff)
+        if coeff != 1:
+            return Mul((Const(coeff),) + fs)
+        return fs[0] if len(fs) == 1 else Mul(fs)
+
+    def node(self, poly: list) -> Expr:
+        terms = [self.term(k, c) for k, c in poly]
+        if len(terms) < 2:
+            return terms[0] if terms else ZERO
+        terms.sort(key=Expr.sort_key)
+        return Add(tuple(terms))
+
+    def bare_sum(self, key, coeff) -> Optional[Add]:
+        """The sum that coeff times the monomial key is, if it is one: mul
+        and add return it bare, and a parent flattens it."""
+        if coeff == 1 and len(key) == 1:
+            (i, x), = key
+            if x == 1 and self.kinds[i] == _SUM:
+                return self.bases[i]
+        return None
+
+    def built(self, out: dict) -> list:
+        """The polynomial of the node add builds from the collected out."""
+        poly = []
+        for k, c in out.items():
+            if c != 0:
+                if c != 1 and type(k) is tuple:
+                    # add multiplies c in with mul, which merges the bases
+                    k, c = self.split(mul(Const(c), self.term(k, 1)))
+                poly.append((k, c))
+        lone = self.bare_sum(*poly[0]) if len(poly) == 1 else None
+        return poly if lone is None else self.terms(lone)
+
+    def merge_needed(self, out: dict) -> bool:
+        """Whether a term has a sin/cos power >= 2, so that add's
+        Pythagorean merge may find a pair."""
+        squares = self.squares
+        return bool(squares) and any(
+            c != 0 and not squares.isdisjoint(k) for k, c in out.items())
+
+    def in_order(self, poly: list) -> list:
+        """poly in the order of the sorted terms of its node."""
+        return sorted(poly, key=lambda kc: self.term(*kc).sort_key())
+
+    def merged(self, out: dict) -> dict:
+        """out after add's Pythagorean merge, which reads the monomials in
+        out's order, as nodes."""
+        monos = {None if not k else self.term(k, 1): c
+                 for k, c in out.items()}
+        _pythagorean_merge(monos)
+        out = {}
+        for mono, c in monos.items():
+            k = _UNIT if mono is None else self.split(mono)[0]
+            out[k] = out.get(k, 0) + c
+        return out
+
+    def product(self, a: list, b: list) -> dict:
+        """The terms of a times b, collected in the order of the products."""
+        out = {}
+        kinds, squares = self.kinds, self.squares
+        for ka, ca in a:
+            for kb, cb in b:
+                c = ca * cb
+                if type(ka) is tuple or type(kb) is tuple:
+                    k = None
+                elif not ka or not kb:
+                    k = ka or kb
+                else:
+                    d = dict(ka)
+                    for i, x in kb:
+                        y = d.get(i)
+                        if y is None:
+                            d[i] = x
+                            continue
+                        s = x + y
+                        if type(s) is not int:
+                            s = _exact(s)
+                        kind = kinds[i]
+                        if kind == _FOLDS:
+                            k = None
+                            break
+                        if kind == _TRIG and type(s) is int and s >= 2:
+                            squares.add((i, s))
+                        if s == 0:
+                            d.pop(i)
+                        else:
+                            d[i] = s
+                    else:
+                        k = frozenset(d.items())
+                if k is None or len(k) == 1 and self.bare_sum(k, c):
+                    r = mul(self.term(ka, ca), self.term(kb, cb))
+                    for k, c in self.terms(r):
+                        out[k] = out.get(k, 0) + c
+                    continue
+                out[k] = out.get(k, 0) + c
+        return out
+
+    def times(self, a: list, b: list) -> list:
+        """_distribute(a, b): add(*[mul(x, y) for x in a for y in b])."""
+        if len(a) * len(b) > MAX_EXPANSION_TERMS:
+            raise UnsupportedOperation(
+                f"expansion exceeds {MAX_EXPANSION_TERMS} terms")
+        out = self.product(a, b)
+        if self.merge_needed(out):
+            out = self.merged(self.product(self.in_order(a), self.in_order(b)))
+        return self.built(out)
+
+    def plus(self, polys: list) -> list:
+        """add of the nodes of polys."""
+        out = {}
+        for p in polys:
+            for k, c in p:
+                out[k] = out.get(k, 0) + c
+        if self.merge_needed(out):
+            out = {}
+            for p in polys:
+                for k, c in self.in_order(p):
+                    out[k] = out.get(k, 0) + c
+            out = self.merged(out)
+        return self.built(out)
+
+    def visit(self, x: Expr, kids: list) -> list:
+        """The fold's value of x: the polynomial of its expansion."""
+        t = type(x)
+        if t is Add:
+            return self.plus(kids)
+        if t is Mul:
+            out = [(_UNIT, 1)]
+            for k in kids:
+                out = self.times(out, k)
+            return out
+        if t is Pow and type(x.exp) is int and 2 <= x.exp <= 4 \
+                and len(kids[0]) > 1:
+            out = kids[0]
+            for _ in range(x.exp - 1):
+                out = self.times(out, kids[0])
+            return out
+        if t is Const:
+            return [(_UNIT, x.value)] if x.value != 0 else []
+        if t is Sym:
+            return self.terms(x)
+        return self.terms(_construct(x, [self.node(k) for k in kids]))
+
+
+def expand(e: Expr, bindings: Optional[Mapping[Symbol, Expr]] = None,
+           clear: Optional[Symbol] = None) -> Expr:
+    """e with products distributed over sums, and powers 2 to 4 of sums.
+
+    One fold whose value is a sparse polynomial (_Expansion): a product of
+    two polynomials merges the power maps of their terms, and the canonical
+    sum is built once, at the end.  The trees are those of the pairwise
+    fold over nodes, which builds add(*[mul(x, y) ...]) for every product
+    of two operands: where mul and add would do more than add exponents
+    (a constant, product or power base shared by both terms, a bare sum,
+    a base mul leaves unmerged, a Pythagorean pair), the polynomial does
+    what they do.  A power of a sum other than 2, 3 or 4 is kept as a
+    power.
+
+    bindings, a map from symbols to values, is applied at the leaves: a
+    bound symbol is the polynomial of its value's expansion.  The result
+    equals expand(substitute(e, bindings)) in value, and has its tree
+    wherever substitution neither merges operands of e nor reorders the
+    factors of a product whose Pythagorean merges depend on their order,
+    as in the covariant lift.  Given the symbol clear, every term is
+    multiplied by clear^kappa, kappa the least power that leaves no term
+    with a negative power of clear, before any node is built.
+
+    Raises UnsupportedOperation before a product of polynomials whose term
+    counts multiply to more than MAX_EXPANSION_TERMS.
+    """
+    poly = _Expansion()
+    values = {}  # bound symbol -> the polynomial of its value
+
+    def stop(x):
+        if type(x) is not Sym or not bindings or x.symbol not in bindings:
+            return None
+        got = values.get(x.symbol)
+        if got is None:
+            got = values[x.symbol] = _fold(as_expr(bindings[x.symbol]),
+                                           poly.visit, lambda y: None)
+        return got
+
+    out = _fold(e, poly.visit, stop)
+    i = poly.ids.get(Sym(clear)) if clear is not None else None
+    if i is not None:
+        kappa = -min([0] + [sum([int(x) for j, x in k if j == i])
+                            for k, _ in out])
+        if kappa:
+            out = poly.times([(frozenset(((i, kappa),)), 1)], out)
+    return poly.node(out)
 
 
 def _terms_at(x: Expr, kids) -> int:
@@ -741,12 +999,6 @@ def expansion_terms(e: Expr) -> int:
     m terms multiplied count m^n); MAX_EXPANSION_TERMS + 1 once e or a node
     inside it counts more than MAX_EXPANSION_TERMS."""
     return _fold(e, _terms_at, lambda x: None if _leaf(x) is None else 1)
-
-
-def _distribute(a: Expr, b: Expr) -> Expr:
-    aterms = a.terms if isinstance(a, Add) else (a,)
-    bterms = b.terms if isinstance(b, Add) else (b,)
-    return add(*[mul(x, y) for x in aterms for y in bterms])
 
 
 def _denominators_at(x: Expr) -> Optional[frozenset]:

@@ -1,12 +1,14 @@
 """Helpers that only the tests use: point evaluation, numeric equality, a
 catalog entry's frames, a count of realization gates, the so3 worked
 example's jet spaces, the perturbed invariants of the negative controls,
-a reference second prolongation and reference sum and product
-constructors."""
+a reference second prolongation, reference sum and product
+constructors, and the reference expansion and covariant lift."""
 
 from fractions import Fraction
+from functools import reduce
 from typing import List, Mapping, Optional
 
+from lieinv import covariant as cov
 from lieinv import expr as ex
 from lieinv import jet
 from lieinv import liealg
@@ -297,3 +299,60 @@ def structure(e: ex.Expr) -> tuple:
         return ("Applied", e.head, tuple(structure(a) for a in e.args))
     return (t.__name__, tuple(structure(k) for k in
                               (e.terms if t is ex.Add else e.factors)))
+
+
+# ---------------------------------------------------------------------------
+# Reference expansion and covariant lift: expand as a pairwise fold over
+# nodes, which builds a canonical sum after every product of two operands,
+# and the lift as substitute, expand, then every term times w_n^kappa.
+# They pin the trees that the sparse-polynomial expansion must give.
+
+
+def _reference_distribute(a: ex.Expr, b: ex.Expr) -> ex.Expr:
+    aterms = a.terms if isinstance(a, ex.Add) else (a,)
+    bterms = b.terms if isinstance(b, ex.Add) else (b,)
+    return ex.add(*[ex.mul(x, y) for x in aterms for y in bterms])
+
+
+def _reference_expanded(x: ex.Expr, kids) -> ex.Expr:
+    if type(x) is ex.Mul:
+        return reduce(_reference_distribute, kids, ex.ONE)
+    if (type(x) is ex.Pow and type(kids[0]) is ex.Add
+            and x.exp.denominator == 1 and 2 <= x.exp <= 4):
+        return reduce(_reference_distribute, [kids[0]] * (x.exp - 1), kids[0])
+    return ex._construct(x, kids)
+
+
+def reference_expand(e: ex.Expr) -> ex.Expr:
+    """Distribute products over sums (and powers 2-4 of sums), one pair of
+    operands at a time."""
+    return ex._fold(e, _reference_expanded, ex._leaf)
+
+
+def _reference_min_exponent(e: ex.Expr, s: ex.Symbol) -> int:
+    """Smallest exponent of s across the additive terms of an expanded expr."""
+    lo = 0
+    for t in e.terms if isinstance(e, ex.Add) else (e,):
+        exp = 0
+        for f in t.factors if isinstance(t, ex.Mul) else (t,):
+            if isinstance(f, ex.Pow) and isinstance(f.base, ex.Sym) \
+                    and f.base.symbol == s:
+                exp += int(f.exp)
+            elif isinstance(f, ex.Sym) and f.symbol == s:
+                exp += 1
+        lo = min(lo, exp)
+    return lo
+
+
+def reference_lift(pde, wspace: JetSpace) -> ex.Expr:
+    """covariant.lift as substitute, reference_expand, then each term of
+    the expansion times w_n^kappa."""
+    dep = pde.space.dep
+    subs = {**cov.implicit_first(wspace, dep),
+            **cov.implicit_second(wspace, dep)}
+    subs[pde.space.jet()] = ex.Sym(wspace.base(dep))
+    expanded = reference_expand(ex.substitute(pde.lhs, subs))
+    wn = wspace.jet(dep)
+    wn_kappa = ex.pow_(ex.Sym(wn), -_reference_min_exponent(expanded, wn))
+    terms = expanded.terms if isinstance(expanded, ex.Add) else (expanded,)
+    return ex.add(*[ex.mul(wn_kappa, t) for t in terms])

@@ -145,6 +145,22 @@ class TestCovariant:
         assert time.perf_counter() - start < 0.5
         assert "NotRescaleInvariant" in capsys.readouterr().err
 
+    def test_to_refuses_a_long_product_quickly(self, tmp_path, capsys):
+        # 12 sums of 8 terms lift to 8^12 terms or more: the lift refuses
+        # the first product of polynomials above the term limit
+        lhs = "*".join(f"(u_x + {k}*u_y + u + u_xx + {k + 1}*u_xy + u_yy"
+                       f" + {k}*x + y)" for k in range(1, 13))
+        f = tmp_path / "long.txt"
+        f.write_text(f"coords: x, y; dep: u\nlhs: {lhs}\n")
+        start = time.perf_counter()
+        assert main(["covariant", "--to", str(f)]) == 1
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert err == ["error [UnsupportedOperation]: expansion exceeds "
+                       "10000 terms"]
+
     @pytest.mark.parametrize("flags", [["--points", "0"], ["--tol", "1e9"]])
     def test_from_refuses_vacuous_oracle(self, tmp_path, capsys, flags):
         # w_xx*w_u is not rescale-invariant; a check at zero points or with

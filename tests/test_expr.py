@@ -2,6 +2,7 @@
 
 import gc
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -202,6 +203,20 @@ class TestSubstituteExpand:
                   ex.add(X, ex.pow_(big, Fraction(1, 2)))]:
             assert ex.expansion_terms(e) == cap
 
+    def test_expand_refuses_a_product_above_the_limit(self):
+        # the refusal comes before the product that would pass the limit,
+        # so 8^12 terms are neither counted nor built
+        big = SP.parse("*".join(f"(x + {k}*y + u + u_x + {k + 1}*u_y + u_xx"
+                                f" + u_xy + {k}*u_yy)" for k in range(1, 13)))
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedOperation, match="10000 terms"):
+            ex.expand(big)
+        assert time.perf_counter() - start < 0.5
+        # four of the sums, 8^4 = 4096 products, are within the limit
+        four = ex.mul(*big.factors[:4])
+        assert ex.expansion_terms(four) == 4096
+        assert len(ex.expand(four).terms) == 330  # like terms collected
+
     def test_substitute_heads(self):
         t = ex.add(ex.applied("b", [UX]), U)
         out = ex.substitute_heads(t, {"b": lambda a: ex.pow_(a, 2)})
@@ -241,7 +256,13 @@ class TestSubstituteExpand:
 
     def test_expand_distributes_a_repeated_subtree_once(self, monkeypatch):
         e = self._repeated(Y)
-        calls = self._count(monkeypatch, "_distribute")
+        calls = []
+        times = ex._Expansion.times
+
+        def counting(poly, a, b):
+            calls.append((a, b))
+            return times(poly, a, b)
+        monkeypatch.setattr(ex._Expansion, "times", counting)
         out = ex.expand(e)
         # one for the square, two for the product: (x+y)^2 is expanded once
         assert len(calls) == 3

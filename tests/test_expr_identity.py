@@ -5,15 +5,20 @@ the nodes themselves, whose hashes are cached.  These tests hold the trees
 they build against reference constructors that collect under sort keys
 (tests/helpers.py), on criterion 9's random expressions, the lifted
 covariant forms of the benchmark's covariant round trip and Pythagorean
-and rational-coefficient sums.  They also pin what makes identity cheap:
-symbols and nodes carry no instance dict, a jet space hands out one symbol
-object per jet variable, and a symbol cannot be altered.
+and rational-coefficient sums.  The sparse-polynomial expansion and the
+one-fold lift are held against the pairwise expansion and the lift built
+on it (reference_expand, reference_lift) on the same corpora, on products
+where mul and add do more than add exponents, and on seeded random
+products of those.  They also pin what makes identity cheap: symbols and
+nodes carry no instance dict, a jet space hands out one symbol object per
+jet variable, and a symbol cannot be altered.
 """
 
 import copy
 import pickle
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,7 +29,8 @@ from lieinv import numeric as nm
 from lieinv.errors import UnsupportedOperation
 from lieinv.jet import JetSpace
 
-from helpers import structure, use_reference_constructors
+from helpers import (reference_expand, reference_lift, structure,
+                     use_reference_constructors)
 from test_acceptance import _random_expr
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -48,6 +54,35 @@ PYTHAGOREAN_AND_RATIONAL = [
     "x^(2/3)*x^(1/3)*(1/x) + 2^(1/2)*2^(1/2)",
     "(u_x + u_y)*(u_x - u_y)/(u_x^2 - u_y^2)",
 ]
+# products where mul or add does more than add exponents: a shared
+# constant, product or power base, a bare sum, a base that mul leaves
+# unmerged, partial sums that cancel, and Pythagorean pairs that merge
+# partway through a product, in an order that decides the tree
+FOLD_CASES = [
+    "(x + y)^(1/2)*(x + y)^(1/2)*u_x",
+    "((x + y)^(1/2) + 1)*((x + y)^(1/2) - 1)*u_x",
+    "((x + y)^(1/2) + sin(x))^4",
+    "2^(1/2)*2^(1/2)*(u_x + 1)^2",
+    "(2^(1/2) + u_x)^3*(2^(1/2) - 1)",
+    "(x*y)^(1/2)*(x*y)^(1/2)*(x + 1)",
+    "((x*y)^(1/2) + 1)^3*(x + 1)",
+    "(x + 1)^5*(x + 1)^(-1)*(u + 1)",
+    "((x + 1)^5 + u)*((x + 1)^(-1) + u)",
+    "((x^2)^(1/2) + x)*(x*(x^2)^(1/2) + 1)*(u + 2)",
+    "(1/2 + (x + y)^(1/2)/2)*(2 + (x + y)^(1/2))*(2 + 2*(x + y)^(1/2))",
+    "((2*(x + y)^(1/2) + x)*(x + y)^(1/2)"
+    " - ((x + y)^(1/2) + x)*(x + y)^(1/2))*(u + 1)",
+    "((x + y)*(x - y) - x^2 + y^2)*(u + 1)",
+    "(x + 1)*(x - 1)*(u + 1) - (x^2 - 1)*(u + 1)",
+    "(sin(x) + cos(x))^2*(u + 1)",
+    "(sin(x)*u + cos(x))*(sin(x)*u - cos(x))*(sin(x) + 1)",
+    "(1/8)*x^3*sin(y)^3*(cos(x)^2 + 2*cos(x)^4)"
+    "*(cos(x)^4 + sin(x)^4 + (1/2)*sin(x)^2)",
+]
+PRODUCT_ATOMS = ["x", "u", "u_x", "(x + y)^(1/2)", "2^(1/2)", "(x*y)^(1/2)",
+                 "(x + 1)^5", "(x + 1)^(-1)", "(x^2)^(1/2)", "sin(x)",
+                 "cos(x)", "sin(x)^2", "cos(x)^2"]
+RANDOM_PRODUCTS = 3000
 
 
 def _same(ref, new):
@@ -91,9 +126,39 @@ def _rebuilt(e):
     return ex._fold(e, visit, ex._leaf)
 
 
-def _parsed():
+def _parsed(texts=PYTHAGOREAN_AND_RATIONAL):
     space = JetSpace(("x", "y"), "u")
-    return [space.parse(text) for text in PYTHAGOREAN_AND_RATIONAL]
+    return [space.parse(text) for text in texts]
+
+
+def _random_products():
+    """Seeded products of 2 or 3 factors over PRODUCT_ATOMS: each factor a
+    sum of one or two terms c*a or c*a*b, raised to 1, 2, 1/2 or -1."""
+    atoms = _parsed(PRODUCT_ATOMS)
+    rng = random.Random(RANDOM_PRODUCTS)
+    out = []
+    for _ in range(RANDOM_PRODUCTS):
+        factors = []
+        for _ in range(rng.randint(2, 3)):
+            f = ex.add(*[ex.mul(rng.choice((1, -1, 2, Fraction(1, 2))),
+                                *rng.sample(atoms, rng.randint(1, 2)))
+                         for _ in range(rng.randint(1, 2))])
+            factors.append(ex.pow_(f, rng.choice((1, 1, 2, Fraction(1, 2),
+                                                  -1))))
+        out.append(ex.mul(*factors))
+    return out
+
+
+def _lifts(seed):
+    """covariant.lift and reference_lift of every equation of the
+    benchmark's covariant round trip."""
+    new, ref = [], []
+    for text in workloads.make_covariant_roundtrip(seed)["pdes"]:
+        pde = cov.parse_pde(text)
+        wspace = cov.wspace_for(pde.space)
+        new.append(cov.lift(pde, wspace))
+        ref.append(reference_lift(pde, wspace))
+    return ref, new
 
 
 class TestReferenceCanonicalForms:
@@ -125,6 +190,64 @@ class TestReferenceCanonicalForms:
         _same(ref, new)
         assert ex.render(new[0]) == "(1/2)*u_x"
         assert new[1] == ex.ONE
+
+
+class TestReferenceExpansion:
+    @pytest.mark.parametrize("seed", [61, 97])
+    def test_lifted_forms(self, seed):
+        ref, new = _lifts(seed)
+        assert len(new) == 70
+        _same(ref, new)
+
+    def test_random_expressions(self):
+        exprs, _ = _random_corpus()
+        _same([reference_expand(e) for e in exprs],
+              [ex.expand(e) for e in exprs])
+
+    @pytest.mark.parametrize("texts", [PYTHAGOREAN_AND_RATIONAL, FOLD_CASES],
+                             ids=["pythagorean-rational", "fold-cases"])
+    def test_listed_expressions(self, texts):
+        exprs = _parsed(texts)
+        _same([reference_expand(e) for e in exprs],
+              [ex.expand(e) for e in exprs])
+
+    def test_fold_cases_expand(self):
+        # the listed cases do what mul and add do: a bare sum is
+        # distributed, a sum raised to 1 inside a product is not, a power
+        # of 2 folds into the coefficient, and a base mul leaves unmerged
+        # stays so in a term with coefficient 1
+        got = dict(zip(FOLD_CASES, map(ex.render, map(ex.expand,
+                                                      _parsed(FOLD_CASES)))))
+        assert got[FOLD_CASES[0]] == "x*u_x + y*u_x"
+        assert got[FOLD_CASES[1]] == "-u_x + u_x*(x + y)"
+        assert got[FOLD_CASES[3]] == "2 + 2*u_x^2 + 4*u_x"
+        assert "x*u*x^2" in got[FOLD_CASES[9]]
+        assert got[FOLD_CASES[11]] == "x + y + x*u + y*u"
+        assert got[FOLD_CASES[12]] == got[FOLD_CASES[13]] == "0"
+        assert got[FOLD_CASES[14]] == "1 + u + 2*u*cos(x)*sin(x)" \
+                                      " + 2*cos(x)*sin(x)"
+
+    def test_random_products(self):
+        exprs = _random_products()
+        _same([reference_expand(e) for e in exprs],
+              [ex.expand(e) for e in exprs])
+
+    def test_oracle_residuals(self, monkeypatch):
+        # every residual the oracle expands in one derive_sweep round
+        # (seed 61) gets the pairwise expansion's tree, so the same verdict
+        seen = []
+        expand = ex.expand
+
+        def recording(e, *args, **kwargs):
+            seen.append(e)
+            return expand(e, *args, **kwargs)
+        monkeypatch.setattr(ex, "expand", recording)
+        out = workloads.run_derive_sweep(workloads.make_derive_sweep(61))
+        monkeypatch.undo()
+        assert (out["attempted"], out["failed"]) == (960, 0)
+        assert len(seen) == 457
+        _same([reference_expand(e) for e in seen],
+              [ex.expand(e) for e in seen])
 
 
 class TestNodeIdentity:

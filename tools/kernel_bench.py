@@ -20,7 +20,11 @@ a first visit:
 * ``substitute_ms``: ``substitute`` of 2*s for every free symbol s;
 * ``expand_ms``: ``expand``;
 * ``codegen_compile_ms``: the evaluator's source and its compilation, with
-  the code memo emptied first.
+  the code memo emptied first;
+* ``lift_ms``: ``covariant.lift`` of each of the 70 equations of the
+  covariant round trip (seed 61), each lhs a fresh copy and each z-space
+  made anew, untimed: the substitution of the implicit derivatives, the
+  expansion and the clearing of w_n, in one ``expand`` call per equation.
 
 The one line of output is a JSON object of the medians over the
 repetitions, in milliseconds, with the corpus size and the repetition count.
@@ -46,6 +50,12 @@ from lieinv import numeric as nm  # noqa: E402
 import workloads  # noqa: E402
 
 
+def equations() -> list:
+    """The 70 equations of the covariant round trip (seed 61), parsed."""
+    return [covariant.parse_pde(text)
+            for text in workloads.make_covariant_roundtrip(61)["pdes"]]
+
+
 def corpus() -> list:
     """The catalog's invariants and the covariant battery, deduplicated."""
     cfg = nm.SamplerConfig()
@@ -56,8 +66,7 @@ def corpus() -> list:
             inv = (invariants.type1_pipeline(entry, m, cfg) if pipeline == "free"
                    else invariants.type2_pipeline(entry, cfg))
             exprs += inv.exprs()
-    for text in workloads.make_covariant_roundtrip(61)["pdes"]:
-        pde = covariant.parse_pde(text)
+    for pde in equations():
         exprs += [pde.lhs, covariant.to_covariant(pde, cfg).lhs]
     return list(dict.fromkeys(exprs))
 
@@ -116,7 +125,8 @@ def main(argv=None) -> None:
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     exprs = corpus()
-    times = {name: [] for name in OPS}
+    pdes = equations()
+    times = {name: [] for name in [*OPS, "lift_ms"]}
     for _ in range(args.repeats):
         for name, op in OPS.items():
             copies = [fresh(e) for e in exprs]
@@ -125,6 +135,12 @@ def main(argv=None) -> None:
             for e in copies:
                 op(e)
             times[name].append((time.perf_counter() - start) * 1e3)
+        lifts = [(covariant.ScalarPDE(p.space, fresh(p.lhs)),
+                  covariant.wspace_for(p.space)) for p in pdes]
+        start = time.perf_counter()
+        for pde, wspace in lifts:
+            covariant.lift(pde, wspace)
+        times["lift_ms"].append((time.perf_counter() - start) * 1e3)
     out = {name: round(statistics.median(t), 2) for name, t in times.items()}
     out.update(corpus_exprs=len(exprs), corpus_nodes=_nodes(exprs),
                repeats=args.repeats, python=platform.python_version())
