@@ -8,10 +8,11 @@ E~(z, w_i, w_ij) = 0, w = 0) by the implicit-differentiation substitutions
   u_ab -> -w_ab/w_n + w_na w_b/w_n^2 + w_nb w_a/w_n^2 - w_a w_b w_nn/w_n^3,
 
 expanded, with the power of w_n cleared from the denominators in the same
-fold (lift: one expr.expand call).  The contract of the covariant form is
-that E~ is homogeneous of some integer degree k in the w-derivatives,
-D E~ = k E~ for the Euler operator D, and is annihilated by the rescaling
-fields R_j = sum_i (1 + delta_ij) w_i d/dw_ij.  D - k and
+fold (lift: one expr.expand call; the substitutions of each z-space are
+built once and kept in a bounded memo).  The contract of the covariant
+form is that E~ is homogeneous of some integer degree k in the
+w-derivatives, D E~ = k E~ for the Euler operator D, and is annihilated by
+the rescaling fields R_j = sum_i (1 + delta_ij) w_i d/dw_ij.  D - k and
 the R_j are first-order operators (euler_operator, rescale_operators).
 CovariantPDE reads k as D E~ / E~ at one regular point when it is made,
 then checks the contract in one pass over D - k and every R_j (one
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from . import expr as ex
@@ -147,15 +149,27 @@ def implicit_second(wspace: JetSpace, dep_coord: str) -> Dict[ex.Symbol, ex.Expr
     return out
 
 
+IMPLICIT_MEMO_SIZE = 16  # (z-space, dependent coordinate) pairs kept
+
+
+@lru_cache(maxsize=IMPLICIT_MEMO_SIZE)
+def _implicit(wspace: JetSpace, dep_coord: str) -> tuple:
+    """The items of implicit_first and implicit_second, built once per pair."""
+    return (*implicit_first(wspace, dep_coord).items(),
+            *implicit_second(wspace, dep_coord).items())
+
+
 def lift(pde: ScalarPDE, wspace: JetSpace) -> ex.Expr:
     """The lhs of pde on wspace (wspace_for), cleared of w_n; unchecked.
 
     One expand call substitutes the implicit derivatives at the leaves,
     expands, and multiplies every term by the least power of w_n that
-    leaves none in a denominator.
+    leaves none in a denominator.  The implicit derivatives of a z-space
+    come from a bounded memo (_implicit, IMPLICIT_MEMO_SIZE z-spaces), as
+    a tuple of items that lift copies into its own substitution.
     """
     dep = pde.space.dep
-    subs = {**implicit_first(wspace, dep), **implicit_second(wspace, dep)}
+    subs = dict(_implicit(wspace, dep))
     # the old dependent u becomes the base coordinate z^n = u
     subs[pde.space.jet()] = ex.Sym(wspace.base(dep))
     return ex.expand(pde.lhs, subs, clear=wspace.jet(dep))
@@ -192,14 +206,16 @@ def homogeneity_degree(e: ex.Expr, wspace: JetSpace,
     any point is drawn.  The ratio D e / e is taken from e's compiled
     gradient at the first regular point, with the w-derivatives kept off
     zero; a point where e vanishes is singular for the ratio and is
-    redrawn.  A non-integer ratio raises NotHomogeneous;
-    rescale_invariance_check confirms D e = k e at every point.
+    redrawn.  The gradient is taken along the w-derivatives only, which
+    covers the operators of the contract pass, so that pass reuses it.  A
+    non-integer ratio raises NotHomogeneous; rescale_invariance_check
+    confirms D e = k e at every point.
     """
     if isinstance(e, ex.Const) and e.value == 0:
         raise NotHomogeneous("the equation vanishes identically")
-    wrt, grad = ex.compile_gradient(e)
     # D e = sum of s * de/ds over the w-derivatives s
     derivatives = euler_operator(wspace).coefficients
+    wrt, grad = ex.compile_gradient(e, derivatives)
     euler = [(s.name, i) for i, s in enumerate(wrt, start=1)
              if s in derivatives]
 

@@ -1079,8 +1079,8 @@ def _codegen(e: Expr, wrt: Optional[tuple] = None) -> str:
     what a singular point is: the body runs inside one `try`, and an
     OverflowError or ValueError (math.sin(inf)), like a result that is not
     finite, raises SingularEvaluation (bound as `S`).  Given a tuple of
-    symbols wrt, a reverse sweep (_adjoints) follows in the same `try`, and
-    f returns [e, de/ds for s in wrt], each held to the same rule.
+    symbols wrt, a reverse sweep (_adjoints) along them follows in the same
+    `try`, and f returns [e, de/ds for s in wrt], each held to the same rule.
     """
     refs = {}  # subtree -> local name, the memo of the fold
     lines = ["def f(a):", " try:"]
@@ -1132,7 +1132,9 @@ def _adjoints(refs: dict, wrt: frozenset, lines: list) -> dict:
     The subtree in local t<i> gets the adjoint d<i> = d(root)/d(subtree),
     1.0 at the root (the last local).  Locals are visited in reverse, so
     every parent has added its term before a child's sum is emitted; only
-    subtrees that depend on a symbol of wrt get one.
+    subtrees that depend on a symbol of wrt get one.  An adjoint whose one
+    term is a bare name or 1.0 (a sole parent that is a sum, or the root)
+    is not copied: the subtree reuses that name.
     """
     def src(x):
         return _literal(x.value) if isinstance(x, Const) else refs[x]
@@ -1144,8 +1146,11 @@ def _adjoints(refs: dict, wrt: frozenset, lines: list) -> dict:
         parts = terms.pop(x, None)
         if parts is None:
             continue
-        d = "d" + refs[x][1:]
-        lines.append(f"  {d}={_join('+', parts, lines)}")
+        if len(parts) == 1 and (parts[0] == "1.0" or parts[0].isidentifier()):
+            d = parts[0]
+        else:
+            d = "d" + refs[x][1:]
+            lines.append(f"  {d}={_join('+', parts, lines)}")
         if isinstance(x, Sym):
             out[x.symbol] = d
             continue
@@ -1238,19 +1243,35 @@ def compile_numeric(e: Expr):
     return e._fns[0]
 
 
-def compile_gradient(e: Expr):
-    """(symbols, g): e's free symbols by name, and its gradient.
+def compile_gradient(e: Expr, wrt: Optional[Iterable] = None):
+    """(symbols, g): the symbols the gradient is taken along, by name, and g.
 
     g(a) returns [e(a)] + [de/ds(a) for s in symbols] from one call: the
     forward sweep of compile_numeric(e), so g(a)[0] is bit-identical to
-    compile_numeric(e)(a), then a reverse sweep under the same
-    singular-point rule.  Kept on the node like compile_numeric's.
+    compile_numeric(e)(a), then a reverse sweep that gives an adjoint only
+    to the subtrees depending on symbols.  Every value g returns is held
+    to compile_numeric's singular-point rule.
+
+    wrt requests the symbols to take the gradient along, of which those
+    free in e are taken (other items, such as None, are ignored); by
+    default all of e's free symbols.  The gradient is kept on the node, like
+    compile_numeric's evaluator, and serves any later request it covers;
+    a request it does not cover compiles along the union of both, so
+    symbols may hold more than was asked for.  Each slot is bit-identical
+    to the same slot of the gradient along all free symbols: a subtree
+    that depends on a requested symbol sums the same parent terms in the
+    same order.
     """
+    free = e.free_symbols()
+    want = free if wrt is None else free.intersection(wrt)
     if e._fns is None:
         e._fns = [None, None]
-    if e._fns[1] is None:
-        wrt = tuple(sorted(e.free_symbols(), key=lambda s: (s.name, s.kind)))
-        e._fns[1] = (wrt, _compile(_codegen(e, wrt)))
+    kept = e._fns[1]
+    if kept is None or not want.issubset(kept[0]):
+        if kept is not None:
+            want = want.union(kept[0])
+        symbols = tuple(sorted(want, key=lambda s: (s.name, s.kind)))
+        e._fns[1] = (symbols, _compile(_codegen(e, symbols)))
     return e._fns[1]
 
 

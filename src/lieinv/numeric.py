@@ -14,7 +14,8 @@ the residual expands to a constant (_exact_value).  Each check takes a
 whole family in one pass over one point stream:
 
   * first_non_annihilating evaluates each distinct operator coefficient
-    and each member's gradient once per point, and compiles nothing for a
+    and each member's gradient once per point, takes that gradient only
+    along the operators' coefficient keys, and compiles nothing for a
     member no operator touches;
   * equivalence_check evaluates the Jacobian of A and B once per point;
     one elimination of A gives rank(A) and a null basis K of A, and
@@ -161,18 +162,21 @@ def first_non_annihilating(fields: Sequence, exprs: Sequence[ex.Expr],
     one pass: each member's rows (the terms of each operator that touch
     it) come from its free symbols, so a member no operator touches is
     never compiled, and the points cover the members with rows and the
-    coefficients they use.  At each point every distinct coefficient is
-    evaluated once and each member's compiled gradient (the member itself
-    in slot 0) once; together they give the residual r_ik of every
-    operator k on every member i.  A point where |r_ik| <= tol passes for
-    (i, k).  Elsewhere _exact_value of the symbolic residual
-    fields[k].apply(exprs[i]), taken once per check, decides, or else that
-    residual's own float.  The first failing pair, in point, member and
-    operator order, is returned.
+    coefficients they use.  A member's gradient is taken along the
+    operators' coefficient keys among its free symbols (zero coefficients
+    too, so a prolonged field asks for every jet symbol of its space).  At
+    each point every distinct coefficient is evaluated once and each
+    member's compiled gradient (the member itself in slot 0) once;
+    together they give the residual r_ik of every operator k on every
+    member i.  A point where |r_ik| <= tol passes for (i, k).  Elsewhere
+    _exact_value of the symbolic residual fields[k].apply(exprs[i]), taken
+    once per check, decides, or else that residual's own float.  The
+    first failing pair, in point, member and operator order, is returned.
     """
     slot = {}  # id(coefficient) -> its index in coeffs and values
     coeffs, values = [], []  # the distinct coefficients rows use, compiled
     checks = []  # (i, gradient of exprs[i], per field [(slot, column)])
+    keys = {s for f in fields for s in f.coefficients}  # the gradients' wrt
     for i, e in enumerate(exprs):
         free = e.free_symbols()
         rows = [[(s, c) for s, c in f.coefficients.items()
@@ -180,7 +184,7 @@ def first_non_annihilating(fields: Sequence, exprs: Sequence[ex.Expr],
                 for f in fields]
         if not any(rows):
             continue  # no operator touches e
-        wrt, grad = ex.compile_gradient(e)
+        wrt, grad = ex.compile_gradient(e, keys)
         column = {s: j for j, s in enumerate(wrt, start=1)}
         column[None] = 0
         for row in rows:

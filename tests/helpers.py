@@ -2,7 +2,8 @@
 catalog entry's frames, a count of realization gates, the so3 worked
 example's jet spaces, the perturbed invariants of the negative controls,
 a reference second prolongation, reference sum and product
-constructors, and the reference expansion and covariant lift."""
+constructors, the reference expansion and covariant lift, and the
+reference reverse sweep of the compiled gradient."""
 
 from fractions import Fraction
 from functools import reduce
@@ -356,3 +357,44 @@ def reference_lift(pde, wspace: JetSpace) -> ex.Expr:
     wn_kappa = ex.pow_(ex.Sym(wn), -_reference_min_exponent(expanded, wn))
     terms = expanded.terms if isinstance(expanded, ex.Add) else (expanded,)
     return ex.add(*[ex.mul(wn_kappa, t) for t in terms])
+
+
+def reference_adjoints(refs: dict, wrt: frozenset, lines: list) -> dict:
+    """expr._adjoints as it was before adjoints were shared: every subtree
+    that depends on wrt gets its own local d<i>, a copy where its one term
+    is a bare name or 1.0."""
+    def src(x):
+        return ex._literal(x.value) if isinstance(x, ex.Const) else refs[x]
+
+    nodes = list(refs)
+    terms = {nodes[-1]: ["1.0"]}
+    out = {}
+    for x in reversed(nodes):
+        parts = terms.pop(x, None)
+        if parts is None:
+            continue
+        d = "d" + refs[x][1:]
+        lines.append(f"  {d}={ex._join('+', parts, lines)}")
+        if isinstance(x, ex.Sym):
+            out[x.symbol] = d
+            continue
+        if isinstance(x, ex.Add):
+            kids = [(t, d) for t in x.terms]
+        elif isinstance(x, ex.Mul):
+            fs = x.factors
+            kids = [(f, "*".join([d] + [src(g) for g in fs[:i] + fs[i + 1:]]))
+                    for i, f in enumerate(fs)]
+        elif isinstance(x, ex.Pow):
+            n, m = x.exp.numerator - x.exp.denominator, x.exp.denominator
+            pw = src(x.base) if (n, m) == (1, 1) \
+                else f"P({src(x.base)},{n},{m})"
+            kids = [(x.base, f"{d}*{ex._literal(x.exp)}*{pw}")]
+        else:
+            arg = src(x.arg)
+            kids = [(x.arg, {"exp": f"{d}*{refs[x]}", "log": f"{d}/{arg}",
+                             "sin": f"{d}*F['cos']({arg})",
+                             "cos": f"-{d}*F['sin']({arg})"}[x.head])]
+        for kid, term in kids:
+            if not wrt.isdisjoint(kid.free_symbols()):
+                terms.setdefault(kid, []).append(term)
+    return out

@@ -157,8 +157,8 @@ class TestRescaleOperators:
         calls = []
         compile_gradient = ex.compile_gradient
 
-        def counted(e):
-            wrt, grad = compile_gradient(e)
+        def counted(e, wrt=None):
+            wrt, grad = compile_gradient(e, wrt)
 
             def counted_grad(pt):
                 calls.append(pt)

@@ -9,14 +9,18 @@ and rational-coefficient sums.  The sparse-polynomial expansion and the
 one-fold lift are held against the pairwise expansion and the lift built
 on it (reference_expand, reference_lift) on the same corpora, on products
 where mul and add do more than add exponents, and on seeded random
-products of those.  They also pin what makes identity cheap: symbols and
-nodes carry no instance dict, a jet space hands out one symbol object per
-jet variable, and a symbol cannot be altered.
+products of those.  The compiled gradient, which shares adjoints and
+takes a requested set of symbols, is held against the reference reverse
+sweep (reference_adjoints) on the lifted forms and the kernel benchmark's
+corpus.  They also pin what makes identity cheap: symbols and nodes carry
+no instance dict, a jet space hands out one symbol object per jet
+variable, and a symbol cannot be altered.
 """
 
 import copy
 import pickle
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -26,18 +30,23 @@ import pytest
 from lieinv import covariant as cov
 from lieinv import expr as ex
 from lieinv import numeric as nm
-from lieinv.errors import UnsupportedOperation
+from lieinv.errors import SingularEvaluation, UnsupportedOperation
 from lieinv.jet import JetSpace
 
-from helpers import (reference_expand, reference_lift, structure,
-                     use_reference_constructors)
+from helpers import (reference_adjoints, reference_expand, reference_lift,
+                     structure, use_reference_constructors)
 from test_acceptance import _random_expr
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tools")]
+import kernel_bench  # noqa: E402
 import workloads  # noqa: E402
 
 CFG = nm.SamplerConfig()
 RANDOM_DRAWS = 300
+GRADIENT_POINTS = 20
+# an adjoint that only copies another one, or the root's 1.0
+COPY_ADJOINT = re.compile(r"^ *d\d+=(d\d+|1\.0)$", re.M)
 PYTHAGOREAN_AND_RATIONAL = [
     "(1/2)*sin(x)^2*u_x + (1/2)*cos(x)^2*u_x",
     "sin(x)^2 + cos(x)^2",
@@ -248,6 +257,82 @@ class TestReferenceExpansion:
         assert len(seen) == 457
         _same([reference_expand(e) for e in seen],
               [ex.expand(e) for e in seen])
+
+
+def _gradient_corpus():
+    """The lifted forms at seeds 61 and 97 and the kernel benchmark's
+    corpus, structurally distinct expressions with free symbols only."""
+    exprs = _lifts(61)[1] + _lifts(97)[1] + kernel_bench.corpus()
+    return [e for e in dict.fromkeys(exprs) if e.free_symbols()]
+
+
+def _points(e, rng):
+    """GRADIENT_POINTS draws of e's symbols, each 0.5 <= |v| <= 1.5."""
+    names = sorted({s.name for s in e.free_symbols()})
+    return [{n: rng.choice((-1, 1)) * rng.uniform(0.5, 1.5) for n in names}
+            for _ in range(GRADIENT_POINTS)]
+
+
+def _values(g, pt):
+    try:
+        return g(pt)
+    except SingularEvaluation:
+        return None
+
+
+class TestRequestedGradient:
+    """The gradient along all or some symbols, against the reference sweep."""
+
+    def test_slots_match_the_reference_sweep(self, monkeypatch):
+        rng = random.Random(CFG.seed)
+        exprs = _gradient_corpus()
+        assert len(exprs) > 300
+        regular = 0
+        for e in exprs:
+            wrt = ex.compile_gradient(e)[0]
+            subset = tuple(rng.sample(wrt, rng.randint(1, len(wrt))))
+            sources = [ex._codegen(e, wrt), ex._codegen(e, subset)]
+            with monkeypatch.context() as m:
+                m.setattr(ex, "_adjoints", reference_adjoints)
+                reference = ex._compile(ex._codegen(e, wrt))
+            assert not any(COPY_ADJOINT.search(src) for src in sources)
+            full, part = map(ex._compile, sources)
+            slots = [0] + [wrt.index(s) + 1 for s in subset]
+            for pt in _points(e, rng):
+                want = _values(reference, pt)
+                assert _values(full, pt) == want
+                got = _values(part, pt)
+                assert got == (None if want is None
+                               else [want[j] for j in slots])
+                regular += want is not None
+        assert regular > GRADIENT_POINTS * len(exprs) // 2
+
+    def test_a_covering_gradient_is_reused(self, monkeypatch):
+        compiled = []
+        compile_ = ex._compile
+
+        def counted(src):
+            compiled.append(src)
+            return compile_(src)
+        monkeypatch.setattr(ex, "_compile", counted)
+        space = JetSpace(("x", "y"), "u")
+        x, y, ux = space.base("x"), space.base("y"), space.jet("x")
+        e = space.parse("sin(x*y) + u_x^2*y")
+        full = ex.compile_gradient(e)
+        assert full[0] == (ux, x, y) and len(compiled) == 1
+        assert ex.compile_gradient(e, [ux]) is full
+        assert ex.compile_gradient(e, [y, x, space.jet("y")]) is full
+        assert len(compiled) == 1
+        # a request the kept gradient does not cover compiles the union
+        f = space.parse("sin(x*y) + u_x^2*y")
+        assert ex.compile_gradient(f, [x])[0] == (x,)
+        assert ex.compile_gradient(f, [ux])[0] == (ux, x)
+        assert ex.compile_gradient(f, [x]) is ex.compile_gradient(f, [ux, x])
+        assert len(compiled) == 3
+        assert ex.compile_gradient(f)[0] == (ux, x, y)
+        assert len(compiled) == 4
+        pt = {"x": 0.3, "y": -0.7, "u_x": 1.1}
+        assert f._fns[1][1](pt) == full[1](pt)
 
 
 class TestNodeIdentity:

@@ -196,7 +196,8 @@ def test_every_memo_is_bounded():
                 unbounded.append((path.stem, n.lineno))
     assert unbounded == []
     assert memos == {("expr", "_code"), ("putzer", "_exp_poly_matrix"),
-                     ("liealg", "_gated_frames"), ("jet", "_prolongation")}
+                     ("liealg", "_gated_frames"), ("jet", "_prolongation"),
+                     ("covariant", "_implicit")}
 
 
 def test_no_finiteness_check_outside_the_evaluator():

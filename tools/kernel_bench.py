@@ -21,10 +21,15 @@ a first visit:
 * ``expand_ms``: ``expand``;
 * ``codegen_compile_ms``: the evaluator's source and its compilation, with
   the code memo emptied first;
+* ``gradient_ms``: the gradient's source along all free symbols
+  (``_codegen(e, symbols)``, the forward and the reverse sweep) and its
+  compilation, with the code memo emptied first;
 * ``lift_ms``: ``covariant.lift`` of each of the 70 equations of the
   covariant round trip (seed 61), each lhs a fresh copy and each z-space
-  made anew, untimed: the substitution of the implicit derivatives, the
-  expansion and the clearing of w_n, in one ``expand`` call per equation.
+  made anew, untimed, with the memo of implicit derivatives emptied first:
+  the substitution of the implicit derivatives (built once per z-space),
+  the expansion and the clearing of w_n, in one ``expand`` call per
+  equation.
 
 The one line of output is a JSON object of the medians over the
 repetitions, in milliseconds, with the corpus size and the repetition count.
@@ -102,12 +107,18 @@ def _codegen_compile(e):
     ex._compile(ex._codegen(e))
 
 
+def _gradient(e):
+    wrt = tuple(sorted(e.free_symbols(), key=lambda s: (s.name, s.kind)))
+    ex._compile(ex._codegen(e, wrt))
+
+
 OPS = {
     "add_mul_ms": ex.simplify_basic,
     "diff_ms": _diff_all,
     "substitute_ms": _substitute_all,
     "expand_ms": ex.expand,
     "codegen_compile_ms": _codegen_compile,
+    "gradient_ms": _gradient,
 }
 
 
@@ -137,6 +148,7 @@ def main(argv=None) -> None:
             times[name].append((time.perf_counter() - start) * 1e3)
         lifts = [(covariant.ScalarPDE(p.space, fresh(p.lhs)),
                   covariant.wspace_for(p.space)) for p in pdes]
+        covariant._implicit.cache_clear()
         start = time.perf_counter()
         for pde, wspace in lifts:
             covariant.lift(pde, wspace)
