@@ -128,7 +128,8 @@ class Expr:
     Four cache slots, all None until first use, which each subclass's
     __init__ sets itself (no super() call on the hot path): the sort key,
     its hash, the free symbols and the compiled [value, gradient]
-    evaluators.
+    evaluators, to which denominator_symbols appends the node's
+    denominator symbols.
     """
 
     __slots__ = ("_key", "_hash", "_free", "_fns")
@@ -1010,8 +1011,17 @@ def _denominators_at(x: Expr) -> Optional[frozenset]:
 
 
 def denominator_symbols(e: Expr) -> frozenset:
-    """Symbols occurring inside the base of any negative-exponent power."""
-    return _fold(e, lambda x, kids: _union(kids), _denominators_at)
+    """Symbols occurring inside the base of any negative-exponent power.
+
+    Kept on e after its evaluators (e._fns[2]), so a node the oracle
+    samples again is not folded again.
+    """
+    fns = e._fns
+    if fns is None:
+        fns = e._fns = [None, None]
+    if len(fns) == 2:
+        fns.append(_fold(e, lambda x, kids: _union(kids), _denominators_at))
+    return fns[2]
 
 
 # ---------------------------------------------------------------------------
@@ -1070,24 +1080,53 @@ def _join(op: str, operands: list, lines: list) -> str:
     return op.join(operands)
 
 
-def _codegen(e: Expr, wrt: Optional[tuple] = None) -> str:
-    """Source of a flat function `f(a)` evaluating e, one local per subtree.
+def _codegen(e: Expr, wrt: Optional[tuple] = None) -> tuple:
+    """(source, values): a flat function `f(a, k0, k1, ...)` evaluating e,
+    one local per subtree, and the values of its parameters k<i>.
 
     Structurally equal subtrees share one local, assigned in first-occurrence
     post-order, which is the order a nested expression would evaluate them
-    in; constants stay inline literals.  This is the one place that decides
-    what a singular point is: the body runs inside one `try`, and an
-    OverflowError or ValueError (math.sin(inf)), like a result that is not
-    finite, raises SingularEvaluation (bound as `S`).  Given a tuple of
-    symbols wrt, a reverse sweep (_adjoints) along them follows in the same
-    `try`, and f returns [e, de/ds for s in wrt], each held to the same rule.
+    in.  The source depends only on e's shape: each symbol name (a[k0]) and
+    each rational constant, a power's exponent included, is a parameter,
+    one per distinct value, keyed by its literal text (hashing a Fraction
+    costs more than the text).  A parameter's value is the float that the
+    constant's literal folds to, n/d for a non-integral rational and the
+    int itself otherwise, so every float is the one the literal gives; a
+    rational whose float overflows stays an inline literal, so that it
+    raises where the evaluator runs, like any other overflow.  This is the
+    one place that decides what a singular point is: the body runs inside
+    one `try`, and an OverflowError or ValueError (math.sin(inf)), like a
+    result that is not finite, raises SingularEvaluation (bound as `S`).
+    Given a tuple of symbols wrt, a reverse sweep (_adjoints) along them
+    follows in the same `try`, and f returns [e, de/ds for s in wrt], each
+    held to the same rule.
     """
     refs = {}  # subtree -> local name, the memo of the fold
-    lines = ["def f(a):", " try:"]
+    params = {}  # literal text -> parameter name, or the literal itself
+    values = []
+    lines = [" try:"]
+
+    def param(text: str, value) -> str:
+        name = params.get(text)
+        if name is None:
+            name = params[text] = f"k{len(values)}"
+            values.append(value)
+        return name
+
+    def const(v: int | Fraction) -> str:
+        text = _literal(v)
+        name = params.get(text)
+        if name is None:
+            try:
+                name = param(text, v.numerator if v.denominator == 1
+                             else v.numerator / v.denominator)
+            except OverflowError:
+                name = params[text] = text
+        return name
 
     def stop(x):
         if type(x) is Const:
-            return _literal(x.value)
+            return const(x.value)
         if type(x) is Applied:
             raise UnboundSymbol(
                 f"cannot numerically evaluate arbitrary-function head {x.head!r}"
@@ -1097,13 +1136,14 @@ def _codegen(e: Expr, wrt: Optional[tuple] = None) -> str:
     def visit(x, kids):
         t = type(x)
         if t is Sym:
-            src = f"a[{x.symbol.name!r}]"
+            src = f"a[{param(repr(x.symbol.name), x.symbol.name)}]"
         elif t is Add:
             src = _join("+", kids, lines)
         elif t is Mul:
             src = _join("*", kids, lines)
         elif t is Pow:
-            src = f"P({kids[0]},{x.exp.numerator},{x.exp.denominator})"
+            src = (f"P({kids[0]},{const(x.exp.numerator)},"
+                   f"{const(x.exp.denominator)})")
         else:
             src = f"F[{x.head!r}]({kids[0]})"
         ref = f"t{len(refs)}"
@@ -1113,7 +1153,7 @@ def _codegen(e: Expr, wrt: Optional[tuple] = None) -> str:
     lines.append(f"  r={_fold(e, visit, stop, refs)}+0.0")
     out = ["r"]
     if wrt:  # a tuple of e's symbols, so e is not a Const
-        adjoint = _adjoints(refs, frozenset(wrt), lines)
+        adjoint = _adjoints(refs, frozenset(wrt), lines, const)
         out += [adjoint[s] for s in wrt]
     lines += [
         " except (OverflowError, ValueError) as x:",
@@ -1123,10 +1163,12 @@ def _codegen(e: Expr, wrt: Optional[tuple] = None) -> str:
         "  raise S('non-finite value')",
         " return r" if wrt is None else f" return [{','.join(out)}]",
     ]
-    return "\n".join(lines)
+    head = "".join([f",k{i}" for i in range(len(values))])
+    return "\n".join([f"def f(a{head}):"] + lines), tuple(values)
 
 
-def _adjoints(refs: dict, wrt: frozenset, lines: list) -> dict:
+def _adjoints(refs: dict, wrt: frozenset, lines: list,
+              const: Callable) -> dict:
     """Append the reverse sweep over the forward locals; {symbol: its partial}.
 
     The subtree in local t<i> gets the adjoint d<i> = d(root)/d(subtree),
@@ -1134,10 +1176,13 @@ def _adjoints(refs: dict, wrt: frozenset, lines: list) -> dict:
     every parent has added its term before a child's sum is emitted; only
     subtrees that depend on a symbol of wrt get one.  An adjoint whose one
     term is a bare name or 1.0 (a sole parent that is a sum, or the root)
-    is not copied: the subtree reuses that name.
+    is not copied: the subtree reuses that name.  const(v) is the source
+    of a rational v, as _codegen's forward sweep writes it: a constant
+    operand, and a power's exponent in d*exp*P(base, exp - 1), are
+    parameters of the same function.
     """
     def src(x):
-        return _literal(x.value) if isinstance(x, Const) else refs[x]
+        return const(x.value) if isinstance(x, Const) else refs[x]
 
     nodes = list(refs)
     terms = {nodes[-1]: ["1.0"]}
@@ -1162,8 +1207,9 @@ def _adjoints(refs: dict, wrt: frozenset, lines: list) -> dict:
                     for i, f in enumerate(fs)]
         elif isinstance(x, Pow):
             n, m = x.exp.numerator - x.exp.denominator, x.exp.denominator
-            pw = src(x.base) if (n, m) == (1, 1) else f"P({src(x.base)},{n},{m})"
-            kids = [(x.base, f"{d}*{_literal(x.exp)}*{pw}")]
+            pw = src(x.base) if (n, m) == (1, 1) \
+                else f"P({src(x.base)},{const(n)},{const(m)})"
+            kids = [(x.base, f"{d}*{const(x.exp)}*{pw}")]
         else:
             arg = src(x.arg)
             kids = [(x.arg, {"exp": f"{d}*{refs[x]}", "log": f"{d}/{arg}",
@@ -1201,15 +1247,20 @@ class _Source:
 def _code(src: _Source):
     """The code object of a generated source; equal sources share one.
 
-    The memo keeps src as its key, so the text is dropped here: the memo
-    holds the 32-byte digest, not the source.
+    A source depends only on its expression's shape (_codegen), so every
+    node of one shape shares one code object, whatever its constants and
+    symbol names.  The memo keeps src as its key, so the text is dropped
+    here: the memo holds the 32-byte digest, not the source.
     """
     code = compile(src.text, "<string>", "exec")
     src.text = None
     return code
 
 
-def _compile(src: str):
+def _compile(generated: tuple):
+    """The function of a (source, values) pair from _codegen: the shared
+    code object, with the values bound as its parameters' defaults."""
+    src, values = generated
     env = {
         "P": _num_pow,
         "F": {"exp": _num_exp, "log": _num_log, "sin": math.sin, "cos": math.cos},
@@ -1217,7 +1268,9 @@ def _compile(src: str):
     }
     exec(_code(_Source(src)), env)  # noqa: S102 - generated from our own AST
     # popped, so the evaluator does not hold itself through its globals
-    return env.pop("f")
+    f = env.pop("f")
+    f.__defaults__ = values
+    return f
 
 
 def compile_numeric(e: Expr):
@@ -1230,11 +1283,13 @@ def compile_numeric(e: Expr):
     it returns is the one that nested evaluation gives; a point where
     evaluation overflows, leaves the domain or ends non-finite raises
     SingularEvaluation instead.  The evaluator is kept on the node itself,
-    so it lives exactly as long as the tree does.  Structurally equal
-    nodes generate the same source, whose code object comes from a bounded
-    memo (_code, CODE_MEMO_SIZE sources, keyed by each source's SHA-256
-    digest, so no source text is kept); each node still gets its own
-    function, made from that code object in fresh globals.
+    so it lives exactly as long as the tree does.  Expressions of the same
+    shape, which may differ in their rational constants and symbol names,
+    generate the same source, whose code object comes from a bounded memo
+    (_code, CODE_MEMO_SIZE sources, keyed by each source's SHA-256 digest,
+    so no source text is kept); each node still gets its own function,
+    made from that code object in fresh globals, with its own constants
+    and names bound as the function's defaults.
     """
     if e._fns is None:
         e._fns = [None, None]
@@ -1250,7 +1305,9 @@ def compile_gradient(e: Expr, wrt: Optional[Iterable] = None):
     forward sweep of compile_numeric(e), so g(a)[0] is bit-identical to
     compile_numeric(e)(a), then a reverse sweep that gives an adjoint only
     to the subtrees depending on symbols.  Every value g returns is held
-    to compile_numeric's singular-point rule.
+    to compile_numeric's singular-point rule, and g shares its code object
+    with every gradient of the same shape along the same slots, as
+    compile_numeric's evaluator does.
 
     wrt requests the symbols to take the gradient along, of which those
     free in e are taken (other items, such as None, are ignored); by

@@ -2,8 +2,9 @@
 catalog entry's frames, a count of realization gates, the so3 worked
 example's jet spaces, the perturbed invariants of the negative controls,
 a reference second prolongation, reference sum and product
-constructors, the reference expansion and covariant lift, and the
-reference reverse sweep of the compiled gradient."""
+constructors, the reference expansion and covariant lift, the reference
+reverse sweep of the compiled gradient, and the evaluator source with
+inline literals."""
 
 from fractions import Fraction
 from functools import reduce
@@ -359,12 +360,13 @@ def reference_lift(pde, wspace: JetSpace) -> ex.Expr:
     return ex.add(*[ex.mul(wn_kappa, t) for t in terms])
 
 
-def reference_adjoints(refs: dict, wrt: frozenset, lines: list) -> dict:
+def reference_adjoints(refs: dict, wrt: frozenset, lines: list,
+                       const) -> dict:
     """expr._adjoints as it was before adjoints were shared: every subtree
     that depends on wrt gets its own local d<i>, a copy where its one term
-    is a bare name or 1.0."""
+    is a bare name or 1.0.  const(v) is the source of a rational v."""
     def src(x):
-        return ex._literal(x.value) if isinstance(x, ex.Const) else refs[x]
+        return const(x.value) if isinstance(x, ex.Const) else refs[x]
 
     nodes = list(refs)
     terms = {nodes[-1]: ["1.0"]}
@@ -388,7 +390,7 @@ def reference_adjoints(refs: dict, wrt: frozenset, lines: list) -> dict:
             n, m = x.exp.numerator - x.exp.denominator, x.exp.denominator
             pw = src(x.base) if (n, m) == (1, 1) \
                 else f"P({src(x.base)},{n},{m})"
-            kids = [(x.base, f"{d}*{ex._literal(x.exp)}*{pw}")]
+            kids = [(x.base, f"{d}*{const(x.exp)}*{pw}")]
         else:
             arg = src(x.arg)
             kids = [(x.arg, {"exp": f"{d}*{refs[x]}", "log": f"{d}/{arg}",
@@ -398,3 +400,51 @@ def reference_adjoints(refs: dict, wrt: frozenset, lines: list) -> dict:
             if not wrt.isdisjoint(kid.free_symbols()):
                 terms.setdefault(kid, []).append(term)
     return out
+
+
+def reference_codegen(e: ex.Expr, wrt: Optional[tuple] = None) -> str:
+    """expr._codegen as it was before constants and symbol names became
+    parameters: the source of `f(a)` with every rational an inline literal
+    and every symbol read as a['name'], so it depends on them; the reverse
+    sweep is expr._adjoints with the same literals."""
+    refs = {}
+    lines = ["def f(a):", " try:"]
+
+    def stop(x):
+        if type(x) is ex.Const:
+            return ex._literal(x.value)
+        if type(x) is ex.Applied:
+            raise UnboundSymbol(
+                f"cannot numerically evaluate arbitrary-function head {x.head!r}"
+            )
+        return None
+
+    def visit(x, kids):
+        t = type(x)
+        if t is ex.Sym:
+            src = f"a[{x.symbol.name!r}]"
+        elif t is ex.Add:
+            src = ex._join("+", kids, lines)
+        elif t is ex.Mul:
+            src = ex._join("*", kids, lines)
+        elif t is ex.Pow:
+            src = f"P({kids[0]},{x.exp.numerator},{x.exp.denominator})"
+        else:
+            src = f"F[{x.head!r}]({kids[0]})"
+        ref = f"t{len(refs)}"
+        lines.append(f"  {ref}={src}")
+        return ref
+
+    lines.append(f"  r={ex._fold(e, visit, stop, refs)}+0.0")
+    out = ["r"]
+    if wrt:
+        adjoint = ex._adjoints(refs, frozenset(wrt), lines, ex._literal)
+        out += [adjoint[s] for s in wrt]
+    lines += [
+        " except (OverflowError, ValueError) as x:",
+        "  raise S(str(x)) from None",
+        " if " + " or ".join([f"{v}-{v}" for v in out]) + ":",
+        "  raise S('non-finite value')",
+        " return r" if wrt is None else f" return [{','.join(out)}]",
+    ]
+    return "\n".join(lines)

@@ -380,6 +380,28 @@ class TestNumeric:
         with pytest.raises(SingularEvaluation):
             ex.compile_numeric(SP.parse(text))({"x": x})
 
+    @pytest.mark.parametrize("c, want, inline", [
+        (Fraction(10 ** 400, 3), None, True),
+        (10 ** 400, None, False),
+        (Fraction(1, 10 ** 400), [0.5, 1.0], False),
+    ])
+    def test_constant_beyond_the_floats(self, c, want, inline):
+        # a constant whose float overflows compiles, and its evaluators
+        # raise SingularEvaluation where they run; one that underflows is
+        # 0.0.  A non-integral one that overflows keeps its literal, so
+        # that the overflow happens in the evaluator, not in codegen
+        e = ex.add(X, ex.mul(ex.Const(c), X))  # (1 + c)*x
+        assert e == ex.mul(ex.Const(1 + c), X)
+        value, (_, gradient) = ex.compile_numeric(e), ex.compile_gradient(e)
+        if want is None:
+            for fn in (value, gradient):
+                with pytest.raises(SingularEvaluation):
+                    fn({"x": 0.5})
+        else:
+            assert value({"x": 0.5}) == want[0]
+            assert gradient({"x": 0.5}) == want
+        assert (ex._literal(1 + c) in ex._codegen(e)[0]) is inline
+
     def test_walks_leave_no_reference_cycles(self):
         # the walkers must free their memos when they return, and a dropped
         # node's evaluator must go with it, not at the next cyclic garbage
@@ -425,8 +447,12 @@ class TestNumeric:
         got = ex.compile_gradient(e)[1]({"x": x, "y": y})
         assert got[0] == want
         assert got[1:] == pytest.approx([dt, -3 * dt], rel=1e-12)
-        for src in (ex._codegen(e), ex._codegen(e, ex.compile_gradient(e)[0])):
-            assert src.count("(-3)*") == 1 and src.count("a['x']") == 1
+        for src, values in (ex._codegen(e),
+                            ex._codegen(e, ex.compile_gradient(e)[0])):
+            # -3 and x are one parameter each, each read once
+            assert values.count(-3) == 1 and values.count("x") == 1
+            k, x = (f"k{values.index(v)}" for v in (-3, "x"))
+            assert src.count(f"{k}*") == 1 and src.count(f"a[{x}]") == 1
 
     def test_long_sum_and_product_compile(self):
         # 3,000 operands would nest past the compiler's recursion limit in
@@ -458,9 +484,9 @@ class TestNumeric:
         e = ex.add(*[ex.func("sin", ex.mul(ex.Const(k), X))
                      for k in range(1, ex.JOIN_LIMIT + 1)])
         assert len(e.terms) == ex.JOIN_LIMIT
-        assert "  p" not in ex._codegen(e, (SP.base("x"),))
+        assert "  p" not in ex._codegen(e, (SP.base("x"),))[0]
         longer = ex.add(e, Y)
-        assert "  p" in ex._codegen(longer)
+        assert "  p" in ex._codegen(longer)[0]
 
 
 class TestParseRender:

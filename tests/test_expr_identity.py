@@ -12,9 +12,12 @@ where mul and add do more than add exponents, and on seeded random
 products of those.  The compiled gradient, which shares adjoints and
 takes a requested set of symbols, is held against the reference reverse
 sweep (reference_adjoints) on the lifted forms and the kernel benchmark's
-corpus.  They also pin what makes identity cheap: symbols and nodes carry
-no instance dict, a jet space hands out one symbol object per jet
-variable, and a symbol cannot be altered.
+corpus, and the evaluators whose constants and symbol names are
+parameters against the source with inline literals (reference_codegen),
+on the same corpus, with one code object per expression shape.  They
+also pin what makes identity cheap: symbols and nodes carry no instance
+dict, a jet space hands out one symbol object per jet variable, and a
+symbol cannot be altered.
 """
 
 import copy
@@ -29,12 +32,13 @@ import pytest
 
 from lieinv import covariant as cov
 from lieinv import expr as ex
+from lieinv import invariants, liealg
 from lieinv import numeric as nm
 from lieinv.errors import SingularEvaluation, UnsupportedOperation
 from lieinv.jet import JetSpace
 
-from helpers import (reference_adjoints, reference_expand, reference_lift,
-                     structure, use_reference_constructors)
+from helpers import (reference_adjoints, reference_codegen, reference_expand,
+                     reference_lift, structure, use_reference_constructors)
 from test_acceptance import _random_expr
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -295,7 +299,7 @@ class TestRequestedGradient:
             with monkeypatch.context() as m:
                 m.setattr(ex, "_adjoints", reference_adjoints)
                 reference = ex._compile(ex._codegen(e, wrt))
-            assert not any(COPY_ADJOINT.search(src) for src in sources)
+            assert not any(COPY_ADJOINT.search(src) for src, _ in sources)
             full, part = map(ex._compile, sources)
             slots = [0] + [wrt.index(s) + 1 for s in subset]
             for pt in _points(e, rng):
@@ -333,6 +337,67 @@ class TestRequestedGradient:
         assert len(compiled) == 4
         pt = {"x": 0.3, "y": -0.7, "u_x": 1.1}
         assert f._fns[1][1](pt) == full[1](pt)
+
+
+def _bits(out):
+    """A value or gradient as exact bits; None for a singular point."""
+    if out is None:
+        return None
+    return [v.hex() for v in (out if isinstance(out, list) else [out])]
+
+
+class TestShapeParameters:
+    """Constants and symbol names are parameters of the generated source."""
+
+    def test_evaluators_match_the_inline_literals(self):
+        # the value and the gradient, against the source with every constant
+        # and name inline (reference_codegen): the same bits, and a singular
+        # point at the same points, among them a point at zero and one far
+        # out, where denominators vanish and products overflow
+        rng = random.Random(CFG.seed)
+        exprs = _gradient_corpus()
+        regular = singular = 0
+        for e in exprs:
+            wrt = ex.compile_gradient(e)[0]
+            names = {s.name for s in e.free_symbols()}
+            points = _points(e, rng) + [dict.fromkeys(names, v)
+                                        for v in (0.0, -1e200)]
+            for args in ((e,), (e, wrt)):
+                hoisted = ex._compile(ex._codegen(*args))
+                reference = ex._compile((reference_codegen(*args), ()))
+                for pt in points:
+                    want = _bits(_values(reference, pt))
+                    assert _bits(_values(hoisted, pt)) == want, ex.render(e)
+                    regular += want is not None
+                    singular += want is None
+        assert regular > GRADIENT_POINTS * len(exprs)
+        assert singular > len(exprs)
+
+    def test_one_code_object_per_shape(self):
+        # g3_4's invariants at two values of h differ only in constants,
+        # and two sums in separate jet spaces in constants and names
+        a, b = [invariants.type2_pipeline(
+            liealg.catalog_lookup("g3_4", {"h": h}), CFG).exprs()[-1]
+            for h in (Fraction(1, 2), Fraction(-1, 3))]
+        c = JetSpace(("x", "y"), "u").parse("exp(3*x)*u_x + (1/3)*y^2")
+        d = JetSpace(("s", "t"), "p").parse("exp(5*s)*p_s + (2/7)*t^2")
+        for pair in ((a, b), (c, d)):
+            # new nodes, without the evaluators the pipeline compiled
+            pair = [kernel_bench.fresh(e) for e in pair]
+            assert pair[0] != pair[1]
+            ex._code.cache_clear()
+            values = [ex.compile_numeric(e) for e in pair]
+            gradients = [ex.compile_gradient(e)[1] for e in pair]
+            assert ex._code.cache_info().misses == 2
+            for fns in (values, gradients):
+                assert fns[0].__code__ is fns[1].__code__
+                assert fns[0].__defaults__ != fns[1].__defaults__
+            for e, g in zip(pair, gradients):
+                reference = ex._compile((reference_codegen(
+                    e, ex.compile_gradient(e)[0]), ()))
+                for pt in _points(e, random.Random(CFG.seed)):
+                    assert _bits(_values(g, pt)) == \
+                        _bits(_values(reference, pt))
 
 
 class TestNodeIdentity:

@@ -32,7 +32,10 @@ a first visit:
   equation.
 
 The one line of output is a JSON object of the medians over the
-repetitions, in milliseconds, with the corpus size and the repetition count.
+repetitions, in milliseconds, with the corpus size and the repetition count,
+and ``code_misses``: the code memo's misses (Python ``compile`` calls) in
+one ``codegen_compile_ms`` pass and in one ``gradient_ms`` pass, fewer than
+the corpus's expressions where expressions of one shape share a source.
 """
 
 from __future__ import annotations
@@ -138,6 +141,7 @@ def main(argv=None) -> None:
     exprs = corpus()
     pdes = equations()
     times = {name: [] for name in [*OPS, "lift_ms"]}
+    misses = {}
     for _ in range(args.repeats):
         for name, op in OPS.items():
             copies = [fresh(e) for e in exprs]
@@ -146,6 +150,7 @@ def main(argv=None) -> None:
             for e in copies:
                 op(e)
             times[name].append((time.perf_counter() - start) * 1e3)
+            misses[name] = ex._code.cache_info().misses
         lifts = [(covariant.ScalarPDE(p.space, fresh(p.lhs)),
                   covariant.wspace_for(p.space)) for p in pdes]
         covariant._implicit.cache_clear()
@@ -154,7 +159,9 @@ def main(argv=None) -> None:
             covariant.lift(pde, wspace)
         times["lift_ms"].append((time.perf_counter() - start) * 1e3)
     out = {name: round(statistics.median(t), 2) for name, t in times.items()}
-    out.update(corpus_exprs=len(exprs), corpus_nodes=_nodes(exprs),
+    out.update(code_misses={name: misses[name] for name in
+                            ("codegen_compile_ms", "gradient_ms")},
+               corpus_exprs=len(exprs), corpus_nodes=_nodes(exprs),
                repeats=args.repeats, python=platform.python_version())
     print(json.dumps(out, sort_keys=True))
 
