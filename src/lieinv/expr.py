@@ -38,6 +38,7 @@ symbols once and hands out that one object.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -330,70 +331,49 @@ def _split_coeff(term: Expr):
     return 1, term
 
 
-def _monomial_factors(mono: Expr):
-    if isinstance(mono, Mul):
-        return list(mono.factors)
-    return [mono]
-
-
-def _rebuild_monomial(factors):
-    if not factors:
-        return None
-    if len(factors) == 1:
-        return factors[0]
-    return Mul(tuple(sorted(factors, key=Expr.sort_key)))
-
-
 def _trig_square_candidates(mono, head):
-    """Yield (arg, reduced-monomial) pairs obtained by removing head(a)^2."""
+    """The (arg, cofactor) pairs of mono = cofactor*head(arg)^2, the
+    cofactor None when it is 1."""
     out = []
-    factors = _monomial_factors(mono)
+    factors = list(mono.factors) if type(mono) is Mul else [mono]
     for i, f in enumerate(factors):
-        if (
-            isinstance(f, Pow)
-            and isinstance(f.base, Func)
-            and f.base.head == head
-            and f.exp.denominator == 1
-            and f.exp >= 2
-        ):
-            rest = factors[:i] + factors[i + 1 :]
+        if type(f) is Pow and type(f.base) is Func and f.base.head == head \
+                and type(f.exp) is int and f.exp >= 2:
+            rest = factors[:i] + factors[i + 1:]
             if f.exp != 2:
                 rest.append(Pow(f.base, f.exp - 2))
-            out.append((f.base.arg, _rebuild_monomial(rest)))
+            rest.sort(key=Expr.sort_key)
+            out.append((f.base.arg, None if not rest else rest[0]
+                        if len(rest) == 1 else Mul(tuple(rest))))
     return out
 
 
 def _pythagorean_merge(monos: dict):
     """In-place merge of matching c*f*sin(a)^2 and c*f*cos(a)^2 terms.
 
-    `monos` maps monomial (None for the constant) -> coefficient.
+    `monos` maps monomial (None for the constant) -> coefficient.  Each
+    round merges the pair whose cos monomial sorts first, with the sin
+    monomial that sorts first, so the result does not depend on the order
+    of monos.
     """
-    changed = True
-    while changed:
-        changed = False
-        sin_index = {}
-        for mono, coeff in monos.items():
-            if mono is None or coeff == 0:
-                continue
-            for arg, rest in _trig_square_candidates(mono, "sin"):
-                sin_index[(arg, rest, coeff)] = mono
-        if not sin_index:
+    while True:
+        sins = {}  # (arg, cofactor, coefficient) -> the one sin monomial
+        for m, c in monos.items():
+            if m is not None and c != 0:
+                for arg, rest in _trig_square_candidates(m, "sin"):
+                    sins[arg, rest, c] = m
+        if not sins:
             return
-        for mono, coeff in list(monos.items()):
-            if mono is None or coeff == 0:
-                continue
-            for arg, rest in _trig_square_candidates(mono, "cos"):
-                hit = sin_index.get((arg, rest, coeff))
-                # distinct keys of monos are distinct monomials
-                if hit is None or hit is mono:
-                    continue
-                monos[hit] = 0
-                monos[mono] = 0
-                monos[rest] = monos.get(rest, 0) + coeff
-                changed = True
-                break
-            if changed:
-                break
+        pairs = [(m, sins[arg, rest, c], rest, c) for m, c in monos.items()
+                 if m is not None and c != 0
+                 for arg, rest in _trig_square_candidates(m, "cos")
+                 if (arg, rest, c) in sins]
+        if not pairs:
+            return
+        cos, sin, rest, coeff = min(
+            pairs, key=lambda p: (p[0].sort_key(), p[1].sort_key()))
+        monos[cos] = monos[sin] = 0
+        monos[rest] = monos.get(rest, 0) + coeff
 
 
 def add(*terms) -> Expr:
@@ -452,12 +432,18 @@ def mul(*factors) -> Expr:
             powers[base] = powers.get(base, 0) + exp
     if const == 0:
         return ZERO
-    out = [base if exp == 1 else pow_(base, exp)
-           for base, exp in powers.items() if exp != 0]
-    # pow_ may have folded, e.g. into constants or nested products
-    for f in out:
-        if type(f) is Mul or type(f) is Const:
-            return mul(Const(const), *out)
+    out, again = [], False
+    for base, exp in powers.items():
+        if exp != 0:
+            f = base if exp == 1 else pow_(base, exp)
+            out.append(f)
+            # pow_ may have folded, e.g. into constants or nested products,
+            # and a power base raised to an integer is a power of its base
+            if type(f) is Mul or type(f) is Const \
+                    or type(base) is Pow and exp.denominator == 1:
+                again = True
+    if again:
+        return mul(Const(const), *out)
     if not out:
         return Const(const)
     out.sort(key=Expr.sort_key)
@@ -730,9 +716,8 @@ class _Expansion:
     A product of two terms merges their power maps and builds no node,
     except where mul would do more than add exponents: then the two term
     nodes are multiplied with mul and its result collected as add collects
-    it.  A term in which mul left a base unmerged (x*(x^2)^(1/2)*
-    (x^2)^(1/2) is x*x^2) has a sorted tuple of pairs, which every product
-    hands to mul.
+    it.  A collected sum with a sin or cos power >= 2 is merged as add
+    merges it.
     """
 
     def __init__(self):
@@ -766,8 +751,6 @@ class _Expansion:
             if self.kinds[i] == _TRIG and type(x) is int and x >= 2:
                 self.squares.add((i, x))
             pairs.append((i, x))
-        if len({i for i, _ in pairs}) < len(pairs):
-            return tuple(sorted(pairs)), coeff
         return frozenset(pairs), coeff
 
     def terms(self, x: Expr) -> list:
@@ -815,30 +798,17 @@ class _Expansion:
 
     def built(self, out: dict) -> list:
         """The polynomial of the node add builds from the collected out."""
-        poly = []
-        for k, c in out.items():
-            if c != 0:
-                if c != 1 and type(k) is tuple:
-                    # add multiplies c in with mul, which merges the bases
-                    k, c = self.split(mul(Const(c), self.term(k, 1)))
-                poly.append((k, c))
+        poly = [(k, c) for k, c in out.items() if c != 0]
         lone = self.bare_sum(*poly[0]) if len(poly) == 1 else None
         return poly if lone is None else self.terms(lone)
 
-    def merge_needed(self, out: dict) -> bool:
-        """Whether a term has a sin/cos power >= 2, so that add's
-        Pythagorean merge may find a pair."""
-        squares = self.squares
-        return bool(squares) and any(
-            c != 0 and not squares.isdisjoint(k) for k, c in out.items())
-
-    def in_order(self, poly: list) -> list:
-        """poly in the order of the sorted terms of its node."""
-        return sorted(poly, key=lambda kc: self.term(*kc).sort_key())
-
     def merged(self, out: dict) -> dict:
-        """out after add's Pythagorean merge, which reads the monomials in
-        out's order, as nodes."""
+        """out after add's Pythagorean merge of its monomials, which only
+        a term with a sin or cos power >= 2 can take part in."""
+        squares = self.squares
+        if not squares or all(c == 0 or squares.isdisjoint(k)
+                              for k, c in out.items()):
+            return out
         monos = {None if not k else self.term(k, 1): c
                  for k, c in out.items()}
         _pythagorean_merge(monos)
@@ -849,15 +819,13 @@ class _Expansion:
         return out
 
     def product(self, a: list, b: list) -> dict:
-        """The terms of a times b, collected in the order of the products."""
+        """The terms of a times b, collected."""
         out = {}
         kinds, squares = self.kinds, self.squares
         for ka, ca in a:
             for kb, cb in b:
                 c = ca * cb
-                if type(ka) is tuple or type(kb) is tuple:
-                    k = None
-                elif not ka or not kb:
+                if not ka or not kb:
                     k = ka or kb
                 else:
                     d = dict(ka)
@@ -894,10 +862,7 @@ class _Expansion:
         if len(a) * len(b) > MAX_EXPANSION_TERMS:
             raise UnsupportedOperation(
                 f"expansion exceeds {MAX_EXPANSION_TERMS} terms")
-        out = self.product(a, b)
-        if self.merge_needed(out):
-            out = self.merged(self.product(self.in_order(a), self.in_order(b)))
-        return self.built(out)
+        return self.built(self.merged(self.product(a, b)))
 
     def plus(self, polys: list) -> list:
         """add of the nodes of polys."""
@@ -905,13 +870,7 @@ class _Expansion:
         for p in polys:
             for k, c in p:
                 out[k] = out.get(k, 0) + c
-        if self.merge_needed(out):
-            out = {}
-            for p in polys:
-                for k, c in self.in_order(p):
-                    out[k] = out.get(k, 0) + c
-            out = self.merged(out)
-        return self.built(out)
+        return self.built(self.merged(out))
 
     def visit(self, x: Expr, kids: list) -> list:
         """The fold's value of x: the polynomial of its expansion."""
@@ -946,18 +905,18 @@ def expand(e: Expr, bindings: Optional[Mapping[Symbol, Expr]] = None,
     fold over nodes, which builds add(*[mul(x, y) ...]) for every product
     of two operands: where mul and add would do more than add exponents
     (a constant, product or power base shared by both terms, a bare sum,
-    a base mul leaves unmerged, a Pythagorean pair), the polynomial does
-    what they do.  A power of a sum other than 2, 3 or 4 is kept as a
-    power.
+    a Pythagorean pair), the polynomial does what they do.  A power of a
+    sum other than 2, 3 or 4 is kept as a power.
 
     bindings, a map from symbols to values, is applied at the leaves: a
     bound symbol is the polynomial of its value's expansion.  The result
     equals expand(substitute(e, bindings)) in value, and has its tree
     wherever substitution neither merges operands of e nor reorders the
-    factors of a product whose Pythagorean merges depend on their order,
-    as in the covariant lift.  Given the symbol clear, every term is
-    multiplied by clear^kappa, kappa the least power that leaves no term
-    with a negative power of clear, before any node is built.
+    factors of a product whose partial products hold Pythagorean pairs
+    (which pairs a partial sum holds depends on which factors came
+    first), as in the covariant lift.  Given the symbol clear, every term
+    is multiplied by clear^kappa, kappa the least power that leaves no
+    term with a negative power of clear, before any node is built.
 
     Raises UnsupportedOperation before a product of polynomials whose term
     counts multiply to more than MAX_EXPANSION_TERMS.
@@ -1461,19 +1420,49 @@ class _Tokenizer:
                 i += 1
         if i == start:
             raise ParseError("expected number", start)
+        if i - start > _SHORT_DIGITS \
+                and i - start - ("." in t[start:i]) > _digit_limit():
+            raise ParseError(f"constant exceeds {_digit_limit()} digits",
+                             start)
         self.pos = i
         return Fraction(t[start:i])
 
 
 # Input limits: deeper nesting would exhaust the interpreter's stack in the
 # recursive parser, constructors and tree walks (compile_numeric emits flat
-# code, so it has no parenthesis limit); larger exponents build constants too
-# big to hold or floats that overflow; the oracle expands no residual beyond
-# MAX_EXPANSION_TERMS, as a product of sums grows exponentially when expanded.
+# code, so it has no parenthesis limit); larger exponents build floats that
+# overflow; the oracle expands no residual beyond MAX_EXPANSION_TERMS, as a
+# product of sums grows exponentially when expanded.  A parsed constant has
+# at most _digit_limit() digits in its numerator and its denominator, so
+# that it can be printed and compiled.
 MAX_NESTING = 32
 MAX_EXPONENT = 1000
-MAX_CONST_BITS = 1 << 16
 MAX_EXPANSION_TERMS = 10_000
+
+
+def _digit_limit() -> int:
+    """The digits int/str conversion allows (sys.set_int_max_str_digits),
+    or its default where the limit is off; never below _SHORT_DIGITS."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+# the least limit sys.set_int_max_str_digits takes (640)
+_SHORT_DIGITS = sys.int_info.str_digits_check_threshold
+
+
+def _bounded(e: Expr, pos: int) -> Expr:
+    """e, refused if the numerator or denominator of the coefficient of a
+    term has more digits than _digit_limit() allows."""
+    for t in (e.terms if type(e) is Add else (e,)):
+        c = t.factors[0] if type(t) is Mul else t
+        if type(c) is Const:
+            n = max(abs(c.value.numerator), c.value.denominator)
+            # an n of 3*k bits or fewer is below 8^k < 10^k: k digits at most
+            if n.bit_length() > 3 * _SHORT_DIGITS \
+                    and n >= 10 ** _digit_limit():
+                raise ParseError(f"constant exceeds {_digit_limit()} digits",
+                                 pos)
+    return e
 
 
 def _check_power(base: Expr, exp: int | Fraction, pos: int) -> None:
@@ -1482,12 +1471,14 @@ def _check_power(base: Expr, exp: int | Fraction, pos: int) -> None:
         raise ParseError(f"exponent numerator exceeds {MAX_EXPONENT}", pos)
     if isinstance(base, Const) and exp < 0 and base.value == 0:
         raise ParseError("division by zero", pos)
-    if isinstance(base, Const) and exp.denominator == 1:
-        v = base.value
-        bits = max(v.numerator.bit_length(), v.denominator.bit_length())
-        if bits * abs(exp.numerator) > MAX_CONST_BITS:
-            raise ParseError(f"constant power exceeds {MAX_CONST_BITS} bits",
-                             pos)
+    c = base.factors[0] if type(base) is Mul else base
+    if type(c) is Const and exp.denominator == 1:
+        # the power of base's coefficient has a numerator or denominator
+        # of 2^((bits - 1)*|exp|) or more, over 10^limit from 4*limit on:
+        # refused before it is computed
+        bits = max(abs(c.value.numerator), c.value.denominator).bit_length()
+        if (bits - 1) * abs(exp.numerator) >= 4 * _digit_limit():
+            raise ParseError(f"constant exceeds {_digit_limit()} digits", pos)
 
 
 class _Parser:
@@ -1523,7 +1514,8 @@ class _Parser:
             t = self.term()
             terms.append(t if op == "+" else mul(Const(-1), t))
         self.depth -= 1
-        return terms[0] if len(terms) == 1 else add(*terms)
+        return terms[0] if len(terms) == 1 \
+            else _bounded(add(*terms), self.tok.pos)
 
     def term(self) -> Expr:
         factors = [self.factor()]
@@ -1536,7 +1528,8 @@ class _Parser:
                 _check_power(f, Fraction(-1), pos)
                 f = pow_(f, -1)
             factors.append(f)
-        return factors[0] if len(factors) == 1 else mul(*factors)
+        return factors[0] if len(factors) == 1 \
+            else _bounded(mul(*factors), self.tok.pos)
 
     def factor(self) -> Expr:
         base = self.base()
@@ -1545,7 +1538,7 @@ class _Parser:
             pos = self.tok.pos
             exp = self.exponent()
             _check_power(base, exp, pos)
-            return pow_(base, exp)
+            return _bounded(pow_(base, exp), pos)
         return base
 
     def exponent(self) -> int | Fraction:

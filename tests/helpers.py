@@ -131,8 +131,9 @@ def reference_prolongation(field: VectorField, theta: ex.Expr) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Reference sum and product constructors: the kernel's add and mul as they
-# were when like terms and like bases were collected under their sort keys.
+# Reference sum and product constructors: add and mul with like terms and
+# like bases collected under their sort keys, Pythagorean pairs merged in
+# sort-key order, and a power base raised to an integer collected again.
 # They pin the canonical forms that the node-keyed constructors must give.
 
 
@@ -152,42 +153,39 @@ def reference_split_coeff(term: ex.Expr):
 def reference_pythagorean_merge(monos: dict):
     """In-place merge of matching c*f*sin(a)^2 and c*f*cos(a)^2 terms.
 
-    `monos` maps sort-key -> [monomial-or-None, coefficient].
+    `monos` maps sort-key -> [monomial-or-None, coefficient].  The
+    monomials are walked in sort-key order: each round merges the first
+    cos monomial that has a partner with the first of its sin partners.
     """
-    changed = True
-    while changed:
-        changed = False
-        sin_index = {}
-        for key, (mono, coeff) in monos.items():
-            if mono is None or coeff == 0:
-                continue
+    while True:
+        live = sorted(key for key, (mono, coeff) in monos.items()
+                      if mono is not None and coeff != 0)
+        sin_index = {}  # (arg key, cofactor key, coeff) -> sin key
+        for key in live:
+            mono, coeff = monos[key]
             for arg, rest in ex._trig_square_candidates(mono, "sin"):
                 rk = None if rest is None else rest.sort_key()
-                sin_index[(arg.sort_key(), rk, coeff)] = (key, rest)
-        if not sin_index:
-            return
-        for key, (mono, coeff) in list(monos.items()):
-            if mono is None or coeff == 0:
-                continue
+                sin_index[(arg.sort_key(), rk, coeff)] = key
+        hits = []
+        for key in live:
+            mono, coeff = monos[key]
             for arg, rest in ex._trig_square_candidates(mono, "cos"):
                 rk = None if rest is None else rest.sort_key()
-                hit = sin_index.get((arg.sort_key(), rk, coeff))
-                if hit is None:
-                    continue
-                skey, srest = hit
-                if skey == key:
-                    continue
-                monos[skey][1] = 0
-                monos[key][1] = 0
-                tgt = None if rest is None else rest.sort_key()
-                if tgt in monos:
-                    monos[tgt][1] += coeff
-                else:
-                    monos[tgt] = [rest, coeff]
-                changed = True
+                skey = sin_index.get((arg.sort_key(), rk, coeff))
+                if skey is not None:
+                    hits.append((skey, rest, coeff))
+            if hits:
                 break
-            if changed:
-                break
+        if not hits:
+            return
+        skey, rest, coeff = min(hits, key=lambda h: h[0])
+        monos[skey][1] = 0
+        monos[key][1] = 0
+        tgt = None if rest is None else rest.sort_key()
+        if tgt in monos:
+            monos[tgt][1] += coeff
+        else:
+            monos[tgt] = [rest, coeff]
 
 
 def reference_add(*terms) -> ex.Expr:
@@ -263,8 +261,12 @@ def reference_mul(*factors) -> ex.Expr:
         if exp == 0:
             continue
         out.append(base if exp == 1 else ex.pow_(base, exp))
-    # pow_ may have folded, e.g. into constants or nested products
-    if any(isinstance(f, (ex.Mul, ex.Const)) for f in out):
+    # pow_ may have folded, e.g. into constants or nested products, and a
+    # power base raised to an integer is a power of its own base, which
+    # may be collected already
+    if any(isinstance(f, (ex.Mul, ex.Const)) for f in out) or any(
+            isinstance(base, ex.Pow) and exp != 0 and exp.denominator == 1
+            for base, exp in powers.values()):
         return reference_mul(ex.Const(const), *out)
     if not out:
         return ex.Const(const)

@@ -176,7 +176,12 @@ class TestCovariant:
         "u_xx + x^(1/0)",
         "(" * 3000 + "u_xx" + ")" * 3000,
         "u_xx + x^(10^50)",
-    ], ids=["zero-division", "deep-nesting", "huge-exponent"])
+        # constants with more digits than str() converts
+        "u_xx*(2^1000)^16 + u_yy",
+        "u_xx*" + "*".join(["2^1000"] * 15),
+        "u_xx*" + "7" * 4400,
+    ], ids=["zero-division", "deep-nesting", "huge-exponent",
+            "long-power", "long-product", "long-literal"])
     def test_malformed_input_is_one_error_line(self, tmp_path, capsys, lhs):
         f = tmp_path / "pde.txt"
         f.write_text(f"coords: x, y; dep: u\nlhs: {lhs}\n")

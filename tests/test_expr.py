@@ -2,6 +2,7 @@
 
 import gc
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -533,6 +534,24 @@ class TestParseRender:
         for text in (f"x^{ex.MAX_EXPONENT + 1}", "x^(10^50)",
                      "((2^1000)^1000)^1000"):
             with pytest.raises(ParseError):
+                SP.parse(text)
+
+    def test_parse_constant_digit_bound(self):
+        # every parsed constant can be printed: a literal, a power, a folded
+        # product or a sum with more digits than str() allows is refused
+        limit = sys.get_int_max_str_digits()
+        assert SP.parse("7" * limit) == ex.Const(int("7" * limit))
+        assert len(ex.render(SP.parse("0." + "0" * (limit - 2) + "1"))) \
+            == limit + 2
+        assert SP.parse("u_xx*" + "*".join(["2^1000"] * 14)) \
+            == ex.mul(2 ** 14000, SP.parse("u_xx"))
+        for text in ("u_xx*(2^1000)^16 + u_yy",
+                     "u_xx*" + "*".join(["2^1000"] * 15),
+                     "u_xx*" + "7" * (limit + 100),
+                     "0." + "0" * (limit - 1) + "1",
+                     "(2^1000*x)^16",
+                     "9" * limit + " + 1"):
+            with pytest.raises(ParseError, match=f"exceeds {limit} digits"):
                 SP.parse(text)
 
     def test_parse_trailing_garbage(self):

@@ -4,23 +4,26 @@ The sum and product constructors collect like terms and like bases under
 the nodes themselves, whose hashes are cached.  These tests hold the trees
 they build against reference constructors that collect under sort keys
 (tests/helpers.py), on criterion 9's random expressions, the lifted
-covariant forms of the benchmark's covariant round trip and Pythagorean
-and rational-coefficient sums.  The sparse-polynomial expansion and the
-one-fold lift are held against the pairwise expansion and the lift built
-on it (reference_expand, reference_lift) on the same corpora, on products
-where mul and add do more than add exponents, and on seeded random
-products of those.  The compiled gradient, which shares adjoints and
-takes a requested set of symbols, is held against the reference reverse
-sweep (reference_adjoints) on the lifted forms and the kernel benchmark's
-corpus, and the evaluators whose constants and symbol names are
-parameters against the source with inline literals (reference_codegen),
-on the same corpus, with one code object per expression shape.  They
-also pin what makes identity cheap: symbols and nodes carry no instance
-dict, a jet space hands out one symbol object per jet variable, and a
-symbol cannot be altered.
+covariant forms of the benchmark's covariant round trip, Pythagorean and
+rational-coefficient sums and the products below.  add and mul give one
+tree for every order of their operands: a sum whose Pythagorean pairs
+overlap, and seeded products whose power bases fold into bases collected
+already.  The sparse-polynomial expansion and the one-fold lift are held
+against the pairwise expansion and the lift built on it (reference_expand,
+reference_lift) on the same corpora, on products where mul and add do more
+than add exponents, and on seeded random products of those.  The compiled
+gradient, which shares adjoints and takes a requested set of symbols, is
+held against the reference reverse sweep (reference_adjoints) on the
+lifted forms and the kernel benchmark's corpus, and the evaluators whose
+constants and symbol names are parameters against the source with inline
+literals (reference_codegen), on the same corpus, with one code object per
+expression shape.  They also pin what makes identity cheap: symbols and
+nodes carry no instance dict, a jet space hands out one symbol object per
+jet variable, and a symbol cannot be altered.
 """
 
 import copy
+import itertools
 import pickle
 import random
 import re
@@ -66,11 +69,12 @@ PYTHAGOREAN_AND_RATIONAL = [
     "(3/5)*u_x^(1/2)*u_x^(1/2) + (2/5)*u_x - u_x",
     "x^(2/3)*x^(1/3)*(1/x) + 2^(1/2)*2^(1/2)",
     "(u_x + u_y)*(u_x - u_y)/(u_x^2 - u_y^2)",
+    "sin(x)^2*cos(x)^2 + cos(x)^4 + sin(x)^4",
 ]
 # products where mul or add does more than add exponents: a shared
-# constant, product or power base, a bare sum, a base that mul leaves
-# unmerged, partial sums that cancel, and Pythagorean pairs that merge
-# partway through a product, in an order that decides the tree
+# constant, product or power base, a bare sum, a power base whose exponents
+# sum to an integer, partial sums that cancel, and Pythagorean pairs that
+# merge partway through a product
 FOLD_CASES = [
     "(x + y)^(1/2)*(x + y)^(1/2)*u_x",
     "((x + y)^(1/2) + 1)*((x + y)^(1/2) - 1)*u_x",
@@ -91,11 +95,15 @@ FOLD_CASES = [
     "(sin(x)*u + cos(x))*(sin(x)*u - cos(x))*(sin(x) + 1)",
     "(1/8)*x^3*sin(y)^3*(cos(x)^2 + 2*cos(x)^4)"
     "*(cos(x)^4 + sin(x)^4 + (1/2)*sin(x)^2)",
+    "x*(x^2)^(1/2)*(x^2)^(1/2)*u",
 ]
 PRODUCT_ATOMS = ["x", "u", "u_x", "(x + y)^(1/2)", "2^(1/2)", "(x*y)^(1/2)",
                  "(x + 1)^5", "(x + 1)^(-1)", "(x^2)^(1/2)", "sin(x)",
                  "cos(x)", "sin(x)^2", "cos(x)^2"]
 RANDOM_PRODUCTS = 3000
+# factors of the products whose operand order must not matter
+ORDER_ATOMS = ["sin(x)", "cos(x)", "u", "x", "(x^2)^(1/2)", "sin(x + y)",
+               "cos(x + y)"]
 
 
 def _same(ref, new):
@@ -204,6 +212,14 @@ class TestReferenceCanonicalForms:
         assert ex.render(new[0]) == "(1/2)*u_x"
         assert new[1] == ex.ONE
 
+    def test_fold_cases(self, monkeypatch):
+        with monkeypatch.context() as m:
+            use_reference_constructors(m)
+            ref = _parsed(FOLD_CASES)
+        new = _parsed(FOLD_CASES)
+        _same(ref, new)
+        assert ex.render(new[-1]) == "u*x^3"
+
 
 class TestReferenceExpansion:
     @pytest.mark.parametrize("seed", [61, 97])
@@ -227,18 +243,19 @@ class TestReferenceExpansion:
     def test_fold_cases_expand(self):
         # the listed cases do what mul and add do: a bare sum is
         # distributed, a sum raised to 1 inside a product is not, a power
-        # of 2 folds into the coefficient, and a base mul leaves unmerged
-        # stays so in a term with coefficient 1
+        # of 2 folds into the coefficient, and a power base raised to 1
+        # merges with its own base, with any coefficient
         got = dict(zip(FOLD_CASES, map(ex.render, map(ex.expand,
                                                       _parsed(FOLD_CASES)))))
         assert got[FOLD_CASES[0]] == "x*u_x + y*u_x"
         assert got[FOLD_CASES[1]] == "-u_x + u_x*(x + y)"
         assert got[FOLD_CASES[3]] == "2 + 2*u_x^2 + 4*u_x"
-        assert "x*u*x^2" in got[FOLD_CASES[9]]
+        assert "u*x^3" in got[FOLD_CASES[9]] and "2*x^3" in got[FOLD_CASES[9]]
         assert got[FOLD_CASES[11]] == "x + y + x*u + y*u"
         assert got[FOLD_CASES[12]] == got[FOLD_CASES[13]] == "0"
         assert got[FOLD_CASES[14]] == "1 + u + 2*u*cos(x)*sin(x)" \
                                       " + 2*cos(x)*sin(x)"
+        assert got[FOLD_CASES[-1]] == "u*x^3"
 
     def test_random_products(self):
         exprs = _random_products()
@@ -261,6 +278,36 @@ class TestReferenceExpansion:
         assert len(seen) == 457
         _same([reference_expand(e) for e in seen],
               [ex.expand(e) for e in seen])
+
+
+def _order_products():
+    """Seeded lists of 2 to 5 factors over ORDER_ATOMS, each raised to 1, 2
+    or 1/2."""
+    atoms = _parsed(ORDER_ATOMS)
+    rng = random.Random(RANDOM_PRODUCTS)
+    return [[ex.pow_(rng.choice(atoms), rng.choice((1, 2, Fraction(1, 2))))
+             for _ in range(rng.randint(2, 5))]
+            for _ in range(RANDOM_PRODUCTS)]
+
+
+class TestOperandOrder:
+    """add and mul build one tree whatever the order of their operands."""
+
+    def test_pythagorean_sum(self):
+        terms = _parsed(["sin(x)^2*cos(x)^2", "cos(x)^4", "sin(x)^4"])
+        got = {structure(ex.add(*p)) for p in itertools.permutations(terms)}
+        assert len(got) == 1
+        assert ex.add(*terms) == _parsed(["cos(x)^2 + sin(x)^4"])[0]
+
+    def test_products(self):
+        for factors in _order_products():
+            product = ex.mul(*factors)
+            want = structure(product)
+            for p in itertools.permutations(factors):
+                assert structure(ex.mul(*p)) == want, factors
+            # collecting a collected product again changes nothing
+            assert structure(ex.mul(2, product)) == \
+                structure(ex.mul(2, *factors)), factors
 
 
 def _gradient_corpus():
