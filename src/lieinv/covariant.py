@@ -115,34 +115,29 @@ def wspace_for(space: JetSpace) -> JetSpace:
 
 def implicit_first(wspace: JetSpace, dep_coord: str) -> Dict[ex.Symbol, ex.Expr]:
     """Substitutions u_a -> -w_a / w_n for all independent a."""
-    wn = ex.Sym(wspace.jet(dep_coord))
+    wn = wspace.jet(dep_coord)
     out = {}
     for a in wspace.coords:
         if a == dep_coord:
             continue
         # the split dependent variable is named after the z-coordinate
         ua = ex.jet_symbol(dep_coord, (a,))
-        out[ua] = ex.mul(ex.Const(-1), ex.Sym(wspace.jet(a)), ex.pow_(wn, -1))
+        out[ua] = ex.mul(ex.Const(-1), wspace.jet(a), ex.pow_(wn, -1))
     return out
 
 
 def implicit_second(wspace: JetSpace, dep_coord: str) -> Dict[ex.Symbol, ex.Expr]:
     """Substitutions for u_ab by implicit differentiation of w = 0."""
-    wn = ex.Sym(wspace.jet(dep_coord))
+    wn, wnn = wspace.jet(dep_coord), wspace.jet(dep_coord, dep_coord)
     out = {}
     indep = [c for c in wspace.coords if c != dep_coord]
     for i, a in enumerate(indep):
         for b in indep[i:]:
-            wa = ex.Sym(wspace.jet(a))
-            wb = ex.Sym(wspace.jet(b))
-            wab = ex.Sym(wspace.jet(a, b))
-            wna = ex.Sym(wspace.jet(dep_coord, a))
-            wnb = ex.Sym(wspace.jet(dep_coord, b))
-            wnn = ex.Sym(wspace.jet(dep_coord, dep_coord))
+            wa, wb = wspace.jet(a), wspace.jet(b)
             val = ex.add(
-                ex.mul(ex.Const(-1), wab, ex.pow_(wn, -1)),
-                ex.mul(wna, wb, ex.pow_(wn, -2)),
-                ex.mul(wnb, wa, ex.pow_(wn, -2)),
+                ex.mul(ex.Const(-1), wspace.jet(a, b), ex.pow_(wn, -1)),
+                ex.mul(wspace.jet(dep_coord, a), wb, ex.pow_(wn, -2)),
+                ex.mul(wspace.jet(dep_coord, b), wa, ex.pow_(wn, -2)),
                 ex.mul(ex.Const(-1), wa, wb, wnn, ex.pow_(wn, -3)),
             )
             out[ex.jet_symbol(dep_coord, (a, b))] = val
@@ -171,7 +166,7 @@ def lift(pde: ScalarPDE, wspace: JetSpace) -> ex.Expr:
     dep = pde.space.dep
     subs = dict(_implicit(wspace, dep))
     # the old dependent u becomes the base coordinate z^n = u
-    subs[pde.space.jet()] = ex.Sym(wspace.base(dep))
+    subs[pde.space.jet()] = wspace.base(dep)
     return ex.expand(pde.lhs, subs, clear=wspace.jet(dep))
 
 
@@ -184,7 +179,7 @@ def to_covariant(pde: ScalarPDE, cfg: nm.SamplerConfig = nm.SamplerConfig()
 
 def euler_operator(wspace: JetSpace, k: int = 0) -> FirstOrderOperator:
     """D - k, with D = sum_i w_i d/dw_i + sum_{i<=j} w_ij d/dw_ij."""
-    coeffs = {s: ex.Sym(s) for s in wspace.jet_symbols() if s.order >= 1}
+    coeffs = {s: s for s in wspace.jet_symbols() if s.order >= 1}
     coeffs[None] = ex.Const(-k)
     return FirstOrderOperator(coeffs)
 
@@ -193,8 +188,7 @@ def rescale_operators(wspace: JetSpace) -> List[FirstOrderOperator]:
     """[R_j for j in wspace.coords], R_j = sum_i (1 + delta_ij) w_i d/dw_ij."""
     coords = wspace.coords
     return [FirstOrderOperator({
-        wspace.jet(i, j): ex.mul(ex.Const(2 if i == j else 1),
-                                 ex.Sym(wspace.jet(i)))
+        wspace.jet(i, j): ex.mul(ex.Const(2 if i == j else 1), wspace.jet(i))
         for i in coords}) for j in coords]
 
 
@@ -256,19 +250,19 @@ def rescale_invariance_check(e: ex.Expr, wspace: JetSpace,
 def J_invariants(wspace: JetSpace, dep_coord: str
                  ) -> Tuple[Dict[str, ex.Expr], Dict[Tuple[str, str], ex.Expr]]:
     """Normalized rescale invariants J~_i = w_i/w_n, J~_ij = J_ij / w_n^3."""
-    wn = ex.Sym(wspace.jet(dep_coord))
+    wn = wspace.jet(dep_coord)
     first = {}
     second = {}
     coords = wspace.coords
     for i in coords:
-        first[i] = ex.mul(ex.Sym(wspace.jet(i)), ex.pow_(wn, -1))
+        first[i] = ex.mul(wspace.jet(i), ex.pow_(wn, -1))
     for a, i in enumerate(coords):
         for j in coords[a + 1:]:
-            wi, wj = ex.Sym(wspace.jet(i)), ex.Sym(wspace.jet(j))
+            wi, wj = wspace.jet(i), wspace.jet(j)
             jij = ex.add(
-                ex.mul(ex.pow_(wi, 2), ex.Sym(wspace.jet(j, j))),
-                ex.mul(ex.pow_(wj, 2), ex.Sym(wspace.jet(i, i))),
-                ex.mul(ex.Const(-2), wi, wj, ex.Sym(wspace.jet(i, j))),
+                ex.mul(ex.pow_(wi, 2), wspace.jet(j, j)),
+                ex.mul(ex.pow_(wj, 2), wspace.jet(i, i)),
+                ex.mul(ex.Const(-2), wi, wj, wspace.jet(i, j)),
             )
             second[(i, j)] = ex.mul(jij, ex.pow_(wn, -3))
     return first, second
@@ -286,16 +280,15 @@ def normalized_section(wspace: JetSpace, split: JetSpace
         wspace.jet(): ex.ZERO,
         wspace.jet(dep): ex.ONE,
         wspace.jet(dep, dep): ex.ZERO,
-        wspace.base(dep): ex.Sym(split.jet()),
+        wspace.base(dep): split.jet(),
     }
     indep = split.coords
     for a in indep:
-        subs[wspace.jet(a)] = ex.mul(ex.Const(-1), ex.Sym(split.jet(a)))
+        subs[wspace.jet(a)] = ex.mul(ex.Const(-1), split.jet(a))
         subs[wspace.jet(dep, a)] = ex.ZERO
     for i, a in enumerate(indep):
         for b in indep[i:]:
-            subs[wspace.jet(a, b)] = ex.mul(ex.Const(-1),
-                                            ex.Sym(split.jet(a, b)))
+            subs[wspace.jet(a, b)] = ex.mul(ex.Const(-1), split.jet(a, b))
     return subs
 
 

@@ -3,9 +3,10 @@
 Expressions are trees over exact rational constants, symbols (coordinates,
 jet variables, parameters), sums, products, rational powers, the elementary
 functions exp/log/sin/cos, and opaque function applications used as template
-slots.  Every constructor canonicalizes: sums and products are flattened,
-constants folded exactly, like terms and like powers collected, and operands
-sorted by a fixed total order, so structurally equal trees compare equal.
+slots; a symbol is itself a leaf node.  Every constructor canonicalizes:
+sums and products are flattened, constants folded exactly, like terms and
+like powers collected, and operands sorted by a fixed total order, so
+structurally equal trees compare equal.
 
 Exact rationals are normalized: `Const.value` and `Pow.exp` are a Python
 `int` when integral and a `Fraction` otherwise, so
@@ -27,12 +28,13 @@ once per call.  A node's free symbols follow one rule over its operands.
 Expansion folds to sparse polynomials (coefficient and power map per term)
 and builds the canonical sum once, at the end.
 
-Node identity is cheap.  Nodes and symbols are slotted, with no instance
-dict; a node caches its sort key and the hash of that key on first use,
-and a symbol computes its hash when it is made.  `add` and `mul` collect
-like terms and like bases in dicts keyed by the nodes themselves, so a
-lookup hashes no nested key tuple.  A JetSpace builds each of its jet
-symbols once and hands out that one object.
+Node identity is cheap.  Nodes are slotted, with no instance dict; a node
+caches its sort key and the hash of that key on first use.  A symbol is its
+own leaf node, whose key and hash are set when it is made, so a tree, a
+binding, a free set and an operator's coefficients all hold the one object.
+`add` and `mul` collect like terms and like bases in dicts keyed by the
+nodes themselves, so a lookup hashes no nested key tuple.  A JetSpace
+builds each of its jet symbols once and hands out that one object.
 """
 
 from __future__ import annotations
@@ -60,65 +62,6 @@ JET = "jet"
 PARAM = "param"
 
 
-class Symbol:
-    """A named leaf: base coordinate, jet variable, or parameter.
-
-    Jet variables carry the dependent name and a sorted multi-index of
-    coordinate names (length 0..2); u itself is the jet variable with the
-    empty index.  Immutable: equal fields make equal symbols, and the hash
-    is computed once, when the symbol is made.
-    """
-
-    __slots__ = ("name", "kind", "dep", "index", "_hash")
-
-    def __init__(self, name: str, kind: str = BASE,
-                 dep: Optional[str] = None, index: tuple = ()):
-        init = object.__setattr__
-        init(self, "name", name)
-        init(self, "kind", kind)
-        init(self, "dep", dep)
-        init(self, "index", index)
-        init(self, "_hash", hash((name, kind, dep, index)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot set {name!r} of an immutable Symbol "
-                             f"to {value!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r} of an immutable Symbol")
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not Symbol:
-            return NotImplemented
-        return (self._hash == other._hash and self.name == other.name
-                and self.kind == other.kind and self.dep == other.dep
-                and self.index == other.index)
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, which alone sets slots
-        return (Symbol, (self.name, self.kind, self.dep, self.index))
-
-    @property
-    def order(self) -> int:
-        return len(self.index) if self.kind == JET else 0
-
-    def __repr__(self):
-        return f"Symbol({self.name!r})"
-
-
-def jet_symbol(dep: str, index: Sequence[str]) -> Symbol:
-    idx = tuple(sorted(index))
-    if len(idx) > 2:
-        raise UnsupportedOperation(f"jet order {len(idx)} > 2 for {dep}")
-    name = dep if not idx else dep + "_" + "".join(idx)
-    return Symbol(name, JET, dep=dep, index=idx)
-
-
 # ---------------------------------------------------------------------------
 # Expression nodes
 
@@ -130,7 +73,8 @@ class Expr:
     __init__ sets itself (no super() call on the hot path): the sort key,
     its hash, the free symbols and the compiled [value, gradient]
     evaluators, to which denominator_symbols appends the node's
-    denominator symbols.
+    denominator symbols.  A Symbol sets its key and hash when it is
+    made.
     """
 
     __slots__ = ("_key", "_hash", "_free", "_fns")
@@ -181,11 +125,10 @@ class Expr:
         return h
 
     def free_symbols(self) -> frozenset:
-        """A Sym's own symbol, one operand's set shared, else the union."""
+        """One operand's set, shared, else the union of the operands'."""
         if self._free is None:
             kids = _OPERANDS[type(self)](self)
-            self._free = (frozenset((self.symbol,)) if type(self) is Sym
-                          else kids[0].free_symbols() if len(kids) == 1
+            self._free = (kids[0].free_symbols() if len(kids) == 1
                           else _union([k.free_symbols() for k in kids]))
         return self._free
 
@@ -226,20 +169,72 @@ ZERO = Const(0)
 ONE = Const(1)
 
 
-class Sym(Expr):
-    __slots__ = ("symbol",)
+class Symbol(Expr):
+    """A named leaf: base coordinate, jet variable, or parameter.
 
-    def __init__(self, symbol: Symbol):
-        self._key = self._hash = self._free = self._fns = None
-        self.symbol = symbol
+    Jet variables carry the dependent name and a sorted multi-index of
+    coordinate names (length 0..2); u itself is the jet variable with the
+    empty index.  A symbol is its own node: the same object is a leaf of
+    trees, a key of bindings, free sets and operator coefficients, and the
+    variable of diff.  Immutable: its sort key and the hash of that key
+    are set when it is made, so equal keys make equal symbols; only the
+    evaluator cache is filled in later, as on every node.
+    """
 
-    def _make_key(self):
-        s = self.symbol
-        if s.kind == BASE:
-            return (1, s.name)
-        if s.kind == PARAM:
-            return (2, s.name)
-        return (3, s.dep, len(s.index), s.index)
+    __slots__ = ("name", "kind", "dep", "index")
+
+    def __init__(self, name: str, kind: str = BASE,
+                 dep: Optional[str] = None, index: tuple = ()):
+        key = ((1, name) if kind == BASE else (2, name) if kind == PARAM
+               else (3, dep, len(index), index))
+        init = object.__setattr__
+        init(self, "name", name)
+        init(self, "kind", kind)
+        init(self, "dep", dep)
+        init(self, "index", index)
+        init(self, "_key", key)
+        init(self, "_hash", hash(key))
+        init(self, "_free", None)
+        init(self, "_fns", None)
+
+    def __setattr__(self, name, value):
+        if name != "_fns":
+            raise AttributeError(f"cannot set {name!r} of an immutable "
+                                 f"Symbol to {value!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r} of an immutable Symbol")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which alone sets slots
+        return (Symbol, (self.name, self.kind, self.dep, self.index))
+
+    def free_symbols(self) -> frozenset:
+        """The set of the symbol itself, made on each call: kept on the
+        symbol, it would be a reference cycle, which holds a dropped
+        symbol and its evaluators until the cyclic collector runs."""
+        return frozenset((self,))
+
+    @property
+    def order(self) -> int:
+        return len(self.index) if self.kind == JET else 0
+
+    def __repr__(self):
+        return f"Symbol({self.name!r})"
+
+
+def Sym(symbol: Symbol) -> Symbol:
+    """The symbol itself, which is its own leaf node."""
+    return symbol
+
+
+def jet_symbol(dep: str, index: Sequence[str]) -> Symbol:
+    idx = tuple(sorted(index))
+    if len(idx) > 2:
+        raise UnsupportedOperation(f"jet order {len(idx)} > 2 for {dep}")
+    name = dep if not idx else dep + "_" + "".join(idx)
+    return Symbol(name, JET, dep=dep, index=idx)
 
 
 class Pow(Expr):
@@ -307,8 +302,6 @@ class Mul(Expr):
 def as_expr(x) -> Expr:
     if isinstance(x, Expr):
         return x
-    if isinstance(x, Symbol):
-        return Sym(x)
     if isinstance(x, (int, Fraction)):
         return Const(x)
     raise TypeError(f"cannot convert {x!r} to Expr")
@@ -529,7 +522,7 @@ def applied(head: str, args: Iterable) -> Expr:
 # rebuilds a node of that type from new operands.
 _OPERANDS = {
     Const: lambda x: (),
-    Sym: lambda x: (),
+    Symbol: lambda x: (),
     Add: lambda x: x.terms,
     Mul: lambda x: x.factors,
     Pow: lambda x: (x.base,),
@@ -564,12 +557,12 @@ def _union(sets: Sequence[frozenset]) -> frozenset:
 
 def _nothing_at_leaf(x: Expr) -> Optional[frozenset]:
     """A leaf holds no set member; the stop of a _fold that collects sets."""
-    return _EMPTY if type(x) is Const or type(x) is Sym else None
+    return _EMPTY if type(x) is Const or type(x) is Symbol else None
 
 
 def _leaf(x: Expr) -> Optional[Expr]:
     """A leaf folds to itself; for use as the stop of a _fold."""
-    return x if type(x) is Const or type(x) is Sym else None
+    return x if type(x) is Const or type(x) is Symbol else None
 
 
 def _fold(e: Expr, visit: Callable, stop: Callable,
@@ -625,7 +618,7 @@ def diff(e: Expr, s: Symbol) -> Expr:
 
     def visit(x, kids):
         t = type(x)
-        if t is Sym:
+        if t is Symbol:
             return ONE
         if t is Add:
             return add(*kids)
@@ -655,7 +648,7 @@ def substitute(e: Expr, bindings: Mapping[Symbol, Expr]) -> Expr:
         return e
 
     def stop(x):
-        r = bindings.get(x.symbol) if type(x) is Sym else None
+        r = bindings.get(x) if type(x) is Symbol else None
         return _leaf(x) if r is None else as_expr(r)
 
     return _fold(e, _construct, stop)
@@ -890,7 +883,7 @@ class _Expansion:
             return out
         if t is Const:
             return [(_UNIT, x.value)] if x.value != 0 else []
-        if t is Sym:
+        if t is Symbol:
             return self.terms(x)
         return self.terms(_construct(x, [self.node(k) for k in kids]))
 
@@ -925,16 +918,16 @@ def expand(e: Expr, bindings: Optional[Mapping[Symbol, Expr]] = None,
     values = {}  # bound symbol -> the polynomial of its value
 
     def stop(x):
-        if type(x) is not Sym or not bindings or x.symbol not in bindings:
+        if type(x) is not Symbol or not bindings or x not in bindings:
             return None
-        got = values.get(x.symbol)
+        got = values.get(x)
         if got is None:
-            got = values[x.symbol] = _fold(as_expr(bindings[x.symbol]),
-                                           poly.visit, lambda y: None)
+            got = values[x] = _fold(as_expr(bindings[x]), poly.visit,
+                                    lambda y: None)
         return got
 
     out = _fold(e, poly.visit, stop)
-    i = poly.ids.get(Sym(clear)) if clear is not None else None
+    i = poly.ids.get(clear) if clear is not None else None
     if i is not None:
         kappa = -min([0] + [sum([int(x) for j, x in k if j == i])
                             for k, _ in out])
@@ -1017,9 +1010,8 @@ def _num_exp(x: float) -> float:
 
 
 def _literal(v: int | Fraction) -> str:
-    if v.denominator == 1:
-        return f"({v.numerator})"
-    return f"({v.numerator}/{v.denominator})"
+    """The source text of a rational constant: its rendering, in parens."""
+    return f"({_render_const(v)})"
 
 
 JOIN_LIMIT = 256  # the compiler recurses once per operand of a + b + ...
@@ -1094,8 +1086,8 @@ def _codegen(e: Expr, wrt: Optional[tuple] = None) -> tuple:
 
     def visit(x, kids):
         t = type(x)
-        if t is Sym:
-            src = f"a[{param(repr(x.symbol.name), x.symbol.name)}]"
+        if t is Symbol:
+            src = f"a[{param(repr(x.name), x.name)}]"
         elif t is Add:
             src = _join("+", kids, lines)
         elif t is Mul:
@@ -1155,8 +1147,8 @@ def _adjoints(refs: dict, wrt: frozenset, lines: list,
         else:
             d = "d" + refs[x][1:]
             lines.append(f"  {d}={_join('+', parts, lines)}")
-        if isinstance(x, Sym):
-            out[x.symbol] = d
+        if isinstance(x, Symbol):
+            out[x] = d
             continue
         if isinstance(x, Add):
             kids = [(t, d) for t in x.terms]
@@ -1296,9 +1288,16 @@ def compile_gradient(e: Expr, wrt: Optional[Iterable] = None):
 
 
 def _render_const(v: int | Fraction) -> str:
-    if v.denominator == 1:
-        return str(v.numerator)
-    return f"{v.numerator}/{v.denominator}"
+    """The text n or n/d of a rational, for rendering and for codegen;
+    UnsupportedOperation where int/str conversion refuses a part as too
+    long, as for a constant the engine built from parsed ones."""
+    try:
+        if v.denominator == 1:
+            return str(v.numerator)
+        return f"{v.numerator}/{v.denominator}"
+    except ValueError:
+        raise UnsupportedOperation(
+            f"constant exceeds {_digit_limit()} digits") from None
 
 
 def _needs_parens_in_mul(x: Expr) -> bool:
@@ -1308,7 +1307,7 @@ def _needs_parens_in_mul(x: Expr) -> bool:
 def _render_power(x: Pow) -> str:
     base = x.base
     bs = render(base)
-    if not isinstance(base, (Sym, Func, Applied)):
+    if not isinstance(base, (Symbol, Func, Applied)):
         bs = f"({bs})"
     e = x.exp
     if e.denominator == 1 and e > 0:
@@ -1348,8 +1347,8 @@ def render(e: Expr) -> str:
     """Render to the ASCII expression grammar with minimal parentheses."""
     if isinstance(e, Const):
         return _render_const(e.value)
-    if isinstance(e, Sym):
-        return e.symbol.name
+    if isinstance(e, Symbol):
+        return e.name
     if isinstance(e, Func):
         return f"{e.head}({render(e.arg)})"
     if isinstance(e, Applied):
@@ -1471,14 +1470,21 @@ def _check_power(base: Expr, exp: int | Fraction, pos: int) -> None:
         raise ParseError(f"exponent numerator exceeds {MAX_EXPONENT}", pos)
     if isinstance(base, Const) and exp < 0 and base.value == 0:
         raise ParseError("division by zero", pos)
-    c = base.factors[0] if type(base) is Mul else base
-    if type(c) is Const and exp.denominator == 1:
-        # the power of base's coefficient has a numerator or denominator
-        # of 2^((bits - 1)*|exp|) or more, over 10^limit from 4*limit on:
-        # refused before it is computed
-        bits = max(abs(c.value.numerator), c.value.denominator).bit_length()
-        if (bits - 1) * abs(exp.numerator) >= 4 * _digit_limit():
-            raise ParseError(f"constant exceeds {_digit_limit()} digits", pos)
+    for c in (base.factors if type(base) is Mul else (base,)):
+        # pow_ raises a constant factor, or the constant under a chain of
+        # powers, to the product of the exponents while that is an integer
+        n = exp
+        while type(c) is Pow and n.denominator == 1:
+            c, n = c.base, c.exp * n
+        if type(c) is Const and n.denominator == 1:
+            # that power has a numerator or denominator of
+            # 2^((bits - 1)*|n|) or more, over 10^limit from 4*limit on:
+            # refused before it is computed
+            v = c.value
+            bits = max(abs(v.numerator), v.denominator).bit_length()
+            if (bits - 1) * abs(n.numerator) >= 4 * _digit_limit():
+                raise ParseError(f"constant exceeds {_digit_limit()} digits",
+                                 pos)
 
 
 class _Parser:
@@ -1580,10 +1586,9 @@ class _Parser:
                 return func(name, args[0])
             return applied(name, args)
         try:
-            sym = self.context.resolve(name)
+            return self.context.resolve(name)
         except KeyError:
             raise UnknownIdentifier(f"unknown identifier {name!r}", start) from None
-        return Sym(sym)
 
 
 def parse(text: str, context) -> Expr:

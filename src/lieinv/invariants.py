@@ -178,7 +178,7 @@ def realize(entry: liealg.AlgebraCatalogEntry, zspace: JetSpace,
     xi, eta = liealg.build_invariant_fields(entry.sc, zspace, cfg)
     graph = {}
     if space.dep in zspace.coords:
-        graph[zspace.base(space.dep)] = ex.Sym(space.jet())
+        graph[zspace.base(space.dep)] = space.jet()
     gens = []
     for f in xi:
         comps = {c: ex.substitute(comp, graph) for c, comp in f.components}
@@ -212,14 +212,14 @@ def type1_pipeline(entry: liealg.AlgebraCatalogEntry, m: int = 1,
 
     first: List[Tuple[str, ex.Expr]] = []
     for mu in ys:
-        first.append((f"u_{mu}", ex.Sym(space.jet(mu))))
+        first.append((f"u_{mu}", space.jet(mu)))
     for i, e in enumerate(u_i, start=1):
         first.append((f"u_({i})", e))
 
     second: List[Tuple[str, ex.Expr]] = []
     for a, mu in enumerate(ys):
         for nu in ys[a:]:
-            second.append((f"u_{mu}{nu}", ex.Sym(space.jet(mu, nu))))
+            second.append((f"u_{mu}{nu}", space.jet(mu, nu)))
     for (i, j), e in u_ij.items():
         second.append((f"u_({i + 1}{j + 1})", e))
     for i, e in enumerate(u_i, start=1):
@@ -228,8 +228,8 @@ def type1_pipeline(entry: liealg.AlgebraCatalogEntry, m: int = 1,
 
     invariants: List[Tuple[str, ex.Expr]] = []
     for mu in ys:
-        invariants.append((mu, ex.Sym(space.base(mu))))
-    invariants.append(("u", ex.Sym(space.jet())))
+        invariants.append((mu, space.base(mu)))
+    invariants.append(("u", space.jet()))
     invariants.extend(first)
     invariants.extend(second)
 

@@ -131,7 +131,7 @@ def total_derivative(e: ex.Expr, coord: str, space: JetSpace) -> ex.Expr:
                 )
             continue
         lifted = space.jet(*(sym.index + (coord,)))
-        parts.append(ex.mul(ex.diff(e, sym), ex.Sym(lifted)))
+        parts.append(ex.mul(ex.diff(e, sym), lifted))
     return ex.add(*parts)
 
 
@@ -194,7 +194,7 @@ def frame_jets(eta: Sequence[VectorField]) -> Tuple[list, dict]:
     sum_c X_i^c D_c X_j u, as X_i.frame_derivative(X_j u) builds it.
     """
     space = eta[0].space
-    first = [f.frame_derivative(ex.Sym(space.jet())) for f in eta]
+    first = [f.frame_derivative(space.jet()) for f in eta]
     d = [{c: total_derivative(e, c, space) for c in space.coords}
          for e in first]
 
@@ -255,8 +255,7 @@ def _prolongation(field: VectorField, theta: ex.Expr) -> tuple:
     for a in space.coords:
         terms = [total_derivative(theta, a, space)]
         for b in space.coords:
-            terms.append(ex.mul(ex.Const(-1), ex.Sym(space.jet(b)),
-                                dxi[a, b]))
+            terms.append(ex.mul(ex.Const(-1), space.jet(b), dxi[a, b]))
         phi1[a] = ex.add(*terms)
         coeffs[space.base(a)] = xi[a]
         coeffs[space.jet(a)] = phi1[a]
@@ -265,8 +264,7 @@ def _prolongation(field: VectorField, theta: ex.Expr) -> tuple:
         for b in space.coords[i:]:
             terms = [total_derivative(phi1[a], b, space)]
             for c in space.coords:
-                terms.append(ex.mul(ex.Const(-1), ex.Sym(space.jet(a, c)),
-                                    dxi[b, c]))
+                terms.append(ex.mul(ex.Const(-1), space.jet(a, c), dxi[b, c]))
             coeffs[space.jet(a, b)] = ex.add(*terms)
     return tuple(coeffs.items())
 

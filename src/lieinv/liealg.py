@@ -234,10 +234,10 @@ def _gated_frames(sc: StructureConstants, space: JetSpace,
         raise ValueError("coordinate count does not match algebra dimension")
     if n > 4:
         raise ValueError("construction limited to dim <= 4")
-    z = [ex.Sym(space.base(c)) for c in space.coords]
+    z = [space.base(c) for c in space.coords]
     # Ad(A_k), and its inverse exp(-z^k ad_{e_k}) as Ad(A_k) at z^k -> -z^k
     ad = [putzer.exp_matrix_expr(sc.ad(k + 1), z[k]) for k in range(n)]
-    ad_inv = [[[ex.substitute(v, {z[k].symbol: ex.mul(ex.Const(-1), z[k])})
+    ad_inv = [[[ex.substitute(v, {z[k]: ex.mul(ex.Const(-1), z[k])})
                 for v in row] for row in ad[k]] for k in range(n - 1)]
 
     def frame(chain):

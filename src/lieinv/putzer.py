@@ -157,8 +157,10 @@ def _deflate(coeffs: List[Fraction], root: Fraction) -> List[Fraction]:
     return list(reversed(out))
 
 
-def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
-    """All rational roots (with multiplicity), removed by deflation."""
+def _rational_roots(coeffs: List[Fraction]
+                    ) -> Tuple[List[Fraction], List[Fraction]]:
+    """(roots, leftover): all rational roots (with multiplicity), removed
+    by deflation, and the polynomial left, which has no rational root."""
     roots = []
     while len(coeffs) > 1:
         if coeffs[0] == 0:
@@ -211,18 +213,14 @@ def eigenvalues(M: Sequence[Sequence[Fraction]]) -> List[CRat]:
         return out
     if len(rest) == 3:
         c0, c1, c2 = rest
-        # c2 x^2 + c1 x + c0
+        # c2 x^2 + c1 x + c0, with no rational root: a real pair is
+        # irrational, as the discriminant is not a square
         disc = c1 * c1 - 4 * c2 * c0
-        half = Fraction(-c1, 2 * c2)
         if disc >= 0:
-            s = _rational_sqrt(disc)
-            if s is None:
-                raise EigenvalueUnsupported(
-                    "irrational real eigenvalue pair (discriminant not a square)"
-                )
-            d = s / (2 * c2)
-            out += [CRat(half + d), CRat(half - d)]
-            return out
+            raise EigenvalueUnsupported(
+                "irrational real eigenvalue pair (discriminant not a square)"
+            )
+        half = Fraction(-c1, 2 * c2)
         s = _rational_sqrt(-disc)
         if s is None:
             raise EigenvalueUnsupported(

@@ -76,7 +76,7 @@ def template_spot_check(template: PDETemplate,
     apps = ex.applications(template.lhs)
     leaf = {x: ex.Symbol(f"{x.head}#{i}") for i, x in enumerate(apps)}
     lhs = ex.substitute_heads(template.lhs, {
-        x.head: (lambda *args, _h=x.head: ex.Sym(leaf[ex.applied(_h, args)]))
+        x.head: (lambda *args, _h=x.head: leaf[ex.applied(_h, args)])
         for x in apps})
     used = lhs.free_symbols()
     known = set(verified)

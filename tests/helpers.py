@@ -292,9 +292,8 @@ def structure(e: ex.Expr) -> tuple:
     t = type(e)
     if t is ex.Const:
         return ("Const", type(e.value), e.value)
-    if t is ex.Sym:
-        s = e.symbol
-        return ("Sym", s.name, s.kind, s.dep, s.index)
+    if t is ex.Symbol:
+        return ("Symbol", e.name, e.kind, e.dep, e.index)
     if t is ex.Pow:
         return ("Pow", structure(e.base), type(e.exp), e.exp)
     if t is ex.Func:
@@ -339,10 +338,9 @@ def _reference_min_exponent(e: ex.Expr, s: ex.Symbol) -> int:
     for t in e.terms if isinstance(e, ex.Add) else (e,):
         exp = 0
         for f in t.factors if isinstance(t, ex.Mul) else (t,):
-            if isinstance(f, ex.Pow) and isinstance(f.base, ex.Sym) \
-                    and f.base.symbol == s:
+            if isinstance(f, ex.Pow) and f.base == s:
                 exp += int(f.exp)
-            elif isinstance(f, ex.Sym) and f.symbol == s:
+            elif f == s:
                 exp += 1
         lo = min(lo, exp)
     return lo
@@ -379,8 +377,8 @@ def reference_adjoints(refs: dict, wrt: frozenset, lines: list,
             continue
         d = "d" + refs[x][1:]
         lines.append(f"  {d}={ex._join('+', parts, lines)}")
-        if isinstance(x, ex.Sym):
-            out[x.symbol] = d
+        if isinstance(x, ex.Symbol):
+            out[x] = d
             continue
         if isinstance(x, ex.Add):
             kids = [(t, d) for t in x.terms]
@@ -423,8 +421,8 @@ def reference_codegen(e: ex.Expr, wrt: Optional[tuple] = None) -> str:
 
     def visit(x, kids):
         t = type(x)
-        if t is ex.Sym:
-            src = f"a[{x.symbol.name!r}]"
+        if t is ex.Symbol:
+            src = f"a[{x.name!r}]"
         elif t is ex.Add:
             src = ex._join("+", kids, lines)
         elif t is ex.Mul:

@@ -189,6 +189,18 @@ class TestCovariant:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error [ParseError]")
 
+    def test_to_long_built_constant_is_one_error_line(self, tmp_path,
+                                                      capsys):
+        # the parser accepts N, but the lift squares it into a constant
+        # with more digits than str() converts
+        n = "7" + "3" * 2999
+        f = tmp_path / "pde.txt"
+        f.write_text(f"coords: x, y; dep: u\nlhs: u_xx*(u_yy + {n})^2\n")
+        assert main(["covariant", "--to", str(f)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error [UnsupportedOperation]: constant exceeds "
+                       f"{sys.get_int_max_str_digits()} digits"]
+
     def test_from_empty_coords_is_one_error_line(self, tmp_path, capsys):
         f = tmp_path / "cov.txt"
         f.write_text("coords: ; dep: u; lhs: u\n")

@@ -554,6 +554,18 @@ class TestParseRender:
             with pytest.raises(ParseError, match=f"exceeds {limit} digits"):
                 SP.parse(text)
 
+    def test_power_of_a_power_of_a_long_constant_is_refused_first(self):
+        # K^1000 and (K^(1/2))^1000 = K^500 are refused before the power
+        # is computed, which takes over half a second for K^500
+        limit = sys.get_int_max_str_digits()
+        k = "7" + "3" * 3999
+        for text in (f"u_xx + u_yy*({k})^1000",
+                     f"u_xx + u_yy*({k}^(1/2))^1000"):
+            start = time.perf_counter()
+            with pytest.raises(ParseError, match=f"exceeds {limit} digits"):
+                SP.parse(text)
+            assert time.perf_counter() - start < 0.1
+
     def test_parse_trailing_garbage(self):
         with pytest.raises(ParseError):
             SP.parse("u_x )")

@@ -465,7 +465,7 @@ class TestNodeIdentity:
         assert sp.jet("x", "y") is sp.jet("y", "x")
         assert sp.jet() is sp.resolve("u")
         assert sp.resolve("u_yx") is sp.jet("x", "y")
-        assert sp.parse("u_xy").symbol is sp.jet("x", "y")
+        assert sp.parse("u_xy") is sp.jet("x", "y")
         assert sp.jet_symbols() == [sp.jet(*s.index)
                                     for s in sp.jet_symbols()]
         with pytest.raises(KeyError):

@@ -185,7 +185,7 @@ class TestInvariantFields:
         z = ex.Sym(entry.split_space().base(entry.split_coords[0]))
         for k in range(1, entry.dim + 1):
             ad = entry.sc.ad(k)
-            flipped = [[ex.substitute(v, {z.symbol: ex.mul(ex.Const(-1), z)})
+            flipped = [[ex.substitute(v, {z: ex.mul(ex.Const(-1), z)})
                         for v in row] for row in putzer.exp_matrix_expr(ad, z)]
             direct = putzer.exp_matrix_expr([[-v for v in row] for row in ad],
                                             z)

@@ -61,9 +61,11 @@ class TestCharPoly:
         assert sorted((l.re, l.im) for l in lams) == [(0, F(-1)), (0, F(1))]
 
     def test_irrational_unsupported(self):
-        M = [[F(0), F(1)], [F(2), F(0)]]  # eigenvalues +-sqrt(2)
-        with pytest.raises(EigenvalueUnsupported):
-            putzer.eigenvalues(M)
+        # eigenvalues +-sqrt(2), then +-i*sqrt(2)
+        for M in ([[F(0), F(1)], [F(2), F(0)]],
+                  [[F(0), F(-1)], [F(2), F(0)]]):
+            with pytest.raises(EigenvalueUnsupported):
+                putzer.eigenvalues(M)
 
 
 class TestExpMatrix:

@@ -25,7 +25,9 @@ unbound one.  A point whose float residual exceeds the tolerance is
 decided exactly by one helper, `numeric._exact_value`, the only place
 the oracle expands, and only after counting the terms the expansion would
 have; nothing estimates a cancellation-free magnitude: the kernel compiles
-a value and a gradient evaluator only.  These tests keep it that way.
+a value and a gradient evaluator only.  A symbol is its own leaf node,
+with no wrapper node that callers convert to and from.  These tests keep
+it that way.
 """
 
 import ast
@@ -383,6 +385,22 @@ def test_only_frame_jets_takes_frame_derivatives():
     # both pipelines read X_i u and the symmetrized X_i X_j u from one
     # table, which takes each total derivative once
     assert _qualified_callers("frame_derivative") == {("jet", "frame_jets")}
+
+
+def test_one_leaf_type_for_symbols():
+    # a symbol is its own leaf node: the kernel has no wrapper node for
+    # it, and no module converts between a symbol and a node
+    from lieinv import expr as ex
+    assert issubclass(ex.Symbol, ex.Expr) and ex.Symbol in ex._OPERANDS
+    assert "Sym" not in {node.name for module, _, node in _nodes(ast.ClassDef)
+                         if module == "expr"}
+    reads = [(module, scope, n.lineno)
+             for module, scope, n in _nodes(ast.Attribute)
+             if n.attr == "symbol"]
+    wraps = [(module, scope, call.lineno)
+             for module, scope, call in _nodes(ast.Call)
+             if "Sym" in _names(call.func)]
+    assert reads == [] and wraps == []
 
 
 def test_no_unused_import():

@@ -10,9 +10,10 @@ The corpus is built once, untimed: the invariants of every row of
 ``reproduce all`` (``verify.TABLE_ROWS``), and for each of the 70 equations
 of the benchmark's covariant round trip (seed 61) its lhs and its lifted
 covariant form, structurally distinct expressions only.  Each repetition
-times one pass over a fresh copy of the corpus, whose nodes have no cached
-sort key, hash, free symbols or evaluators, so every pass does the work of
-a first visit:
+times one pass over a fresh copy of the corpus, made of new nodes, symbol
+leaves included, with no cached free symbols or evaluators and, except for
+a symbol's, which is set when it is made, no cached sort key or hash; so
+every pass does the work of a first visit:
 
 * ``add_mul_ms``: ``simplify_basic``, every sum and product rebuilt through
   ``add``/``mul``;
@@ -32,10 +33,12 @@ a first visit:
   equation.
 
 The one line of output is a JSON object of the medians over the
-repetitions, in milliseconds, with the corpus size and the repetition count,
-and ``code_misses``: the code memo's misses (Python ``compile`` calls) in
-one ``codegen_compile_ms`` pass and in one ``gradient_ms`` pass, fewer than
-the corpus's expressions where expressions of one shape share a source.
+repetitions, in milliseconds, with the corpus size (``corpus_exprs``
+expressions, ``corpus_nodes`` distinct nodes), the repetition count
+(``repeats``), the Python version (``python``) and ``code_misses``: the
+code memo's misses (Python ``compile`` calls) in one ``codegen_compile_ms``
+pass and in one ``gradient_ms`` pass, fewer than the corpus's expressions
+where expressions of one shape share a source.
 """
 
 from __future__ import annotations
@@ -80,6 +83,8 @@ def corpus() -> list:
 
 
 _CLONE = {
+    ex.Const: lambda x, kids: ex.Const(x.value),
+    ex.Symbol: lambda x, kids: ex.Symbol(x.name, x.kind, x.dep, x.index),
     ex.Add: lambda x, kids: ex.Add(tuple(kids)),
     ex.Mul: lambda x, kids: ex.Mul(tuple(kids)),
     ex.Pow: lambda x, kids: ex.Pow(kids[0], x.exp),
@@ -88,13 +93,10 @@ _CLONE = {
 
 
 def fresh(e: ex.Expr) -> ex.Expr:
-    """A copy of e built from new nodes with empty caches, sharing kept."""
-    def leaf(x):
-        if type(x) is ex.Const:
-            return ex.Const(x.value)
-        return ex.Sym(x.symbol) if type(x) is ex.Sym else None
-
-    return ex._fold(e, lambda x, kids: _CLONE[type(x)](x, kids), leaf)
+    """A copy of e built from new nodes with empty caches, its leaves
+    included, sharing kept."""
+    return ex._fold(e, lambda x, kids: _CLONE[type(x)](x, kids),
+                    lambda x: None)
 
 
 def _diff_all(e):
@@ -103,7 +105,7 @@ def _diff_all(e):
 
 
 def _substitute_all(e):
-    ex.substitute(e, {s: ex.mul(2, ex.Sym(s)) for s in e.free_symbols()})
+    ex.substitute(e, {s: ex.mul(2, s) for s in e.free_symbols()})
 
 
 def _codegen_compile(e):
