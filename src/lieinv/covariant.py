@@ -14,32 +14,26 @@ form is that E~ is homogeneous of some integer degree k in the
 w-derivatives, D E~ = k E~ for the Euler operator D, and is annihilated by
 the rescaling fields R_j = sum_i (1 + delta_ij) w_i d/dw_ij.  D - k and
 the R_j are first-order operators (euler_operator, rescale_operators).
-CovariantPDE reads k as D E~ / E~ at one regular point when it is made,
-then checks the contract in one pass over D - k and every R_j (one
-numeric.first_non_annihilating call) at every point, so a ratio that
-holds at one point only is refused there.  The same pass at k = 0
-decides, for the transitive pipeline, that the rescale invariants J~ taken
-on the frame derivatives are free of the residual w-jets.  Every
-covariant form passed its check once; from_covariant then restores the
-split form on the normalized section w_n = 1, w_a = -u_a, w_an = 0,
-w_nn = 0 (so w_ab = -u_ab).  lift and section are these two maps, unchecked.
+CovariantPDE reads k from the tree of E~ when it is made (no point is
+drawn), then checks the contract in one pass over D - k and every R_j
+(one numeric.first_non_annihilating call) at every point.  The same pass
+at k = 0 decides, for the transitive pipeline, that the rescale
+invariants J~ taken on the frame derivatives are free of the residual
+w-jets.  Every covariant form passed its check once; from_covariant then
+restores the split form on the normalized section w_n = 1, w_a = -u_a,
+w_an = 0, w_nn = 0 (so w_ab = -u_ab).  lift and section are these two
+maps, unchecked.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from . import expr as ex
 from . import numeric as nm
-from .errors import (
-    NotHomogeneous,
-    NotRescaleInvariant,
-    ParseError,
-    SingularEvaluation,
-)
+from .errors import NotHomogeneous, NotRescaleInvariant, ParseError
 from .jet import FirstOrderOperator, JetSpace
 
 
@@ -60,9 +54,9 @@ class CovariantPDE:
 
     dep_coord names the z-coordinate that was the dependent variable of the
     split form.  Construction reads degree, the homogeneity degree of lhs in
-    the w-derivatives, at one point, and then checks in one pass that
-    D - degree and every R_j annihilate lhs (values bound: expr.bind), both
-    under cfg; it raises NotHomogeneous or NotRescaleInvariant otherwise.
+    the w-derivatives, from its tree, and then checks in one pass under cfg
+    that D - degree and every R_j annihilate lhs (values bound: expr.bind);
+    it raises NotHomogeneous or NotRescaleInvariant otherwise.
     """
 
     space: JetSpace
@@ -72,8 +66,8 @@ class CovariantPDE:
     degree: int = field(init=False)
 
     def __post_init__(self, cfg):
-        object.__setattr__(self, "degree", homogeneity_degree(
-            self.lhs, self.space, cfg))
+        object.__setattr__(self, "degree",
+                           homogeneity_degree(self.lhs, self.space))
         rescale_invariance_check(self.lhs, self.space, cfg,
                                  degree=self.degree)
 
@@ -192,39 +186,19 @@ def rescale_operators(wspace: JetSpace) -> List[FirstOrderOperator]:
         for i in coords}) for j in coords]
 
 
-def homogeneity_degree(e: ex.Expr, wspace: JetSpace,
-                       cfg: nm.SamplerConfig = nm.SamplerConfig()) -> int:
-    """Degree k with D e = k e, read at one point.
-
-    An identically zero e has no degree and raises NotHomogeneous before
-    any point is drawn.  The ratio D e / e is taken from e's compiled
-    gradient at the first regular point, with the w-derivatives kept off
-    zero; a point where e vanishes is singular for the ratio and is
-    redrawn.  The gradient is taken along the w-derivatives only, which
-    covers the operators of the contract pass, so that pass reuses it.  A
-    non-integer ratio raises NotHomogeneous; rescale_invariance_check
-    confirms D e = k e at every point.
-    """
+def homogeneity_degree(e: ex.Expr, wspace: JetSpace) -> int:
+    """Degree k with D e = k e: e's degree in the w-derivatives, read from
+    its tree (expr.degree).  NotHomogeneous where e is identically zero or
+    has no integer degree; rescale_invariance_check confirms D e = k e at
+    every point."""
     if isinstance(e, ex.Const) and e.value == 0:
         raise NotHomogeneous("the equation vanishes identically")
-    # D e = sum of s * de/ds over the w-derivatives s
-    derivatives = euler_operator(wspace).coefficients
-    wrt, grad = ex.compile_gradient(e, derivatives)
-    euler = [(s.name, i) for i, s in enumerate(wrt, start=1)
-             if s in derivatives]
-
-    def ratio(pt):
-        g = grad(pt)
-        if abs(g[0]) < 1e-12:
-            raise SingularEvaluation("the equation vanishes at this point")
-        return sum([pt[name] * g[i] for name, i in euler]) / g[0]
-
-    jets = frozenset(s for s in e.free_symbols() if s.kind == ex.JET)
-    fit = nm.at_regular_points([e], cfg, ratio, jets)
-    k = Fraction(fit).limit_denominator(1000)
+    k = ex.degree(e, euler_operator(wspace).coefficients)
+    if k is None:
+        raise NotHomogeneous("no degree in the w-derivatives")
     if k.denominator != 1:
         raise NotHomogeneous(f"non-integer homogeneity degree {k}")
-    return int(k)
+    return k
 
 
 def rescale_invariance_check(e: ex.Expr, wspace: JetSpace,

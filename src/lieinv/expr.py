@@ -150,7 +150,11 @@ def _exact(v):
 
 
 def _rat_pow(v, n: int):
-    """v**n for an exact rational v and integer n; int ** -n is a float."""
+    """v**n for an exact rational v and integer n; int ** -n is a float.
+    Refused uncomputed where a part would reach 2^(4*limit) > 10^limit."""
+    bits = max(abs(v.numerator), v.denominator).bit_length()
+    if (bits - 1) * abs(n) >= 4 * _digit_limit():
+        raise UnsupportedOperation(f"constant exceeds {_digit_limit()} digits")
     return v ** n if n >= 0 else Fraction(v) ** n
 
 
@@ -571,9 +575,9 @@ def _fold(e: Expr, visit: Callable, stop: Callable,
 
     Each structurally distinct subtree is visited once, children before
     parents, in first-occurrence order, and memo (a new dict unless given)
-    maps it to its value in that order.  stop(x) is asked first: anything
-    but None is x's value, taken without descending into x or memoizing it.
-    This is the kernel's one recursive walk.
+    maps it to its value (None too) in that order.  stop(x) is asked first:
+    anything but None is x's value, taken without descending into x or
+    memoizing it.  This is the kernel's one recursive walk.
     """
     if memo is None:
         memo = {}
@@ -581,8 +585,8 @@ def _fold(e: Expr, visit: Callable, stop: Callable,
     def rec(x):
         out = stop(x)
         if out is None:
-            out = memo.get(x)
-            if out is None:
+            out = memo.get(x, memo)
+            if out is memo:
                 kids = _OPERANDS[type(x)](x)
                 out = memo[x] = visit(x, [rec(k) for k in kids])
         return out
@@ -974,6 +978,33 @@ def denominator_symbols(e: Expr) -> frozenset:
     if len(fns) == 2:
         fns.append(_fold(e, lambda x, kids: _union(kids), _denominators_at))
     return fns[2]
+
+
+def _degree_at(x: Expr, kids):
+    if None in kids or type(x) is Add and len(set(kids)) > 1:
+        return None
+    if type(x) is Mul:
+        return _exact(sum(kids))
+    if type(x) is Pow:
+        return _exact(kids[0] * x.exp)
+    return kids[0] if type(x) is Add else None if any(kids) else 0
+
+
+def degree(e: Expr, symbols: Iterable) -> Optional[int | Fraction]:
+    """The degree of e in symbols, read from its tree, or None.
+
+    One of symbols has degree 1 and any other leaf 0; a product adds its
+    factors' degrees, a power multiplies its base's by the exponent, a sum
+    has its terms' common degree, and f(g) has degree 0 if g has, since
+    D f(g) = f'(g) D g.  Other sums and functions give e none."""
+    symbols = frozenset(symbols)
+
+    def stop(x):
+        if type(x) is Symbol:
+            return 1 if x in symbols else 0
+        return 0 if type(x) is Const else None
+
+    return _fold(e, _degree_at, stop)
 
 
 # ---------------------------------------------------------------------------
@@ -1465,26 +1496,11 @@ def _bounded(e: Expr, pos: int) -> Expr:
 
 
 def _check_power(base: Expr, exp: int | Fraction, pos: int) -> None:
-    """Refuse base^exp if it divides by zero or grows beyond the limits."""
+    """Refuse base^exp if its exponent is too large or it divides by zero."""
     if abs(exp.numerator) > MAX_EXPONENT:
         raise ParseError(f"exponent numerator exceeds {MAX_EXPONENT}", pos)
     if isinstance(base, Const) and exp < 0 and base.value == 0:
         raise ParseError("division by zero", pos)
-    for c in (base.factors if type(base) is Mul else (base,)):
-        # pow_ raises a constant factor, or the constant under a chain of
-        # powers, to the product of the exponents while that is an integer
-        n = exp
-        while type(c) is Pow and n.denominator == 1:
-            c, n = c.base, c.exp * n
-        if type(c) is Const and n.denominator == 1:
-            # that power has a numerator or denominator of
-            # 2^((bits - 1)*|n|) or more, over 10^limit from 4*limit on:
-            # refused before it is computed
-            v = c.value
-            bits = max(abs(v.numerator), v.denominator).bit_length()
-            if (bits - 1) * abs(n.numerator) >= 4 * _digit_limit():
-                raise ParseError(f"constant exceeds {_digit_limit()} digits",
-                                 pos)
 
 
 class _Parser:
@@ -1494,7 +1510,10 @@ class _Parser:
         self.depth = 0
 
     def parse(self) -> Expr:
-        e = self.expr()
+        try:
+            e = self.expr()
+        except UnsupportedOperation as err:  # a power too long (_rat_pow)
+            raise ParseError(str(err), self.tok.pos) from None
         self.tok.skip_ws()
         if not self.tok.at_end():
             raise ParseError("unexpected trailing input", self.tok.pos)

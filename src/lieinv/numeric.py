@@ -9,9 +9,11 @@ values are bound first (expr.bind); an unbound parameter is Unsampleable.
 Annihilation residuals and Jacobian rows come from one compiled
 value-and-gradient evaluator per expression (expr.compile_gradient): the
 derivatives are exact, and no residual expression is built unless a float
-residual exceeds the tolerance; the point is then decided exactly where
-the residual expands to a constant (_exact_value).  Each check takes a
-whole family in one pass over one point stream:
+residual exceeds its bound; the point is then decided exactly where the
+residual expands to a constant (_exact_value).  An annihilation residual,
+a sum of terms t, is bounded by tol*min(1, sum |t|); is_zero's bound stays
+tol, as a zero test has no terms.  Each check takes a whole family in one
+pass over one point stream:
 
   * first_non_annihilating evaluates each distinct operator coefficient
     and each member's gradient once per point, takes that gradient only
@@ -168,10 +170,12 @@ def first_non_annihilating(fields: Sequence, exprs: Sequence[ex.Expr],
     each point every distinct coefficient is evaluated once and each
     member's compiled gradient (the member itself in slot 0) once;
     together they give the residual r_ik of every operator k on every
-    member i.  A point where |r_ik| <= tol passes for (i, k).  Elsewhere
+    member i.  A point passes for (i, k) where |r_ik| <= tol*min(1, S),
+    S the sum of the magnitudes of the terms of r_ik.  Elsewhere
     _exact_value of the symbolic residual fields[k].apply(exprs[i]), taken
-    once per check, decides, or else that residual's own float.  The
-    first failing pair, in point, member and operator order, is returned.
+    once per check, decides, or else that residual's own float under the
+    same bound.  The first failing pair, in point, member and operator
+    order, is returned.
     """
     slot = {}  # id(coefficient) -> its index in coeffs and values
     coeffs, values = [], []  # the distinct coefficients rows use, compiled
@@ -199,7 +203,7 @@ def first_non_annihilating(fields: Sequence, exprs: Sequence[ex.Expr],
         return None
     residuals = {}  # (i, k) -> (residual, its _exact_value)
 
-    def rejects(i, k, pt):
+    def rejects(i, k, pt, bound):
         got = residuals.get((i, k))
         if got is None:
             x = fields[k].apply(exprs[i])
@@ -207,17 +211,20 @@ def first_non_annihilating(fields: Sequence, exprs: Sequence[ex.Expr],
         x, exact = got
         if exact is not None:
             return exact != 0
-        return abs(ex.compile_numeric(x)(pt)) > cfg.tol
+        return abs(ex.compile_numeric(x)(pt)) > bound
 
     def visit(pt):
         cv = [c(pt) for c in values]
         for i, grad, rows in checks:
             g = grad(pt)
             for k, row in enumerate(rows):
-                r = 0.0
+                r = scale = 0.0
                 for c, j in row:
-                    r += cv[c] * g[j]
-                if abs(r) > cfg.tol and rejects(i, k, pt):
+                    t = cv[c] * g[j]
+                    r += t
+                    scale += abs(t)
+                bound = cfg.tol * scale if scale < 1.0 else cfg.tol
+                if abs(r) > bound and rejects(i, k, pt, bound):
                     return i, k
         return None
 

@@ -119,6 +119,15 @@ class TestCovariant:
         out = capsys.readouterr().out
         assert "degree: 3" in out
 
+    @pytest.mark.parametrize("k", range(13, 19))
+    def test_to_small_coefficients(self, tmp_path, capsys, k):
+        # the degree is read from the tree, so no point is drawn where the
+        # lifted form is small
+        f = tmp_path / "pde.txt"
+        f.write_text(f"coords: x; dep: u\nlhs: u_xx/10^{k} + u_x^2/10^{k}\n")
+        assert main(["covariant", "--to", str(f)]) == 0
+        assert "degree: 3" in capsys.readouterr().out
+
     def test_from(self, tmp_path, capsys):
         f = tmp_path / "cov.txt"
         f.write_text("coords: x, y, u; dep: w\n"

@@ -129,8 +129,8 @@ class TestCovariantPDE:
         assert calls == [1 + len(self.Z.coords)]
 
     def test_one_gradient_evaluator_per_form(self, monkeypatch):
-        # the degree fit, the Euler confirmation and every R_j check share
-        # one compiled gradient of lhs
+        # the Euler confirmation and every R_j check share one compiled
+        # gradient of lhs, and reading the degree compiles nothing
         with_wrt = []
         codegen = ex._codegen
 
@@ -149,27 +149,20 @@ class TestCovariantPDE:
 class TestRescaleOperators:
     def test_homogeneity_degree_monomial(self):
         z = cov.wspace_for(parse("coords: x; dep: u\nlhs: u_x").space)
-        assert cov.homogeneity_degree(z.parse("w_x^2*w_u"), z, CFG) == 3
+        assert cov.homogeneity_degree(z.parse("w_x^2*w_u"), z) == 3
 
-    def test_degree_read_at_the_first_regular_point(self, monkeypatch):
+    def test_degree_makes_no_evaluator_call(self, monkeypatch):
         # D e = k e is confirmed at every point by the contract pass, so the
-        # degree takes one gradient evaluation
+        # degree is read from the tree: no evaluator is compiled or called
         calls = []
-        compile_gradient = ex.compile_gradient
-
-        def counted(e, wrt=None):
-            wrt, grad = compile_gradient(e, wrt)
-
-            def counted_grad(pt):
-                calls.append(pt)
-                return grad(pt)
-
-            return wrt, counted_grad
-
-        monkeypatch.setattr(ex, "compile_gradient", counted)
+        for name in ("compile_numeric", "compile_gradient", "_codegen"):
+            monkeypatch.setattr(ex, name, lambda *args, _name=name, **kw:
+                                calls.append(_name))
+        monkeypatch.setattr(nm, "at_regular_points",
+                            lambda *args, **kw: calls.append("points"))
         z = cov.wspace_for(parse("coords: x; dep: u\nlhs: u_x").space)
-        assert cov.homogeneity_degree(z.parse("w_x^2*w_u"), z, CFG) == 3
-        assert len(calls) == 1
+        assert cov.homogeneity_degree(z.parse("w_x^2*w_u"), z) == 3
+        assert calls == []
 
     def test_non_homogeneous_form_cannot_be_made(self):
         # the ratio read at one point is not an integer here
@@ -181,6 +174,25 @@ class TestRescaleOperators:
         z = cov.wspace_for(parse("coords: x; dep: u\nlhs: u_x").space)
         with pytest.raises(NotRescaleInvariant):
             cov.rescale_invariance_check(z.parse("w_xx"), z, CFG, degree=1)
+
+    def test_small_non_invariant_form_is_refused(self):
+        # R_x w_xx*w_u/10^13 = 2*w_x*w_u/10^13 is below tol, but not below
+        # tol times the magnitude of its own terms
+        z = cov.wspace_for(parse("coords: x; dep: u\nlhs: u_x").space)
+        with pytest.raises(NotRescaleInvariant, match="R_x"):
+            cov.rescale_invariance_check(z.parse("w_xx*w_u/10^13"), z, CFG,
+                                         degree=2)
+
+    def test_degree_is_read_from_the_tree(self):
+        z = cov.wspace_for(parse("coords: x, y; dep: u\nlhs: u_x").space)
+        for text, k in (("w_x^2*w_u/10^20", 3), ("sin(x)*w_xx/w_u", 0),
+                        ("(w_x^2 + w_y^2)^(1/2)*w_u", 2),
+                        ("w_x*w_yy - u*w_u^2", 2), ("exp(w_x/w_u)*w_x", 1)):
+            assert cov.homogeneity_degree(z.parse(text), z) == k, text
+        for text in ("w_x + w_u^2", "exp(log(w_x))*w_u^2", "w_x*w_y^(1/2)",
+                     "w_x + 1"):
+            with pytest.raises(NotHomogeneous):
+                cov.homogeneity_degree(z.parse(text), z)
 
     def test_wrong_degree_not_homogeneous(self):
         z = cov.wspace_for(parse("coords: x; dep: u\nlhs: u_x").space)

@@ -308,6 +308,38 @@ class TestSubstituteExpand:
         assert ex.bind(X, {"x": 3}) is X
 
 
+class TestDegree:
+    """expr.degree reads the degree in a set of symbols from the tree."""
+
+    def test_rules(self):
+        x, y = SP.base("x"), SP.base("y")
+        w = [SP.jet("x"), SP.jet("y")]
+        cases = {"u_x*u_y^2*sin(x)": 3, "x + y": 0, "u_x/u_y": 0,
+                 "(u_x^2 + u_y^2)^(1/2)": 1, "u_x^(1/2)": Fraction(1, 2),
+                 "u_x*(u_x + y*u_y)^2": 3, "sin(u_x/u_y)*u_x": 1}
+        for text, k in cases.items():
+            assert ex.degree(SP.parse(text), w) == k, text
+        for text in ("u_x + u_y^2", "u_x + 1", "exp(u_x)", "sin(x*u_y)*u_x",
+                     "f(u_x)"):
+            assert ex.degree(SP.parse(text), w) is None, text
+        assert ex.degree(ex.mul(x, y), [x, y]) == 2
+
+    def test_a_shared_subtree_is_read_once(self, monkeypatch):
+        # 2^10 paths lead down this tree, through 31 distinct sums and
+        # products
+        ux, uy = SP.jet("x"), SP.jet("y")
+        e = ex.add(ux, uy)
+        for _ in range(10):
+            e = ex.add(ex.mul(e, ux), ex.mul(e, uy))
+        visits = []
+        degree_at = ex._degree_at
+        monkeypatch.setattr(ex, "_degree_at", lambda x, kids: (
+            visits.append(x), degree_at(x, kids))[1])
+        assert ex.degree(e, [ux, uy]) == 11
+        assert len(visits) == 31
+        assert ex.degree(ex.add(e, ux), [ux, uy]) is None
+
+
 class TestNumeric:
     def test_eval_basic(self):
         e = ex.add(ex.mul(ex.Const(2), X), ex.pow_(Y, 2))
@@ -565,6 +597,18 @@ class TestParseRender:
             with pytest.raises(ParseError, match=f"exceeds {limit} digits"):
                 SP.parse(text)
             assert time.perf_counter() - start < 0.1
+
+    def test_summed_power_of_a_long_constant_is_refused_first(self):
+        # mul adds the exponents of K^(1/2) and K^(999/2); the power K^500
+        # of the sum is refused before it is computed, as is (K^(1/2))^1000
+        limit = sys.get_int_max_str_digits()
+        k = "7" + "3" * 3999
+        for text in (f"u_xx + u_yy*{k}^(1/2)*{k}^(999/2)",
+                     f"u_xx + u_yy*({k}^(1/2))^1000"):
+            start = time.perf_counter()
+            with pytest.raises(ParseError, match=f"exceeds {limit} digits"):
+                SP.parse(text)
+            assert time.perf_counter() - start < 0.05
 
     def test_parse_trailing_garbage(self):
         with pytest.raises(ParseError):

@@ -275,7 +275,7 @@ class TestReferenceExpansion:
         out = workloads.run_derive_sweep(workloads.make_derive_sweep(61))
         monkeypatch.undo()
         assert (out["attempted"], out["failed"]) == (960, 0)
-        assert len(seen) == 457
+        assert len(seen) == 459
         _same([reference_expand(e) for e in seen],
               [ex.expand(e) for e in seen])
 

@@ -166,7 +166,7 @@ class TestEliminateW:
         split = JetSpace(("x",), "u")
         wspace = covariant.wspace_for(split)
         e = wspace.parse("w_xx/w_u")
-        assert covariant.homogeneity_degree(e, wspace, CFG) == 0
+        assert covariant.homogeneity_degree(e, wspace) == 0
         with pytest.raises(ResidualDependence, match="R_x"):
             eliminate_w(e, wspace, split, CFG)
 

@@ -8,10 +8,11 @@ routine applies a prolonged field.  The covariant-form contract is checked
 only where a `CovariantPDE` is made and, at degree 0, by `eliminate_w`;
 only `covariant` builds its operators.  Only the kernel and the jet layer
 differentiate symbolically: every other first-order operator check goes
-through the annihilation routine.  Only the numeric checks, the covariant
-degree fit and the realization gate loop over points, so the verification
-suite has no oracle loop of its own, and no caller checks a family one
-member at a time.  The expression kernel walks a tree
+through the annihilation routine.  Only the numeric checks and the
+realization gate loop over points, so the verification suite has no
+oracle loop of its own, and no caller checks a family one member at a
+time; a covariant form's degree is read from its tree, with no point and
+no float bound.  The expression kernel walks a tree
 recursively only in its one fold, and every parameter is read.  The
 frames are gated where they are made, in `liealg`'s gated-frame memo,
 which only `invariants.realize` reaches, and every span the benchmark's
@@ -92,15 +93,27 @@ def test_only_the_oracle_checks_loop_over_points():
                        ("numeric", "first_non_annihilating"),
                        ("numeric", "functional_rank"),
                        ("numeric", "equivalence_check"),
-                       ("covariant", "homogeneity_degree"),
                        ("liealg", "verify_realization")}
     # called, or handed to map(): every use of the compiled gradient
     users = {(module, scope)
              for module, scope, n in _nodes((ast.Name, ast.Attribute))
              if module != "expr" and "compile_gradient" in _names(n)}
     assert users == {("numeric", "first_non_annihilating"),
-                     ("numeric", "_jacobian"),
-                     ("covariant", "homogeneity_degree")}
+                     ("numeric", "_jacobian")}
+
+
+def test_the_degree_is_read_from_the_tree():
+    # homogeneity_degree folds the tree (expr.degree): it draws no point
+    # and compiles no evaluator, and covariant keeps no float bound
+    read = {name for module, scope, n in _nodes((ast.Name, ast.Attribute))
+            if (module, scope) == ("covariant", "homogeneity_degree")
+            for name in _names(n)}
+    assert "degree" in read
+    assert not read & {"at_regular_points", "compile_gradient",
+                       "compile_numeric"}
+    floats = [n.lineno for module, _, n in _nodes(ast.Constant)
+              if module == "covariant" and isinstance(n.value, float)]
+    assert floats == []
 
 
 def test_each_family_is_checked_in_one_pass():
@@ -356,7 +369,7 @@ def test_only_the_fold_walks_recursively():
     assert self_calling_closures == {"_fold"}
     visitors = {"expand", "expansion_terms", "diff", "simplify_basic",
                 "substitute", "substitute_heads", "_codegen", "applications",
-                "denominator_symbols"}
+                "denominator_symbols", "degree"}
     assert {f.name for f in functions if f.name in visitors
             and not _calls_to(f, f.name)} == visitors
     assert {f.name for f in functions

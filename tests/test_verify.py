@@ -211,6 +211,32 @@ class TestRowControls:
                                               CFG), (label, ex.render(mutant))
 
 
+SMALL_ROWS = [i for i, row in enumerate(ROWS) if row[1] in ("g3_6", "g3_7")]
+
+
+class TestRelativeAccept:
+    """A point passes for (i, k) only where |r| <= tol*min(1, S), with S the
+    sum of the magnitudes of the terms that sum to r: a residual is not
+    accepted for being small, and a small invariant is not refused for it."""
+
+    @pytest.mark.parametrize("k", [7, 8, 9, 12])
+    def test_small_constant_shift_is_refused(self, k):
+        # X = d/dx moves u_x + x/10^k by the constant 10^-k, below tol
+        entry = liealg.catalog_lookup("2g1", {})
+        gens = _transitive_generators(entry)
+        e = fx.transitive_fixture("2g1").space().parse(f"u_x + x/10^{k}")
+        assert not annihilation_check(gens, e, CFG)
+
+    @pytest.mark.parametrize("index", SMALL_ROWS,
+                             ids=[ROW_IDS[i] for i in SMALL_ROWS])
+    def test_small_fixture_family_is_accepted(self, index):
+        # exp and trig identities that do not expand to a constant: their
+        # float residuals are rounding, which shrinks with the family
+        inv, family = _derived(index)
+        small = [ex.mul(ex.Const(Fraction(1, 10 ** 12)), e) for e in family]
+        assert nm.first_non_annihilating(inv.generators, small, CFG) is None
+
+
 class TestTemplateFastPath:
     @pytest.mark.parametrize("index", [
         ROWS.index(("2d-free", "g2", "free", 2, {})),
