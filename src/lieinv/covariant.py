@@ -143,7 +143,8 @@ IMPLICIT_MEMO_SIZE = 16  # (z-space, dependent coordinate) pairs kept
 
 @lru_cache(maxsize=IMPLICIT_MEMO_SIZE)
 def _implicit(wspace: JetSpace, dep_coord: str) -> tuple:
-    """The items of implicit_first and implicit_second, built once per pair."""
+    """The items of implicit_first and implicit_second, built once per pair:
+    an equal z-space made later hands out the same symbol nodes."""
     return (*implicit_first(wspace, dep_coord).items(),
             *implicit_second(wspace, dep_coord).items())
 

@@ -6,7 +6,7 @@ functions exp/log/sin/cos, and opaque function applications used as template
 slots; a symbol is itself a leaf node.  Every constructor canonicalizes:
 sums and products are flattened, constants folded exactly, like terms and
 like powers collected, and operands sorted by a fixed total order, so
-structurally equal trees compare equal.
+equal values build one canonical tree.
 
 Exact rationals are normalized: `Const.value` and `Pow.exp` are a Python
 `int` when integral and a `Fraction` otherwise, so
@@ -20,27 +20,30 @@ Canonical form conventions:
   * repeated exponentials collect as powers: exp(u)*exp(u) -> exp(u)^2.
   * sums merge Pythagorean pairs: c*f*sin(a)^2 + c*f*cos(a)^2 -> c*f.
 
-Trees are walked by one memoized fold, `_fold`: each structurally distinct
-subtree is visited once, children first.  Differentiation, expansion,
-substitution, code generation and the collection of applications and
-denominator symbols are its visitors, so each handles a repeated subtree
-once per call.  A node's free symbols follow one rule over its operands.
+Trees are walked by one memoized fold, `_fold`: each distinct subtree is
+visited once, children first.  Differentiation, expansion, substitution,
+code generation and the collection of applications and denominator
+symbols are its visitors, so each handles a repeated subtree once per
+call.  A node's free symbols follow one rule over its operands.
 Expansion folds to sparse polynomials (coefficient and power map per term)
 and builds the canonical sum once, at the end.
 
-Node identity is cheap.  Nodes are slotted, with no instance dict; a node
-caches its sort key and the hash of that key on first use.  A symbol is its
-own leaf node, whose key and hash are set when it is made, so a tree, a
-binding, a free set and an operator's coefficients all hold the one object.
-`add` and `mul` collect like terms and like bases in dicts keyed by the
-nodes themselves, so a lookup hashes no nested key tuple.  A JetSpace
-builds each of its jet symbols once and hands out that one object.
+One node per value.  Every node is made by one constructor, Expr.__new__,
+which returns the one live node of its type and fields from a weak table
+(_NODES): equal values built apart are one object, so equality and hash
+are the object's own, a tree, a binding, a free set and an operator's
+coefficients all hold the same object, and one node's caches (its free
+symbols and compiled evaluators) serve every place the value is built.
+The table keeps no node alive.  Nodes are slotted and immutable: only
+their caches can be set.  Sort keys, cached on the node, order operands
+and never decide equality.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -66,18 +69,74 @@ PARAM = "param"
 # Expression nodes
 
 
+# (type, fields) with a rational as its numerator and denominator, or a
+# symbol's sort key -> the one live node of that value
+_NODES = weakref.WeakValueDictionary()
+_CACHES = frozenset(("_key", "_free", "_fns"))
+_set = object.__setattr__  # writes a slot past the immutability guard
+
+
 class Expr:
     """Base class; subclasses are immutable and canonical by construction.
 
-    Four cache slots, all None until first use, which each subclass's
-    __init__ sets itself (no super() call on the hot path): the sort key,
-    its hash, the free symbols and the compiled [value, gradient]
-    evaluators, to which denominator_symbols appends the node's
-    denominator symbols.  A Symbol sets its key and hash when it is
-    made.
+    Expr.__new__ is the constructor of every node type: called as
+    Const(value), Symbol(name, kind, dep, index), Pow(base, exp),
+    Func(head, arg), Applied(head, args), Add(terms) or Mul(factors), it
+    returns the live node of that type with those fields, or makes it.  A
+    rational is normalized (_exact) before the lookup, and a Const is
+    refused where it would have more digits than _digit_limit() allows,
+    once, when it is made.  A symbol is keyed by its sort key, which it
+    keeps from then on.
+
+    Three cache slots, None until first use, are all that can be set on a
+    node: the sort key, the free symbols and the compiled [value,
+    gradient] evaluators, to which denominator_symbols appends the node's
+    denominator symbols.  They are filled through _set.
     """
 
-    __slots__ = ("_key", "_hash", "_free", "_fns")
+    __slots__ = ("_key", "_free", "_fns", "__weakref__")
+
+    def __new__(cls, *fields):
+        if cls is Symbol:
+            fields += (BASE, None, ())[len(fields) - 1:]
+            name, kind, dep, index = fields
+            key = ((1, name) if kind == BASE else (2, name) if kind == PARAM
+                   else (3, dep, len(index), index))
+        elif cls is Const or cls is Pow:
+            v = fields[-1]
+            if type(v) is not int:
+                v = _exact(v)
+                fields = fields[:-1] + (v,)
+            # a Fraction hashes in Python code: key by its two ints
+            key = (cls, *fields[:-1], v.numerator, v.denominator)
+        else:
+            key = (cls,) + fields
+        node = _NODES.get(key)
+        if node is None:
+            if cls is Const:
+                _check_digits(fields[0])
+            node = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields):
+                _set(node, name, value)
+            _set(node, "_key", key if cls is Symbol else None)
+            _set(node, "_free", None)
+            _set(node, "_fns", None)
+            _NODES[key] = node
+        return node
+
+    def __setattr__(self, name, value):
+        if name not in _CACHES:
+            raise AttributeError(f"cannot set {name!r} of an immutable "
+                                 f"{type(self).__name__} to {value!r}")
+        _set(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"cannot delete {name!r} of an immutable {type(self).__name__}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor: the one node
+        return type(self), tuple([getattr(self, f) for f in self.__slots__])
 
     # -- operator sugar -----------------------------------------------------
     def __add__(self, other):
@@ -108,28 +167,21 @@ class Expr:
     def __neg__(self):
         return mul(Const(-1), self)
 
-    # -- structural identity -----------------------------------------------
+    # -- ordering and free symbols -------------------------------------------
     def sort_key(self):
+        """The key of the fixed total order of operands, made once."""
         key = self._key
         if key is None:
-            key = self._key = self._make_key()
+            key = self._make_key()
+            _set(self, "_key", key)
         return key
-
-    def __eq__(self, other):
-        return isinstance(other, Expr) and self.sort_key() == other.sort_key()
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = self._hash = hash(self.sort_key())
-        return h
 
     def free_symbols(self) -> frozenset:
         """One operand's set, shared, else the union of the operands'."""
         if self._free is None:
             kids = _OPERANDS[type(self)](self)
-            self._free = (kids[0].free_symbols() if len(kids) == 1
-                          else _union([k.free_symbols() for k in kids]))
+            _set(self, "_free", kids[0].free_symbols() if len(kids) == 1
+                 else _union([k.free_symbols() for k in kids]))
         return self._free
 
     def __repr__(self):
@@ -149,6 +201,26 @@ def _exact(v):
     return v
 
 
+def _digit_limit() -> int:
+    """The digits int/str conversion allows (sys.set_int_max_str_digits),
+    or its default where the limit is off; never below _SHORT_DIGITS."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+# the least limit sys.set_int_max_str_digits takes (640)
+_SHORT_DIGITS = sys.int_info.str_digits_check_threshold
+
+
+def _check_digits(v) -> None:
+    """Refuse a rational whose numerator or denominator has more digits
+    than _digit_limit() allows, so that every constant can be printed and
+    compiled."""
+    n = max(abs(v.numerator), v.denominator)
+    # an n of 3*k bits or fewer is below 8^k < 10^k: k digits at most
+    if n.bit_length() > 3 * _SHORT_DIGITS and n >= 10 ** _digit_limit():
+        raise UnsupportedOperation(f"constant exceeds {_digit_limit()} digits")
+
+
 def _rat_pow(v, n: int):
     """v**n for an exact rational v and integer n; int ** -n is a float.
     Refused uncomputed where a part would reach 2^(4*limit) > 10^limit."""
@@ -161,16 +233,8 @@ def _rat_pow(v, n: int):
 class Const(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value):
-        self._key = self._hash = self._free = self._fns = None
-        self.value = _exact(value)
-
     def _make_key(self):
         return (0, (self.value.numerator, self.value.denominator))
-
-
-ZERO = Const(0)
-ONE = Const(1)
 
 
 class Symbol(Expr):
@@ -180,39 +244,11 @@ class Symbol(Expr):
     coordinate names (length 0..2); u itself is the jet variable with the
     empty index.  A symbol is its own node: the same object is a leaf of
     trees, a key of bindings, free sets and operator coefficients, and the
-    variable of diff.  Immutable: its sort key and the hash of that key
-    are set when it is made, so equal keys make equal symbols; only the
-    evaluator cache is filled in later, as on every node.
+    variable of diff.  Made as Symbol(name, kind=BASE, dep=None, index=()),
+    it is the one live symbol of its sort key, which it keeps.
     """
 
     __slots__ = ("name", "kind", "dep", "index")
-
-    def __init__(self, name: str, kind: str = BASE,
-                 dep: Optional[str] = None, index: tuple = ()):
-        key = ((1, name) if kind == BASE else (2, name) if kind == PARAM
-               else (3, dep, len(index), index))
-        init = object.__setattr__
-        init(self, "name", name)
-        init(self, "kind", kind)
-        init(self, "dep", dep)
-        init(self, "index", index)
-        init(self, "_key", key)
-        init(self, "_hash", hash(key))
-        init(self, "_free", None)
-        init(self, "_fns", None)
-
-    def __setattr__(self, name, value):
-        if name != "_fns":
-            raise AttributeError(f"cannot set {name!r} of an immutable "
-                                 f"Symbol to {value!r}")
-        object.__setattr__(self, name, value)
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r} of an immutable Symbol")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, which alone sets slots
-        return (Symbol, (self.name, self.kind, self.dep, self.index))
 
     def free_symbols(self) -> frozenset:
         """The set of the symbol itself, made on each call: kept on the
@@ -238,16 +274,11 @@ def jet_symbol(dep: str, index: Sequence[str]) -> Symbol:
     if len(idx) > 2:
         raise UnsupportedOperation(f"jet order {len(idx)} > 2 for {dep}")
     name = dep if not idx else dep + "_" + "".join(idx)
-    return Symbol(name, JET, dep=dep, index=idx)
+    return Symbol(name, JET, dep, idx)
 
 
 class Pow(Expr):
     __slots__ = ("base", "exp")
-
-    def __init__(self, base: Expr, exp: int | Fraction):
-        self._key = self._hash = self._free = self._fns = None
-        self.base = base
-        self.exp = exp
 
     def _make_key(self):
         return (4, self.base.sort_key(), (self.exp.numerator, self.exp.denominator))
@@ -258,11 +289,6 @@ class Func(Expr):
 
     __slots__ = ("head", "arg")
 
-    def __init__(self, head: str, arg: Expr):
-        self._key = self._hash = self._free = self._fns = None
-        self.head = head
-        self.arg = arg
-
     def _make_key(self):
         return (5, self.head, self.arg.sort_key())
 
@@ -272,21 +298,12 @@ class Applied(Expr):
 
     __slots__ = ("head", "args")
 
-    def __init__(self, head: str, args: tuple):
-        self._key = self._hash = self._free = self._fns = None
-        self.head = head
-        self.args = args
-
     def _make_key(self):
         return (6, self.head, tuple([a.sort_key() for a in self.args]))
 
 
 class Add(Expr):
     __slots__ = ("terms",)
-
-    def __init__(self, terms: tuple):
-        self._key = self._hash = self._free = self._fns = None
-        self.terms = terms
 
     def _make_key(self):
         return (7, tuple([t.sort_key() for t in self.terms]))
@@ -295,12 +312,12 @@ class Add(Expr):
 class Mul(Expr):
     __slots__ = ("factors",)
 
-    def __init__(self, factors: tuple):
-        self._key = self._hash = self._free = self._fns = None
-        self.factors = factors
-
     def _make_key(self):
         return (8, tuple([f.sort_key() for f in self.factors]))
+
+
+ZERO = Const(0)
+ONE = Const(1)
 
 
 def as_expr(x) -> Expr:
@@ -573,11 +590,11 @@ def _fold(e: Expr, visit: Callable, stop: Callable,
           memo: Optional[dict] = None):
     """Fold e bottom-up: the value of x is visit(x, values of its operands).
 
-    Each structurally distinct subtree is visited once, children before
-    parents, in first-occurrence order, and memo (a new dict unless given)
-    maps it to its value (None too) in that order.  stop(x) is asked first:
-    anything but None is x's value, taken without descending into x or
-    memoizing it.  This is the kernel's one recursive walk.
+    Each distinct subtree (one node per value) is visited once, children
+    before parents, in first-occurrence order, and memo (a new dict unless
+    given) maps it to its value (None too) in that order.  stop(x) is asked
+    first: anything but None is x's value, taken without descending into x
+    or memoizing it.  This is the kernel's one recursive walk.
     """
     if memo is None:
         memo = {}
@@ -606,7 +623,7 @@ def diff(e: Expr, s: Symbol) -> Expr:
     """Partial derivative of e with respect to the symbol s.
 
     All other symbols (including jet variables) are treated as independent.
-    Structurally equal subtrees are differentiated once per call.
+    Each distinct subtree is differentiated once per call.
     """
     if s not in e.free_symbols():
         return ZERO
@@ -687,11 +704,8 @@ def _applications(x: Expr, kids) -> frozenset:
 
 
 def applications(e: Expr) -> list:
-    """The distinct arbitrary-function applications in e, in sort order.
-
-    Of structurally equal applications the first one met is kept, so its
-    argument nodes (and the evaluators compiled on them) are e's own.
-    """
+    """The distinct arbitrary-function applications in e, in sort order:
+    the nodes of e itself, one per value."""
     return sorted(_fold(e, _applications, _nothing_at_leaf),
                   key=Expr.sort_key)
 
@@ -709,7 +723,7 @@ class _Expansion:
 
     A polynomial is the list of (monomial, rational coefficient) terms of
     a node, in the order they were collected.  A monomial is a power map:
-    a frozenset of (base id, exponent) pairs, the bases interned per call.
+    a frozenset of (base node, exponent) pairs.
     A product of two terms merges their power maps and builds no node,
     except where mul would do more than add exponents: then the two term
     nodes are multiplied with mul and its result collected as add collects
@@ -718,11 +732,8 @@ class _Expansion:
     """
 
     def __init__(self):
-        self.ids = {}         # base node -> id
-        self.bases = []       # id -> base node
-        self.kinds = []       # id -> _PLAIN, _SUM, _FOLDS or _TRIG
-        self.squares = set()  # (id, exponent) of every sin/cos power >= 2
-        self.factors = {}     # (id, exponent) -> factor node
+        self.kinds = {}       # base node -> _PLAIN, _SUM, _FOLDS or _TRIG
+        self.squares = set()  # (base, exponent) of every sin/cos power >= 2
         self.monos = {}       # monomial -> its factor nodes, sorted
 
     def split(self, t: Expr):
@@ -736,18 +747,16 @@ class _Expansion:
         pairs = []
         for f in fs:
             b, x = (f.base, f.exp) if type(f) is Pow else (f, 1)
-            i = self.ids.get(b)
-            if i is None:
-                i = self.ids[b] = len(self.bases)
-                self.bases.append(b)
-                self.kinds.append(
+            kind = self.kinds.get(b)
+            if kind is None:
+                kind = self.kinds[b] = (
                     _SUM if type(b) is Add
                     else _FOLDS if type(b) in (Const, Mul, Pow)
                     else _TRIG if type(b) is Func and b.head in ("sin", "cos")
                     else _PLAIN)
-            if self.kinds[i] == _TRIG and type(x) is int and x >= 2:
-                self.squares.add((i, x))
-            pairs.append((i, x))
+            if kind == _TRIG and type(x) is int and x >= 2:
+                self.squares.add((b, x))
+            pairs.append((b, x))
         return frozenset(pairs), coeff
 
     def terms(self, x: Expr) -> list:
@@ -757,15 +766,9 @@ class _Expansion:
     def monomial(self, key) -> tuple:
         fs = self.monos.get(key)
         if fs is None:
-            made = self.factors
-            fs = []
-            for pair in key:
-                f = made.get(pair)
-                if f is None:
-                    b, x = self.bases[pair[0]], pair[1]
-                    f = made[pair] = b if x == 1 else Pow(b, x)
-                fs.append(f)
-            fs = self.monos[key] = tuple(sorted(fs, key=Expr.sort_key))
+            fs = self.monos[key] = tuple(sorted(
+                [b if x == 1 else Pow(b, x) for b, x in key],
+                key=Expr.sort_key))
         return fs
 
     def term(self, key, coeff) -> Expr:
@@ -788,9 +791,9 @@ class _Expansion:
         """The sum that coeff times the monomial key is, if it is one: mul
         and add return it bare, and a parent flattens it."""
         if coeff == 1 and len(key) == 1:
-            (i, x), = key
-            if x == 1 and self.kinds[i] == _SUM:
-                return self.bases[i]
+            (b, x), = key
+            if x == 1 and self.kinds[b] == _SUM:
+                return b
         return None
 
     def built(self, out: dict) -> list:
@@ -826,24 +829,24 @@ class _Expansion:
                     k = ka or kb
                 else:
                     d = dict(ka)
-                    for i, x in kb:
-                        y = d.get(i)
+                    for base, x in kb:
+                        y = d.get(base)
                         if y is None:
-                            d[i] = x
+                            d[base] = x
                             continue
                         s = x + y
                         if type(s) is not int:
                             s = _exact(s)
-                        kind = kinds[i]
+                        kind = kinds[base]
                         if kind == _FOLDS:
                             k = None
                             break
                         if kind == _TRIG and type(s) is int and s >= 2:
-                            squares.add((i, s))
+                            squares.add((base, s))
                         if s == 0:
-                            d.pop(i)
+                            d.pop(base)
                         else:
-                            d[i] = s
+                            d[base] = s
                     else:
                         k = frozenset(d.items())
                 if k is None or len(k) == 1 and self.bare_sum(k, c):
@@ -931,12 +934,11 @@ def expand(e: Expr, bindings: Optional[Mapping[Symbol, Expr]] = None,
         return got
 
     out = _fold(e, poly.visit, stop)
-    i = poly.ids.get(clear) if clear is not None else None
-    if i is not None:
-        kappa = -min([0] + [sum([int(x) for j, x in k if j == i])
+    if clear in poly.kinds:
+        kappa = -min([0] + [sum([int(x) for b, x in k if b is clear])
                             for k, _ in out])
         if kappa:
-            out = poly.times([(frozenset(((i, kappa),)), 1)], out)
+            out = poly.times([(frozenset(((clear, kappa),)), 1)], out)
     return poly.node(out)
 
 
@@ -972,9 +974,7 @@ def denominator_symbols(e: Expr) -> frozenset:
     Kept on e after its evaluators (e._fns[2]), so a node the oracle
     samples again is not folded again.
     """
-    fns = e._fns
-    if fns is None:
-        fns = e._fns = [None, None]
+    fns = _evaluators(e)
     if len(fns) == 2:
         fns.append(_fold(e, lambda x, kids: _union(kids), _denominators_at))
     return fns[2]
@@ -1066,7 +1066,7 @@ def _codegen(e: Expr, wrt: Optional[tuple] = None) -> tuple:
     """(source, values): a flat function `f(a, k0, k1, ...)` evaluating e,
     one local per subtree, and the values of its parameters k<i>.
 
-    Structurally equal subtrees share one local, assigned in first-occurrence
+    Each distinct subtree has one local, assigned in first-occurrence
     post-order, which is the order a nested expression would evaluate them
     in.  The source depends only on e's shape: each symbol name (a[k0]) and
     each rational constant, a power's exponent included, is a parameter,
@@ -1265,19 +1265,28 @@ def compile_numeric(e: Expr):
     it returns is the one that nested evaluation gives; a point where
     evaluation overflows, leaves the domain or ends non-finite raises
     SingularEvaluation instead.  The evaluator is kept on the node itself,
-    so it lives exactly as long as the tree does.  Expressions of the same
-    shape, which may differ in their rational constants and symbol names,
-    generate the same source, whose code object comes from a bounded memo
-    (_code, CODE_MEMO_SIZE sources, keyed by each source's SHA-256 digest,
-    so no source text is kept); each node still gets its own function,
-    made from that code object in fresh globals, with its own constants
-    and names bound as the function's defaults.
+    so it lives exactly as long as the node does, and since a value has
+    one node, every place that builds the value shares it.  Expressions
+    of the same shape, which may differ in their rational constants and
+    symbol names, generate the same source, whose code object comes from
+    a bounded memo (_code, CODE_MEMO_SIZE sources, keyed by each source's
+    SHA-256 digest, so no source text is kept); each node still gets its
+    own function, made from that code object in fresh globals, with its
+    own constants and names bound as the function's defaults.
     """
-    if e._fns is None:
-        e._fns = [None, None]
-    if e._fns[0] is None:
-        e._fns[0] = _compile(_codegen(e))
-    return e._fns[0]
+    fns = _evaluators(e)
+    if fns[0] is None:
+        fns[0] = _compile(_codegen(e))
+    return fns[0]
+
+
+def _evaluators(e: Expr) -> list:
+    """e's evaluator cache, [value, gradient] (None until compiled)."""
+    fns = e._fns
+    if fns is None:
+        fns = [None, None]
+        _set(e, "_fns", fns)
+    return fns
 
 
 def compile_gradient(e: Expr, wrt: Optional[Iterable] = None):
@@ -1294,7 +1303,8 @@ def compile_gradient(e: Expr, wrt: Optional[Iterable] = None):
     wrt requests the symbols to take the gradient along, of which those
     free in e are taken (other items, such as None, are ignored); by
     default all of e's free symbols.  The gradient is kept on the node, like
-    compile_numeric's evaluator, and serves any later request it covers;
+    compile_numeric's evaluator, so it serves every place that builds the
+    value, and it serves any later request it covers;
     a request it does not cover compiles along the union of both, so
     symbols may hold more than was asked for.  Each slot is bit-identical
     to the same slot of the gradient along all free symbols: a subtree
@@ -1303,15 +1313,14 @@ def compile_gradient(e: Expr, wrt: Optional[Iterable] = None):
     """
     free = e.free_symbols()
     want = free if wrt is None else free.intersection(wrt)
-    if e._fns is None:
-        e._fns = [None, None]
-    kept = e._fns[1]
+    fns = _evaluators(e)
+    kept = fns[1]
     if kept is None or not want.issubset(kept[0]):
         if kept is not None:
             want = want.union(kept[0])
         symbols = tuple(sorted(want, key=lambda s: (s.name, s.kind)))
-        e._fns[1] = (symbols, _compile(_codegen(e, symbols)))
-    return e._fns[1]
+        fns[1] = (symbols, _compile(_codegen(e, symbols)))
+    return fns[1]
 
 
 # ---------------------------------------------------------------------------
@@ -1319,16 +1328,10 @@ def compile_gradient(e: Expr, wrt: Optional[Iterable] = None):
 
 
 def _render_const(v: int | Fraction) -> str:
-    """The text n or n/d of a rational, for rendering and for codegen;
-    UnsupportedOperation where int/str conversion refuses a part as too
-    long, as for a constant the engine built from parsed ones."""
-    try:
-        if v.denominator == 1:
-            return str(v.numerator)
-        return f"{v.numerator}/{v.denominator}"
-    except ValueError:
-        raise UnsupportedOperation(
-            f"constant exceeds {_digit_limit()} digits") from None
+    """The text n or n/d of a rational, for rendering and for codegen."""
+    if v.denominator == 1:
+        return str(v.numerator)
+    return f"{v.numerator}/{v.denominator}"
 
 
 def _needs_parens_in_mul(x: Expr) -> bool:
@@ -1404,6 +1407,9 @@ def render(e: Expr) -> str:
 # Parsing
 
 
+_DIGITS = frozenset("0123456789")  # ASCII only: str.isdigit takes "²"
+
+
 class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
@@ -1442,11 +1448,11 @@ class _Tokenizer:
         start = self.pos
         t = self.text
         i = start
-        while i < len(t) and t[i].isdigit():
+        while i < len(t) and t[i] in _DIGITS:
             i += 1
         if i < len(t) and t[i] == ".":
             i += 1
-            while i < len(t) and t[i].isdigit():
+            while i < len(t) and t[i] in _DIGITS:
                 i += 1
         if i == start:
             raise ParseError("expected number", start)
@@ -1462,37 +1468,13 @@ class _Tokenizer:
 # recursive parser, constructors and tree walks (compile_numeric emits flat
 # code, so it has no parenthesis limit); larger exponents build floats that
 # overflow; the oracle expands no residual beyond MAX_EXPANSION_TERMS, as a
-# product of sums grows exponentially when expanded.  A parsed constant has
-# at most _digit_limit() digits in its numerator and its denominator, so
-# that it can be printed and compiled.
+# product of sums grows exponentially when expanded.  A constant has at
+# most _digit_limit() digits in its numerator and its denominator
+# (_check_digits, where a Const is made), so that it can be printed and
+# compiled.
 MAX_NESTING = 32
 MAX_EXPONENT = 1000
 MAX_EXPANSION_TERMS = 10_000
-
-
-def _digit_limit() -> int:
-    """The digits int/str conversion allows (sys.set_int_max_str_digits),
-    or its default where the limit is off; never below _SHORT_DIGITS."""
-    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-
-
-# the least limit sys.set_int_max_str_digits takes (640)
-_SHORT_DIGITS = sys.int_info.str_digits_check_threshold
-
-
-def _bounded(e: Expr, pos: int) -> Expr:
-    """e, refused if the numerator or denominator of the coefficient of a
-    term has more digits than _digit_limit() allows."""
-    for t in (e.terms if type(e) is Add else (e,)):
-        c = t.factors[0] if type(t) is Mul else t
-        if type(c) is Const:
-            n = max(abs(c.value.numerator), c.value.denominator)
-            # an n of 3*k bits or fewer is below 8^k < 10^k: k digits at most
-            if n.bit_length() > 3 * _SHORT_DIGITS \
-                    and n >= 10 ** _digit_limit():
-                raise ParseError(f"constant exceeds {_digit_limit()} digits",
-                                 pos)
-    return e
 
 
 def _check_power(base: Expr, exp: int | Fraction, pos: int) -> None:
@@ -1512,7 +1494,7 @@ class _Parser:
     def parse(self) -> Expr:
         try:
             e = self.expr()
-        except UnsupportedOperation as err:  # a power too long (_rat_pow)
+        except UnsupportedOperation as err:  # a constant too long
             raise ParseError(str(err), self.tok.pos) from None
         self.tok.skip_ws()
         if not self.tok.at_end():
@@ -1539,8 +1521,7 @@ class _Parser:
             t = self.term()
             terms.append(t if op == "+" else mul(Const(-1), t))
         self.depth -= 1
-        return terms[0] if len(terms) == 1 \
-            else _bounded(add(*terms), self.tok.pos)
+        return terms[0] if len(terms) == 1 else add(*terms)
 
     def term(self) -> Expr:
         factors = [self.factor()]
@@ -1553,8 +1534,7 @@ class _Parser:
                 _check_power(f, Fraction(-1), pos)
                 f = pow_(f, -1)
             factors.append(f)
-        return factors[0] if len(factors) == 1 \
-            else _bounded(mul(*factors), self.tok.pos)
+        return factors[0] if len(factors) == 1 else mul(*factors)
 
     def factor(self) -> Expr:
         base = self.base()
@@ -1563,7 +1543,7 @@ class _Parser:
             pos = self.tok.pos
             exp = self.exponent()
             _check_power(base, exp, pos)
-            return _bounded(pow_(base, exp), pos)
+            return pow_(base, exp)
         return base
 
     def exponent(self) -> int | Fraction:
@@ -1589,7 +1569,7 @@ class _Parser:
             e = self.expr()
             self.tok.take(")")
             return e
-        if c.isdigit():
+        if c in _DIGITS:
             return Const(self.tok.number())
         name, start = self.tok.ident()
         if self.tok.peek() == "(":

@@ -236,12 +236,9 @@ def type1_pipeline(entry: liealg.AlgebraCatalogEntry, m: int = 1,
     _verify_annihilation(generators, invariants, cfg)
     _check_rank(invariants, space, n, cfg)
 
-    # the slots take the invariants' own nodes, whose evaluators the checks
-    # above compiled
-    node = dict(invariants)
     template = _template(
         space,
-        [("u", node["u"])] + first + [(mu, node[mu]) for mu in ys],
+        [("u", space.jet())] + first + [(mu, space.base(mu)) for mu in ys],
         second,
     )
     return InvariantSet(entry.name, entry.params, "free", space,

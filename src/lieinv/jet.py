@@ -273,7 +273,7 @@ def prolong2(field: VectorField, theta: ex.Expr = ex.ZERO) -> ProlongedField:
     """Second prolongation of field + theta d_u, on field.space.
 
     Computed once per distinct (field, theta), by value (equal spaces and
-    structurally equal components), in a bounded memo (_prolongation,
+    equal components, one node per value), in a bounded memo (_prolongation,
     PROLONG_MEMO_SIZE entries, least recently used dropped first); every
     call gets its own ProlongedField and coefficient dict, so a caller
     cannot alter the memo.

@@ -177,7 +177,7 @@ def first_non_annihilating(fields: Sequence, exprs: Sequence[ex.Expr],
     same bound.  The first failing pair, in point, member and operator
     order, is returned.
     """
-    slot = {}  # id(coefficient) -> its index in coeffs and values
+    slot = {}  # coefficient -> its index in coeffs and values
     coeffs, values = [], []  # the distinct coefficients rows use, compiled
     checks = []  # (i, gradient of exprs[i], per field [(slot, column)])
     keys = {s for f in fields for s in f.coefficients}  # the gradients' wrt
@@ -193,11 +193,11 @@ def first_non_annihilating(fields: Sequence, exprs: Sequence[ex.Expr],
         column[None] = 0
         for row in rows:
             for _, c in row:
-                if id(c) not in slot:
-                    slot[id(c)] = len(coeffs)
+                if c not in slot:
+                    slot[c] = len(coeffs)
                     coeffs.append(c)
                     values.append(ex.compile_numeric(c))
-        checks.append((i, grad, [[(slot[id(c)], column[s]) for s, c in row]
+        checks.append((i, grad, [[(slot[c], column[s]) for s, c in row]
                                  for row in rows]))
     if not checks:
         return None
@@ -273,11 +273,6 @@ def _row_echelon(matrix: list, scale: Optional[float] = None
                 m[i] = [a - f * b for a, b in zip(m[i], mr)]
         r += 1
     return r, pivots
-
-
-def _row_echelon_rank(matrix: list) -> int:
-    """Rank of matrix, pivots counted relative to its largest entry."""
-    return _row_echelon(matrix)[0]
 
 
 def _null_basis(pivots: List[Tuple[int, list]], width: int) -> List[list]:
@@ -363,7 +358,7 @@ def functional_rank(exprs: Sequence[ex.Expr],
 
     def visit(pt):
         nonlocal best
-        best = max(best, _row_echelon_rank(jacobian(pt)))
+        best = max(best, _row_echelon(jacobian(pt))[0])
         return best if best == full else None
 
     at_regular_points(exprs, cfg, visit)
@@ -393,7 +388,7 @@ def equivalence_check(a: Sequence[ex.Expr], b: Sequence[ex.Expr],
         rows = jacobian(pt)
         ja, jb = rows[:len(a)], rows[len(a):]
         if rb < full_b:
-            rb = max(rb, _row_echelon_rank(jb))
+            rb = max(rb, _row_echelon(jb)[0])
         rank_a, rank_ab = _union_rank(ja, jb, width)
         ra, rab = max(ra, rank_a), max(rab, rank_ab)
         return True if rab == full else None

@@ -189,8 +189,10 @@ class TestCovariant:
         "u_xx*(2^1000)^16 + u_yy",
         "u_xx*" + "*".join(["2^1000"] * 15),
         "u_xx*" + "7" * 4400,
+        # a digit that is not ASCII is no number
+        "u_xx + x^²",
     ], ids=["zero-division", "deep-nesting", "huge-exponent",
-            "long-power", "long-product", "long-literal"])
+            "long-power", "long-product", "long-literal", "superscript-digit"])
     def test_malformed_input_is_one_error_line(self, tmp_path, capsys, lhs):
         f = tmp_path / "pde.txt"
         f.write_text(f"coords: x, y; dep: u\nlhs: {lhs}\n")

@@ -165,7 +165,7 @@ class TestRescaleOperators:
         assert calls == []
 
     def test_non_homogeneous_form_cannot_be_made(self):
-        # the ratio read at one point is not an integer here
+        # w_x^2 has degree 2 and w_u degree 1: the sum has no one degree
         z = cov.wspace_for(parse("coords: x; dep: u\nlhs: u_x").space)
         with pytest.raises(NotHomogeneous):
             cov.CovariantPDE(z, z.parse("w_x^2 + w_u"), "u", CFG)

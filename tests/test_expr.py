@@ -1,5 +1,6 @@
 """Expression kernel: constructors, calculus, parse/render, evaluation."""
 
+import copy
 import gc
 import math
 import sys
@@ -88,9 +89,13 @@ class TestCanonicalization:
 
 
 def _fraction_const(v):
-    """A Const whose value is kept as a Fraction, as built before ints."""
-    c = ex.Const(0)
-    c.value = Fraction(v)
+    """A Const whose value is kept as a Fraction, as built before ints: a
+    node made past the constructor, so no shared node is changed and the
+    table of live nodes does not hold it."""
+    c = object.__new__(ex.Const)
+    for name, value in (("value", Fraction(v)), ("_key", None),
+                        ("_free", None), ("_fns", None)):
+        object.__setattr__(c, name, value)
     return c
 
 
@@ -125,7 +130,9 @@ class TestExactNormalization:
         ]
         for new, old in pairs:
             assert new.sort_key() == old.sort_key()
-            assert hash(new) == hash(old) and new == old
+            # rebuilt through the constructors, which normalize a Fraction,
+            # the Fraction-built fields give the one int-built node
+            assert copy.deepcopy(old) is new
             assert ex.render(new) == ex.render(old)
             assert ex._codegen(new) == ex._codegen(old)
             wrt = tuple(sorted(new.free_symbols(), key=lambda s: s.name))
@@ -371,21 +378,26 @@ class TestNumeric:
         assert e._fns == [value, gradient]
         assert value({"x": 1.0, "y": 1.0}) == -1.0
         assert gradient[1]({"x": 1.0, "y": 1.0}) == [-1.0, -2.0, 1.0]
-        # an equal but distinct node compiles its own evaluator
-        assert ex.compile_numeric(ex.add(Y, ex.mul(ex.Const(-2), X))) \
-            is not value
+        # the value built apart is the same node, with the same evaluators
+        again = ex.add(Y, ex.mul(ex.Const(-2), X))
+        assert again is e
+        assert ex.compile_numeric(again) is value
+        assert ex.compile_gradient(again) is gradient
 
     def test_equal_nodes_share_one_code_object(self):
-        # the source is compiled once; each node still gets its own function
+        # equal values built apart are one node, with one function; nodes
+        # of one shape share the code object, each with its own function
         ex._code.cache_clear()
         a = ex.add(ex.mul(ex.Const(-7), X), Y)
         b = ex.add(Y, ex.mul(ex.Const(-7), X))
-        assert a == b and a is not b
-        fa, fb = ex.compile_numeric(a), ex.compile_numeric(b)
+        c = ex.add(ex.mul(ex.Const(-5), X), Y)
+        assert a is b and a is not c
+        fa, fb, fc = map(ex.compile_numeric, (a, b, c))
         assert ex._code.cache_info().misses == 1
-        assert fa is not fb and fa.__code__ is fb.__code__
-        assert a._fns[0] is fa and b._fns[0] is fb
-        assert fa({"x": 1.0, "y": 1.0}) == fb({"x": 1.0, "y": 1.0}) == -6.0
+        assert fa is fb and fa is not fc and fa.__code__ is fc.__code__
+        assert a._fns[0] is fa and c._fns[0] is fc
+        assert fa({"x": 1.0, "y": 1.0}) == -6.0
+        assert fc({"x": 1.0, "y": 1.0}) == -4.0
 
     def test_code_memo_keeps_no_source(self):
         # the memo is keyed by the source's digest: the key it stores drops
@@ -609,6 +621,14 @@ class TestParseRender:
             with pytest.raises(ParseError, match=f"exceeds {limit} digits"):
                 SP.parse(text)
             assert time.perf_counter() - start < 0.05
+
+    def test_parse_reads_ascii_digits_only(self):
+        # str.isdigit takes "²" and Arabic-Indic digits, which Fraction
+        # refuses or reads as other numbers
+        for text in ("x^²", "u_xx + x^²", "١٢*x", "x^2²", "3.1٤*x"):
+            with pytest.raises(ParseError):
+                SP.parse(text)
+        assert SP.parse("12*x") == ex.mul(12, X)
 
     def test_parse_trailing_garbage(self):
         with pytest.raises(ParseError):

@@ -17,17 +17,21 @@ held against the reference reverse sweep (reference_adjoints) on the
 lifted forms and the kernel benchmark's corpus, and the evaluators whose
 constants and symbol names are parameters against the source with inline
 literals (reference_codegen), on the same corpus, with one code object per
-expression shape.  They also pin what makes identity cheap: symbols and
-nodes carry no instance dict, a jet space hands out one symbol object per
-jet variable, and a symbol cannot be altered.
+expression shape.  They also pin what makes identity cheap: every
+constructor returns the one live node of its value, which is its own
+equality and hash, from a table that keeps no node alive; nodes carry no
+instance dict, a jet space hands out one symbol object per jet variable,
+and only a node's caches can be set.
 """
 
 import copy
+import gc
 import itertools
 import pickle
 import random
 import re
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -374,16 +378,23 @@ class TestRequestedGradient:
         assert ex.compile_gradient(e, [ux]) is full
         assert ex.compile_gradient(e, [y, x, space.jet("y")]) is full
         assert len(compiled) == 1
-        # a request the kept gradient does not cover compiles the union
-        f = space.parse("sin(x*y) + u_x^2*y")
-        assert ex.compile_gradient(f, [x])[0] == (x,)
-        assert ex.compile_gradient(f, [ux])[0] == (ux, x)
-        assert ex.compile_gradient(f, [x]) is ex.compile_gradient(f, [ux, x])
+        # the value built again is the same node, whose gradient serves it
+        assert space.parse("y*u_x^2 + sin(y*x)") is e
+        assert ex.compile_gradient(space.parse("y*u_x^2 + sin(x*y)")) is full
+        assert len(compiled) == 1
+        # a request the kept gradient does not cover compiles the union: on
+        # the same shape in other names, a node with no gradient yet
+        other = JetSpace(("s", "t"), "p")
+        s, t, ps = other.base("s"), other.base("t"), other.jet("s")
+        f = other.parse("sin(s*t) + p_s^2*t")
+        assert ex.compile_gradient(f, [s])[0] == (s,)
+        assert ex.compile_gradient(f, [ps])[0] == (ps, s)
+        assert ex.compile_gradient(f, [s]) is ex.compile_gradient(f, [ps, s])
         assert len(compiled) == 3
-        assert ex.compile_gradient(f)[0] == (ux, x, y)
+        assert ex.compile_gradient(f)[0] == (ps, s, t)
         assert len(compiled) == 4
         pt = {"x": 0.3, "y": -0.7, "u_x": 1.1}
-        assert f._fns[1][1](pt) == full[1](pt)
+        assert f._fns[1][1]({"s": 0.3, "t": -0.7, "p_s": 1.1}) == full[1](pt)
 
 
 def _bits(out):
@@ -429,7 +440,8 @@ class TestShapeParameters:
         c = JetSpace(("x", "y"), "u").parse("exp(3*x)*u_x + (1/3)*y^2")
         d = JetSpace(("s", "t"), "p").parse("exp(5*s)*p_s + (2/7)*t^2")
         for pair in ((a, b), (c, d)):
-            # new nodes, without the evaluators the pipeline compiled
+            # the caches emptied, so the evaluators the pipeline compiled
+            # are gone
             pair = [kernel_bench.fresh(e) for e in pair]
             assert pair[0] != pair[1]
             ex._code.cache_clear()
@@ -476,7 +488,7 @@ class TestNodeIdentity:
     def test_equal_symbols_from_separate_spaces(self):
         a = JetSpace(("x", "y"), "u").jet("x", "y")
         b = JetSpace(("y", "x"), "u").jet("y", "x")
-        assert a is not b
+        assert a is b
         assert a == b and hash(a) == hash(b)
         assert ex.Sym(a) == ex.Sym(b) and hash(ex.Sym(a)) == hash(ex.Sym(b))
         assert ex.Symbol("x") == ex.Symbol("x", ex.BASE, None, ())
@@ -496,3 +508,112 @@ class TestNodeIdentity:
         for twin in (copy.copy(s), copy.deepcopy(s),
                      pickle.loads(pickle.dumps(s))):
             assert twin == s and hash(twin) == hash(s)
+
+
+class TestOneNodePerValue:
+    """Every constructor returns the one live node of its value."""
+
+    SP = JetSpace(("x", "y"), "u", params=("h",))
+
+    def _nodes(self):
+        x, y = self.SP.base("x"), self.SP.base("y")
+        return [ex.Const(Fraction(1, 2)), x, ex.Pow(x, Fraction(1, 3)),
+                ex.Func("sin", x), ex.Applied("a1", (x, y)),
+                ex.Add((ex.ONE, x)), ex.Mul((ex.Const(2), x))]
+
+    def test_equal_values_built_apart_are_one_object(self):
+        x = self.SP.base("x")
+        assert ex.Const(Fraction(6, 3)) is ex.Const(2)
+        assert ex.Const(Fraction(2, 4)) is ex.Const(Fraction(1, 2))
+        assert ex.Pow(x, Fraction(2)) is ex.pow_(x, 2)
+        assert type(ex.Pow(x, Fraction(2)).exp) is int
+        assert ex.Symbol("x") is ex.Symbol("x", ex.BASE, None, ()) is x
+        assert ex.Symbol("x", ex.PARAM) is not x
+        assert JetSpace(("y", "x"), "u").jet("y", "x") is self.SP.jet("x", "y")
+        texts = ["sin(x*y)^2*u_x + exp(-u)/(1 + y^2) + b(u_x, x)",
+                 "exp(-u)/(y^2 + 1) + b(u_x, x) + u_x*sin(y*x)^2"]
+        a, b = [self.SP.parse(t) for t in texts]
+        assert a is b
+        for node in self._nodes():
+            assert type(node)(*[getattr(node, f) for f in node.__slots__]) \
+                is node
+            for twin in (copy.copy(node), copy.deepcopy(node),
+                         pickle.loads(pickle.dumps(node))):
+                assert twin is node
+
+    def test_equality_and_hash_are_the_objects_own(self):
+        assert "__eq__" not in vars(ex.Expr)
+        assert "__hash__" not in vars(ex.Expr)
+        for cls in ex._OPERANDS:
+            assert cls.__eq__ is object.__eq__
+            assert cls.__hash__ is object.__hash__
+        assert "_hash" not in ex.Expr.__slots__
+
+    def test_only_a_cache_can_be_set(self):
+        caches = ("_key", "_free", "_fns")
+        for node in self._nodes() + [self.SP.jet("x")]:
+            for name in node.__slots__ + ("extra", "__dict__"):
+                with pytest.raises(AttributeError):
+                    setattr(node, name, None)
+            for name in node.__slots__ + caches:
+                with pytest.raises(AttributeError):
+                    delattr(node, name)
+            key = node.sort_key()
+            # the guard lets a cache be emptied; a symbol keeps its key
+            for name in caches[type(node) is ex.Symbol:]:
+                setattr(node, name, None)
+            assert node.sort_key() == key
+
+    def test_the_table_keeps_no_node_alive(self):
+        gc.collect()
+        baseline = len(ex._NODES)
+        e = self.SP.parse("sin(x*y*x)^7*u_xy + exp(u_x*y/3)*(x + 13/17)")
+        ex.compile_gradient(e)
+        assert len(ex._NODES) > baseline
+        del e
+        gc.collect()
+        assert len(ex._NODES) == baseline
+
+    def test_shared_trees_hash_and_build_in_linear_time(self):
+        # e -> e*u_x + e*u_y makes 3 new nodes per level; a hash of nested
+        # sort keys doubled its time per level
+        ux, uy = self.SP.jet("x"), self.SP.jet("y")
+        start = time.perf_counter()
+        e = ex.add(ux, uy)
+        for _ in range(24):
+            e = ex.add(ex.mul(e, ux), ex.mul(e, uy))
+            hash(e)
+        assert time.perf_counter() - start < 0.1
+        assert ex.degree(e, [ux, uy]) == 25
+
+    def test_a_lift_holds_the_symbols_of_its_own_space(self):
+        # the implicit derivatives are memoized per z-space value: a lift
+        # on an equal z-space made later holds that space's own symbols
+        first, second = [cov.parse_pde(f"coords: x, y; dep: u\nlhs: {lhs}")
+                         for lhs in ("u_xx + u_yy", "u_xx*u_y + u_yy")]
+        cov.lift(first, cov.wspace_for(first.space))
+        wspace = cov.wspace_for(second.space)
+        form = cov.lift(second, wspace)
+        own = {s.name: s for s in wspace.jet_symbols()}
+        jets = [s for s in form.free_symbols() if s.kind == ex.JET]
+        assert len(jets) == 8
+        assert all(s is own[s.name] for s in jets)
+
+
+class TestKernelBenchPasses:
+    def test_a_pass_starts_from_empty_caches(self):
+        # kernel_bench.fresh empties every cache of a corpus expression in
+        # place, a symbol's sort key excepted, as each timed pass needs
+        e = JetSpace(("x", "y"), "u").parse(
+            "exp(3*x)*u_x/(1 + y^2) + (1/3)*sin(u)^2*u_xy")
+        ex.compile_gradient(e)
+        ex.compile_numeric(e)
+        ex.denominator_symbols(e)
+        ex.simplify_basic(e)
+        assert kernel_bench.fresh(e) is e
+        nodes = []
+        ex._fold(e, lambda x, kids: nodes.append(x), lambda x: None)
+        assert len(nodes) > 10
+        for x in nodes:
+            assert x._fns is None and x._free is None
+            assert (x._key is None) is (type(x) is not ex.Symbol)

@@ -369,7 +369,7 @@ class TestRowEchelon:
     def test_same_rank_as_the_set_based_elimination(self):
         ranks = []
         for matrix in _elimination_cases():
-            rank = nm._row_echelon_rank(matrix)
+            rank = nm._row_echelon(matrix)[0]
             assert rank == set_based_rank(matrix), matrix
             ranks.append((rank, min(len(matrix), len(matrix[0]) if matrix
                                     else 0)))
@@ -381,12 +381,12 @@ class TestRowEchelon:
         # pivot order or another update counts towards the rank
         monkeypatch.setattr(nm, "RANK_PIVOT_TOL", 0.0)
         for matrix in _elimination_cases():
-            assert nm._row_echelon_rank(matrix) == set_based_rank(matrix), \
+            assert nm._row_echelon(matrix)[0] == set_based_rank(matrix), \
                 matrix
 
     def test_input_left_unchanged(self):
         matrix = [[1.0, 2.0], [2.0, 4.0]]
-        assert nm._row_echelon_rank(matrix) == 1
+        assert nm._row_echelon(matrix)[0] == 1
         assert matrix == [[1.0, 2.0], [2.0, 4.0]]
 
 
@@ -400,8 +400,8 @@ class TestUnionRank:
             for k in range(len(matrix) + 1):
                 ja, jb = matrix[:k], matrix[k:]
                 assert nm._union_rank(ja, jb, len(matrix[0])) == \
-                    (nm._row_echelon_rank(ja),
-                     nm._row_echelon_rank(matrix)), (k, matrix)
+                    (nm._row_echelon(ja)[0],
+                     nm._row_echelon(matrix)[0]), (k, matrix)
 
     @pytest.mark.parametrize("a", [
         [[1.0, 2.0, 3.0, 4.0], [2.0, 4.0, 7.0, 1.0]],

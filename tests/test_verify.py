@@ -445,8 +445,8 @@ class TestFamilyControls:
         # the pass; the others take every point
         assert len(seen) == (1 if inv.algebra == "g1" else CFG.points)
         for ja, jb, (ra, rab) in seen:
-            assert ra == nm._row_echelon_rank(ja)
-            assert rab == nm._row_echelon_rank(ja + jb)
+            assert ra == nm._row_echelon(ja)[0]
+            assert rab == nm._row_echelon(ja + jb)[0]
             assert ra == rab
 
 

@@ -9,11 +9,13 @@ library only.
 The corpus is built once, untimed: the invariants of every row of
 ``reproduce all`` (``verify.TABLE_ROWS``), and for each of the 70 equations
 of the benchmark's covariant round trip (seed 61) its lhs and its lifted
-covariant form, structurally distinct expressions only.  Each repetition
-times one pass over a fresh copy of the corpus, made of new nodes, symbol
-leaves included, with no cached free symbols or evaluators and, except for
-a symbol's, which is set when it is made, no cached sort key or hash; so
-every pass does the work of a first visit:
+covariant form, distinct expressions only.  The kernel keeps one node per
+value, so a copy of an expression would be the expression itself: each
+repetition instead empties, in place and untimed, the caches of every node
+of the corpus before it times one pass over it.  No node then holds its
+free symbols, its evaluators or, except for a symbol's, which is set when
+it is made, its sort key, so every pass does the work of a first visit,
+but for making the corpus's own nodes, which the constructors find live:
 
 * ``add_mul_ms``: ``simplify_basic``, every sum and product rebuilt through
   ``add``/``mul``;
@@ -26,8 +28,9 @@ every pass does the work of a first visit:
   (``_codegen(e, symbols)``, the forward and the reverse sweep) and its
   compilation, with the code memo emptied first;
 * ``lift_ms``: ``covariant.lift`` of each of the 70 equations of the
-  covariant round trip (seed 61), each lhs a fresh copy and each z-space
-  made anew, untimed, with the memo of implicit derivatives emptied first:
+  covariant round trip (seed 61), each lhs with its caches emptied and each
+  z-space made anew, untimed, with the memo of implicit derivatives emptied
+  first:
   the substitution of the implicit derivatives (built once per z-space),
   the expansion and the clearing of w_n, in one ``expand`` call per
   equation.
@@ -82,21 +85,16 @@ def corpus() -> list:
     return list(dict.fromkeys(exprs))
 
 
-_CLONE = {
-    ex.Const: lambda x, kids: ex.Const(x.value),
-    ex.Symbol: lambda x, kids: ex.Symbol(x.name, x.kind, x.dep, x.index),
-    ex.Add: lambda x, kids: ex.Add(tuple(kids)),
-    ex.Mul: lambda x, kids: ex.Mul(tuple(kids)),
-    ex.Pow: lambda x, kids: ex.Pow(kids[0], x.exp),
-    ex.Func: lambda x, kids: ex.Func(x.head, kids[0]),
-}
+def _empty(x: ex.Expr, kids) -> None:
+    if type(x) is not ex.Symbol:
+        x._key = None
+    x._free = x._fns = None
 
 
 def fresh(e: ex.Expr) -> ex.Expr:
-    """A copy of e built from new nodes with empty caches, its leaves
-    included, sharing kept."""
-    return ex._fold(e, lambda x, kids: _CLONE[type(x)](x, kids),
-                    lambda x: None)
+    """e, every node's caches emptied in place but a symbol's sort key."""
+    ex._fold(e, _empty, lambda x: None)
+    return e
 
 
 def _diff_all(e):
